@@ -20,6 +20,13 @@ So iterated reduction of the leftmost-closing handle decides triviality.
 Every reduction sequence terminates, but the step count is capped anyway
 and overruns raise rather than guess.
 
+After a handle at ``(open, close)`` is reduced, the search for the next
+one resumes at ``open`` instead of at the start of the word.  It finds the
+same handle as a full rescan: whether a handle closes at position ``c``
+depends only on the letters up to ``c``, the letters before ``open`` did
+not change, and none of them closed a handle before the reduction (the
+reduced handle closed leftmost).
+
 Two shortcuts run first: a word whose exponents do not sum to zero, or
 whose strand permutation is not the identity, is certainly nontrivial.
 """
@@ -81,13 +88,15 @@ def permutation_image(b: BraidWord) -> Permutation:
     return from_adjacent_transpositions(i for i, _ in b)
 
 
-def _leftmost_handle(w: list[BraidLetter]) -> tuple[int, int] | None:
+def _leftmost_handle(w: list[BraidLetter], start: int) -> tuple[int, int] | None:
     """The handle with the leftmost closing letter, as (open, close) positions.
 
-    For each closing candidate only the nearest earlier letter of the same
-    index matters: a farther opener would contain it in its interior.
+    Only closing letters at ``start`` or later are tried; the caller
+    knows that no handle closes earlier.  For each closing candidate only
+    the nearest earlier letter of the same index matters: a farther opener
+    would contain it in its interior.
     """
-    for close in range(1, len(w)):
+    for close in range(max(start, 1), len(w)):
         k, f = w[close]
         for open_ in range(close - 1, -1, -1):
             k2, e2 = w[open_]
@@ -115,12 +124,14 @@ def handle_reduce(b: BraidWord, budget: Budget | None = None) -> BraidWord:
     """Fully handle-reduce a braid word; the result is handle free."""
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
     w = list(free_reduce_braid(b))
+    start = 0
     while True:
-        found = _leftmost_handle(w)
+        found = _leftmost_handle(w, start)
         if found is None:
             return tuple(w)
         budget.spend("handle_reduce")
         _reduce_handle(w, *found)
+        start = found[0]
 
 
 def is_trivial_braid(b: BraidWord, budget: Budget | None = None) -> bool:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Literal, Sequence
 
 from .braid import BraidWord, is_trivial_braid
@@ -131,10 +132,29 @@ def letter_height(g: Gen) -> HeightSet:
 
 
 def word_height(w: Word) -> HeightSet:
-    out = HeightSet.tail(0)
+    """The intersection of the letter height sets of ``w``.
+
+    Folds plain ints rather than height sets: the p letters bound a tail
+    from below by their largest index plus 2, and the pb letters all give
+    singletons, which must agree.
+    """
+    tail = 0
+    single: int | None = None
+    clash = False
     for g in w:
-        out = out.intersect(letter_height(g))
-    return out
+        if g.family is Family.PI:
+            if g.index + 2 > tail:
+                tail = g.index + 2
+        elif g.family is Family.PIBAR:
+            if single is None:
+                single = g.index + 1
+            elif single != g.index + 1:
+                clash = True
+        else:
+            raise AlphabetError(f"word_height: {g!r} has no height")
+    if clash or (single is not None and single < tail):
+        return HeightSet.empty()
+    return HeightSet.tail(tail) if single is None else HeightSet.singleton(single)
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +338,12 @@ class LMRForm:
         return self.L + self.M + self.R
 
 
-def _stray_positive_v(letters: list[Gen]) -> int | None:
-    """Leftmost positive v letter with any non-(positive v) letter before it."""
-    seen_other = False
-    for idx, g in enumerate(letters):
-        if g.family is Family.V and g.exponent > 0:
-            if seen_other:
-                return idx
-        else:
-            seen_other = True
-    return None
+def _is_positive_v(g: Gen) -> bool:
+    return g.family is Family.V and g.exponent > 0
 
 
-def _stray_negative_v(letters: list[Gen]) -> int | None:
-    """Rightmost inverse v letter with any other kind of letter after it."""
-    seen_other = False
-    for idx in range(len(letters) - 1, -1, -1):
-        g = letters[idx]
-        if g.family is Family.V and g.exponent < 0:
-            if seen_other:
-                return idx
-        else:
-            seen_other = True
-    return None
+def _is_negative_v(g: Gen) -> bool:
+    return g.family is Family.V and g.exponent < 0
 
 
 def _push_positive_v_left(letters: list[Gen], p: int) -> None:
@@ -423,24 +426,44 @@ def _flush_v_letters(letters: list[Gen], budget: Budget, op: str) -> tuple[list[
     or replay it as a block of lower-index movers (opi_commute); both
     strictly shrink a multiset measure, so the sweeps terminate.
     Returns the stripped (prefix, suffix); the remainder is pure p/pb.
+
+    A stray is a positive v after the head (the leading run of positive v
+    letters), or an inverse v before the tail (the trailing run of inverse
+    v letters).  Neither sweep rescans the word after a move.  A move at
+    the leftmost stray ``p`` rewrites only the pair ending at ``p``; the
+    letters before it are unchanged and held no stray, so the search
+    resumes at ``p - 1``, or past the head if the move extended it.  In the
+    inverse sweep the letters after the rewritten pair are unchanged and
+    held no stray, so the search resumes at the pair's last letter, or
+    before the tail if the move extended it.  Each picks the same stray as
+    a full rescan.
     """
+    head = start = 0
     while True:
-        p = _stray_positive_v(letters)
+        while head < len(letters) and _is_positive_v(letters[head]):
+            head += 1
+        p = next((i for i in range(max(start, head), len(letters)) if _is_positive_v(letters[i])), None)
         if p is None:
             break
         budget.spend(op)
         _push_positive_v_left(letters, p)
+        start = p - 1
+    tail_len = skip = 0
     while True:
-        p = _stray_negative_v(letters)
+        n = len(letters)
+        while tail_len < n and _is_negative_v(letters[n - 1 - tail_len]):
+            tail_len += 1
+        p = next((i for i in range(n - 1 - max(skip, tail_len), -1, -1) if _is_negative_v(letters[i])), None)
         if p is None:
             break
         budget.spend(op)
+        skip = n - p - 2
         _push_negative_v_right(letters, p)
     head = 0
-    while head < len(letters) and letters[head].family is Family.V and letters[head].exponent > 0:
+    while head < len(letters) and _is_positive_v(letters[head]):
         head += 1
     tail = len(letters)
-    while tail > head and letters[tail - 1].family is Family.V and letters[tail - 1].exponent < 0:
+    while tail > head and _is_negative_v(letters[tail - 1]):
         tail -= 1
     prefix, suffix = letters[:head], letters[tail:]
     del letters[tail:]
@@ -479,6 +502,12 @@ class Monosyllable:
         return self.pre + (self.core,) + self.post
 
     def height(self) -> HeightSet:
+        return self._height
+
+    @cached_property
+    def _height(self) -> HeightSet:
+        # the equalization sweeps ask every syllable for its height many
+        # times; the syllable is immutable, so compute it once
         return word_height(self.word())
 
     def single_height(self) -> int:
@@ -707,7 +736,9 @@ def _equalize_heights(
     levels each prefix up to the next height: a leveled prefix has
     constant heights, so its inversion is again nondecreasing and the
     right-spilling raise applies, with the spill inverting back to a
-    positive v letter past the word's left end.  Returns (left spill,
+    positive v letter past the word's left end.  The second sweep keeps
+    the whole list inverted while it runs, so each syllable is inverted
+    twice in all rather than twice per raise.  Returns (left spill,
     syllables, right spill).
     """
     right_spill: list[Gen] = []
@@ -721,17 +752,24 @@ def _equalize_heights(
                 right_spill.insert(0, spill)
 
     left_spill: list[Gen] = []
-    for j in range(1, len(syllables)):
-        target = syllables[j].single_height()
-        while syllables[0].single_height() < target:
-            budget.spend("equalize_heights")
-            inv = [s.inverse() for s in reversed(syllables[:j])]
-            raised, spill = raise_word_heights(inv)
-            syllables[:j] = [s.inverse() for s in reversed(raised)]
-            if spill is not None:
-                left_spill.append(spill.inverse())
+    n = len(syllables)
+    if syllables[0].single_height() < max(s.single_height() for s in syllables):
+        # A syllable and its inverse have the same height, so the sweep
+        # runs on the inverted list, where the prefix syllables[:j] is
+        # inv[n - j:], and inverts back once at the end.
+        inv = [s.inverse() for s in reversed(syllables)]
+        for j in range(1, n):
+            target = inv[n - 1 - j].single_height()
+            while inv[-1].single_height() < target:
+                budget.spend("equalize_heights")
+                raised, spill = raise_word_heights(inv[n - j:])
+                inv[n - j:] = raised
+                if spill is not None:
+                    left_spill.append(spill.inverse())
+        syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.single_height() for s in syllables}
-    assert len(heights) == 1, f"equalization failed: {heights}"
+    if len(heights) != 1:
+        raise AssertionError(f"equalization failed: {heights}")
     return left_spill, syllables, right_spill
 
 
@@ -776,7 +814,8 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
         h += 1
 
     height = word_height(middle)
-    assert height.contains(h)
+    if not height.contains(h):
+        raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")
     return LMRForm(tuple(left), middle, tuple(right), height, h)
 
 

@@ -103,7 +103,7 @@ def _emit(args: argparse.Namespace, record: dict, human: str) -> None:
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    return Budget(args.max_steps) if args.max_steps else Budget()
+    return Budget(args.max_steps) if args.max_steps is not None else Budget()
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

@@ -36,6 +36,16 @@ of positive letters to its right while letters it creates stay on its
 left.  For the second phase, each push replaces one ``s`` letter by one
 or two whose positive-l-to-the-right counts are strictly smaller, a
 well-founded multiset descent.
+
+Neither phase rescans the whole word after a push; each resumes next to
+the rewrite and picks the same site a full rescan would.  In the first
+phase no site lay right of the old one, and the letters right of the
+replacement are the old ones, so the rightmost site is at most the
+pushed inverse's new position (the replacement's last letter), or the
+position just before the old site when the pair cancelled.  In the
+second phase the letters left of the site are unchanged and held no
+site, and the replacement starts with an ``l`` letter, so the leftmost
+site is at least one before the old site.
 """
 
 from __future__ import annotations
@@ -117,20 +127,26 @@ class HatFraction:
         if self.f_part != self.g_part:
             return False
         if self.mode is GroupMode.VHAT:
-            assert isinstance(self.beta, Permutation)
-            return self.beta.is_identity()
-        assert isinstance(self.beta, tuple)
-        return is_trivial_braid(self.beta, budget)
+            return self._permutation().is_identity()
+        return is_trivial_braid(self._braid(), budget)
 
     def to_word(self) -> Word:
         """Reassemble an l/s word representing the same element."""
         if self.mode is GroupMode.VHAT:
-            assert isinstance(self.beta, Permutation)
-            middle: Word = tuple(sig(i) for i in self.beta.adjacent_word())
+            middle: Word = tuple(sig(i) for i in self._permutation().adjacent_word())
         else:
-            assert isinstance(self.beta, tuple)
-            middle = braid_to_word(self.beta)
+            middle = braid_to_word(self._braid())
         return self.f_part.word() + middle + invert(self.g_part.word())
+
+    def _permutation(self) -> Permutation:
+        if not isinstance(self.beta, Permutation):
+            raise TypeError(f"HatFraction: a {self.mode.value} middle must be a Permutation, got {self.beta!r}")
+        return self.beta
+
+    def _braid(self) -> BraidWord:
+        if not isinstance(self.beta, tuple):
+            raise TypeError(f"HatFraction: a {self.mode.value} middle must be a braid word, got {self.beta!r}")
+        return self.beta
 
 
 def _is_positive(g: Gen) -> bool:
@@ -145,9 +161,10 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
 
     # Phase 1: move every inverse l letter to the right end, rightmost
     # eligible letter first.
+    resume = len(letters) - 2
     while True:
         site = None
-        for p in range(len(letters) - 2, -1, -1):
+        for p in range(min(resume, len(letters) - 2), -1, -1):
             g = letters[p]
             if g.family is Family.LAMBDA and g.exponent < 0 and _is_positive(letters[p + 1]):
                 site = p
@@ -155,13 +172,17 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
         if site is None:
             break
         budget.spend("canonicalize_hat")
-        letters[site:site + 2] = push_lambda_inverse_right(letters[site], letters[site + 1])
+        pushed = push_lambda_inverse_right(letters[site], letters[site + 1])
+        letters[site:site + 2] = pushed
+        # the pushed inverse is the replacement's last letter
+        resume = site + len(pushed) - 1 if pushed else site - 1
 
     # Phase 2: inside the positive prefix, move s letters right past
     # positive l letters.
+    resume = 0
     while True:
         site = None
-        for p in range(len(letters) - 1):
+        for p in range(resume, len(letters) - 1):
             g, h = letters[p], letters[p + 1]
             if g.family is Family.SIGMA and h.family is Family.LAMBDA and h.exponent > 0:
                 site = p
@@ -170,6 +191,7 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
             break
         budget.spend("canonicalize_hat")
         letters[site:site + 2] = push_sigma_past_lambda(letters[site], letters[site + 1])
+        resume = max(site - 1, 0)
 
     first_sigma = next((i for i, g in enumerate(letters) if g.family is Family.SIGMA), len(letters))
     first_neg = next(

@@ -116,23 +116,21 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation({x: p.apply(q.apply(x)) for x in points})
 
 
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def apply(p: Permutation, point: int) -> int:
-    return p.apply(point)
-
-
-def is_identity(p: Permutation) -> bool:
-    return p.is_identity()
-
-
 def from_adjacent_transpositions(indices: Iterable[int]) -> Permutation:
-    result = Permutation.identity()
+    """The product ``t_i1 o t_i2 o ... o t_ik`` of adjacent transpositions.
+
+    Works on the one-line form ``line[x] = image(x)``: multiplying on the
+    right by ``t_i`` swaps the entries at positions ``i`` and ``i + 1``, so
+    each letter costs one swap, and the list grows to ``max(i) + 2``.
+    """
+    line: list[int] = []
     for i in indices:
-        result = compose(result, Permutation.transposition(i, i + 1))
-    return result
+        if i < 0:
+            raise ValueError("permutations act on nonnegative integers only")
+        if i + 2 > len(line):
+            line.extend(range(len(line), i + 2))
+        line[i], line[i + 1] = line[i + 1], line[i]
+    return Permutation({x: y for x, y in enumerate(line) if x != y})
 
 
 def _transposition_indices(w: Word) -> Iterator[int]:

@@ -411,7 +411,7 @@ def _decide(w: Word, group: GroupId, budget: Budget) -> tuple[bool, str]:
 
 def verify(instance: RelationInstance, max_steps: int | None = None) -> VerifyResult:
     """Check one relation instance with the deciders of its group."""
-    budget = Budget(max_steps) if max_steps else Budget()
+    budget = Budget(max_steps) if max_steps is not None else Budget()
     w = instance.relator()
     try:
         ok, detail = _decide(w, instance.group, budget)

@@ -85,15 +85,21 @@ def f_fraction(w: Word) -> tuple[FNormal, FNormal]:
     Each push moves one inverse past one positive letter, so the total
     number of (inverse, positive-to-its-right) pairs strictly decreases.
 
+    After a push the search resumes at the pushed inverse's new position,
+    or just before the site after a cancellation, and finds the same site
+    a full rescan would: no site lay right of the old one, and the letters
+    right of the rewritten pair are unchanged.
+
     >>> p, n = f_fraction((lam(2, -1), lam(0)))
     >>> (p.indices, n.indices)
     ((0,), (3,))
     """
     check_alphabet(w, _LAMBDA_ONLY, "f_fraction")
     letters = list(free_reduce(w))
+    resume = len(letters) - 2
     while True:
         site = None
-        for p in range(len(letters) - 2, -1, -1):
+        for p in range(min(resume, len(letters) - 2), -1, -1):
             if letters[p].exponent < 0 and letters[p + 1].exponent > 0:
                 site = p
                 break
@@ -107,6 +113,7 @@ def f_fraction(w: Word) -> tuple[FNormal, FNormal]:
             letters[site:site + 2] = [lam(q + 1), lam(m, -1)]
         else:
             letters[site:site + 2] = [lam(q), lam(m + 1, -1)]
+        resume = site - 1 if m == q else site + 1
     cut = next((i for i, g in enumerate(letters) if g.exponent < 0), len(letters))
     positive = tuple(letters[:cut])
     negative = tuple(letters[cut:])

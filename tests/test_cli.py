@@ -152,3 +152,10 @@ def test_step_cap_exit(capsys):
                        "s0 l0 s0 l0 s0 l0", "--max-steps", "1")
     assert code == 3
     assert "step limit" in err.lower() or "cap" in err.lower()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_step_cap_is_usage_error(capsys, cap):
+    code, out, err = run(capsys, "trivial", "--group", "V", "--max-steps", cap, "v0")
+    assert code == 2 and out == ""
+    assert "step limit must be positive" in err

@@ -1,6 +1,10 @@
 """Canonical hat fractions: push rules, triviality, and both group modes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,35 @@ def test_budget_cap_raises():
     w = (sig(0), lam(0)) * 12
     with pytest.raises(StepLimitExceeded):
         canonicalize_hat(w, GroupMode.BVHAT, Budget(limit=3))
+
+
+_MISMATCHED_BETA = """
+from bvwords.braid import braid_word
+from bvwords.hatgroups import GroupMode, HatFraction
+from bvwords.perms import Permutation
+from bvwords.thompson_f import FNormal
+
+assert False, "this check must vanish under -O"
+empty = FNormal(())
+cases = [
+    HatFraction(empty, braid_word([(0, 1), (0, -1)]), empty, GroupMode.VHAT),
+    HatFraction(empty, Permutation.identity(), empty, GroupMode.BVHAT),
+]
+for fr in cases:
+    for check in (fr.is_trivial, fr.to_word):
+        try:
+            check()
+        except TypeError as e:
+            if "middle must be" in str(e):
+                continue
+        raise SystemExit(f"no error from {check.__name__} on {fr!r}")
+"""
+
+
+def test_mismatched_middle_raises_under_optimization():
+    # the type checks on a fraction's middle must survive python -O
+    src = str(Path(__import__("bvwords").__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _MISMATCHED_BETA],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -91,6 +91,26 @@ def test_verify_resource_cap():
     assert capped.detail == "canonicalize_hat"  # names the capped operation
 
 
+def test_verify_rejects_nonpositive_step_cap():
+    inst = finite_presentation_instances()[0]
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            verify(inst, max_steps=cap)
+
+
+@pytest.mark.parametrize("source, group, steps", [
+    ("finite-bv#12/bv-p", GroupId.BV, 2904),
+    ("finite-v#12/bv-p", GroupId.V, 1037),
+])
+def test_finite_relator_step_counts_pinned(source, group, steps):
+    # the exact rewrite steps of the two routes on the heaviest relators:
+    # a change to the order or number of rewrites shows here first
+    [inst] = [i for i in finite_presentation_instances() if i.source == source and i.group is group]
+    result = verify(inst)
+    assert result.verdict == "holds"
+    assert result.steps == steps
+
+
 def test_verify_all_small_bound():
     report = verify_all(2)
     assert report.ok
