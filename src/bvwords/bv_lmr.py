@@ -263,37 +263,27 @@ def pi_action(w: Word, m: int, side: Literal["left", "right"]) -> tuple[Word, in
     check_alphabet(w, frozenset({Family.PI}), "pi_action")
     if m < 0:
         raise ValueError("pi_action: index must be nonnegative")
+    if side not in ("left", "right"):
+        raise ValueError(f"pi_action: side must be 'left' or 'right', got {side!r}")
+    # side="right" is side="left" read from the right end: the moves are
+    # the same, so carry through the reversed word and reverse the output
     c = m
     out: list[Gen] = []
+    for g in (w if side == "left" else reversed(w)):
+        a, e = g.index, g.exponent
+        if a == c:
+            out += (Gen(Family.PI, a + 1, e), Gen(Family.PI, a, e))
+            c = a + 1
+        elif a == c - 1:
+            out += (Gen(Family.PI, a, e), Gen(Family.PI, a + 1, e))
+            c = a
+        elif a > c:
+            out.append(Gen(Family.PI, a + 1, e))
+        else:
+            out.append(g)
     if side == "right":
-        for g in reversed(w):
-            a, e = g.index, g.exponent
-            if a == c:
-                out[:0] = [pi(a, e), pi(a + 1, e)]
-                c = a + 1
-            elif a == c - 1:
-                out[:0] = [pi(a + 1, e), pi(a, e)]
-                c = a
-            elif a > c:
-                out.insert(0, pi(a + 1, e))
-            else:
-                out.insert(0, g)
-        return tuple(out), c
-    if side == "left":
-        for g in w:
-            a, e = g.index, g.exponent
-            if a == c:
-                out += [pi(a + 1, e), pi(a, e)]
-                c = a + 1
-            elif a == c - 1:
-                out += [pi(a, e), pi(a + 1, e)]
-                c = a
-            elif a > c:
-                out.append(pi(a + 1, e))
-            else:
-                out.append(g)
-        return tuple(out), c
-    raise ValueError(f"pi_action: side must be 'left' or 'right', got {side!r}")
+        out.reverse()
+    return tuple(out), c
 
 
 def opi_commute(m: int, k: int, exponent: int, side: Literal["left", "right"]) -> tuple[Word, Word]:

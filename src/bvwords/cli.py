@@ -14,7 +14,7 @@ Commands:
     selftest --samples K --seed S ...         decider cross-agreement
 
 Exit codes: 0 true/success, 1 false/failure, 2 usage or parse error,
-3 step cap exceeded.
+3 step cap exceeded, 4 internal error (a fault in the package).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bv_lmr import BVMode, LMRForm, is_trivial_bv, to_third_form
 from .hatgroups import GroupMode, canonicalize_hat, is_trivial_hat
 from .limits import Budget, StepLimitExceeded
 from .perms import from_sigma_word
-from .presentations import verify_all
+from .presentations import FAMILIES, verify_all
 from .thompson_f import f_fraction, is_trivial_f
 from .words import (
     AlphabetError,
@@ -51,6 +51,11 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+
+
+class UsageError(ValueError):
+    """A command-line option has a value the command cannot run with."""
 
 
 class WordSyntaxError(ValueError):
@@ -104,6 +109,20 @@ def _emit(args: argparse.Namespace, record: dict, human: str) -> None:
 
 def _budget(args: argparse.Namespace) -> Budget:
     return Budget(args.max_steps) if args.max_steps is not None else Budget()
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject option values before any work, so that a ``ValueError``
+    raised later is a fault of the package, not of the input."""
+    if args.max_steps is not None and args.max_steps <= 0:
+        raise UsageError("step limit must be positive")
+    if args.command == "verify":
+        if args.bound < 0:
+            raise UsageError("bound must be nonnegative")
+        if args.family is not None and args.family not in FAMILIES:
+            raise UsageError(f"unknown relation family {args.family!r}")
+    if args.command == "selftest" and min(args.samples, args.max_index, args.max_len) < 0:
+        raise UsageError("--samples, --max-index and --max-len must be nonnegative")
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -278,13 +297,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
-    except (WordSyntaxError, AlphabetError, ValueError) as e:
+    except (WordSyntaxError, AlphabetError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except StepLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
+    except Exception as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -37,15 +37,21 @@ left.  For the second phase, each push replaces one ``s`` letter by one
 or two whose positive-l-to-the-right counts are strictly smaller, a
 well-founded multiset descent.
 
-Neither phase rescans the whole word after a push; each resumes next to
-the rewrite and picks the same site a full rescan would.  In the first
-phase no site lay right of the old one, and the letters right of the
-replacement are the old ones, so the rightmost site is at most the
-pushed inverse's new position (the replacement's last letter), or the
-position just before the old site when the pair cancelled.  In the
-second phase the letters left of the site are unchanged and held no
-site, and the replacement starts with an ``l`` letter, so the leftmost
-site is at least one before the old site.
+Both phases are single passes (``thompson_f.collect_fraction``) that
+make the same rewrites, in the same order, as rewriting the rightmost
+(first phase) or leftmost (second phase) site of the whole word each
+time.  The first phase is rightmost-first, so it is a right-to-left
+fold: the letters right of the one being read are already (positive
+letters)(inverse block), so a newly read inverse has its only site on
+its right and is carried to the block, or until it cancels, before
+anything left of it moves.  The second phase is a left-to-right fold
+over the positive letters: the letters read so far are (positive l
+letters)(s block), and a newly read positive ``l`` is carried leftwards
+through the whole ``s`` block before any site on its right is reached.
+Each ``s`` letter's push is a function of its own index and the ``l``
+index it meets, so the new block is the concatenation of the per-letter
+results.  One step is spent per single-letter push, as the rules above
+count them; each carried letter's pushes are charged together.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .braid import BraidWord, braid_to_word, is_trivial_braid, word_to_braid
+from .braid import BraidWord, braid_to_word, is_trivial_braid
 from .limits import Budget
-from .perms import Permutation, from_sigma_word
-from .thompson_f import FNormal, normalize_monoid
+from .perms import Permutation, from_adjacent_transpositions
+from .thompson_f import FNormal, collect_fraction, normalize_monoid
 from .words import (
     Family,
     Gen,
@@ -154,65 +160,23 @@ def _is_positive(g: Gen) -> bool:
 
 
 def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> HatFraction:
-    """Collect a word over l/s letters into its canonical fraction."""
+    """Collect a word over l/s letters into its canonical fraction.
+
+    >>> canonicalize_hat((sig(0), lam(0)), GroupMode.BVHAT).to_word()
+    (l1, s0, s1)
+    """
     check_alphabet(w, _HAT_ALPHABET, "canonicalize_hat")
     budget = budget if budget is not None else Budget()
-    letters = list(free_reduce(w))
-
-    # Phase 1: move every inverse l letter to the right end, rightmost
-    # eligible letter first.
-    resume = len(letters) - 2
-    while True:
-        site = None
-        for p in range(min(resume, len(letters) - 2), -1, -1):
-            g = letters[p]
-            if g.family is Family.LAMBDA and g.exponent < 0 and _is_positive(letters[p + 1]):
-                site = p
-                break
-        if site is None:
-            break
-        budget.spend("canonicalize_hat")
-        pushed = push_lambda_inverse_right(letters[site], letters[site + 1])
-        letters[site:site + 2] = pushed
-        # the pushed inverse is the replacement's last letter
-        resume = site + len(pushed) - 1 if pushed else site - 1
-
-    # Phase 2: inside the positive prefix, move s letters right past
-    # positive l letters.
-    resume = 0
-    while True:
-        site = None
-        for p in range(resume, len(letters) - 1):
-            g, h = letters[p], letters[p + 1]
-            if g.family is Family.SIGMA and h.family is Family.LAMBDA and h.exponent > 0:
-                site = p
-                break
-        if site is None:
-            break
-        budget.spend("canonicalize_hat")
-        letters[site:site + 2] = push_sigma_past_lambda(letters[site], letters[site + 1])
-        resume = max(site - 1, 0)
-
-    first_sigma = next((i for i, g in enumerate(letters) if g.family is Family.SIGMA), len(letters))
-    first_neg = next(
-        (i for i, g in enumerate(letters) if g.family is Family.LAMBDA and g.exponent < 0),
-        len(letters),
-    )
-    # with no s letters at all, first_sigma runs past the inverse block
-    split = min(first_sigma, first_neg)
-    positive = tuple(letters[:split])
-    middle = tuple(letters[split:first_neg])
-    negative = tuple(letters[first_neg:])
-
+    positive, middle, negative = collect_fraction(free_reduce(w), budget, "canonicalize_hat")
     beta: BraidWord | Permutation
     if mode is GroupMode.VHAT:
-        beta = from_sigma_word(middle)
+        beta = from_adjacent_transpositions([i for i, _ in middle])
     else:
-        beta = word_to_braid(middle)
+        beta = middle
     return HatFraction(
         f_part=normalize_monoid(positive),
         beta=beta,
-        g_part=normalize_monoid(invert(negative)),
+        g_part=normalize_monoid(negative),
         mode=mode,
     )
 

@@ -36,8 +36,15 @@ class Budget:
         self.used = 0
 
     def spend(self, operation: str, steps: int = 1) -> None:
+        """Charge ``steps`` steps at once.
+
+        On overflow ``used`` is left at ``limit + 1``, where charging the
+        same steps one at a time would have stopped, so a block charge is
+        indistinguishable from single ones.
+        """
         self.used += steps
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise StepLimitExceeded(operation, self.limit)
 
     def __repr__(self) -> str:

@@ -34,6 +34,11 @@ class Family(Enum):
     PI = "p"
     PIBAR = "pb"
 
+    # Members are singletons compared by identity; the C-level identity
+    # hash keeps set and dict lookups (``check_alphabet``) off the
+    # Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"Family.{self.name}"
 

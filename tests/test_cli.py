@@ -159,3 +159,27 @@ def test_nonpositive_step_cap_is_usage_error(capsys, cap):
     code, out, err = run(capsys, "trivial", "--group", "V", "--max-steps", cap, "v0")
     assert code == 2 and out == ""
     assert "step limit must be positive" in err
+
+
+@pytest.mark.parametrize("error", [TypeError("boom"), ValueError("boom")])
+def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, error):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr("bvwords.cli.is_trivial_bv", broken)
+    code, out, err = run(capsys, "trivial", "--group", "V", "v0")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:") and "boom" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--bound", "-1"), "bound must be nonnegative"),
+    (("verify", "--bound", "1", "--family", "no-such-family"), "unknown relation family"),
+    (("selftest", "--samples", "2", "--max-index", "-1"), "must be nonnegative"),
+    (("verify", "--bound", "1", "--max-steps", "0"), "step limit must be positive"),
+])
+def test_bad_options_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err

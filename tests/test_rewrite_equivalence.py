@@ -10,6 +10,8 @@ steps spent.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from bvwords.bv_lmr import (
     _push_positive_v_left,
     _repair_syllable_heights,
     letter_height,
+    pi_action,
     raise_word_heights,
     split_monosyllables,
     to_first_form,
@@ -39,7 +42,7 @@ from bvwords.hatgroups import (
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
 from bvwords.thompson_f import f_fraction, normalize_monoid
-from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam
+from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam, pi
 
 CAP = 200_000
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -69,6 +72,15 @@ def outcome(fn, *args):
         return fn(*args, budget), budget.used
     except StepLimitExceeded:
         return "cap", budget.used
+
+
+def capped_outcome(cap, fn, *args):
+    """Like ``outcome`` at the given cap, also naming the operation that hit it."""
+    budget = Budget(cap)
+    try:
+        return fn(*args, budget), budget.used
+    except StepLimitExceeded as e:
+        return ("cap", e.operation), budget.used
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +171,25 @@ def _ref_f_fraction(w):
             letters_[site:site + 2] = [lam(q), lam(m + 1, -1)]
     cut = next((i for i, g in enumerate(letters_) if g.exponent < 0), len(letters_))
     return normalize_monoid(tuple(letters_[:cut])), normalize_monoid(invert(tuple(letters_[cut:])))
+
+
+def _ref_pi_action_right(w, m):
+    """``pi_action(side="right")`` as it was first written: prepending."""
+    c = m
+    out = []
+    for g in reversed(w):
+        a, e = g.index, g.exponent
+        if a == c:
+            out[:0] = [pi(a, e), pi(a + 1, e)]
+            c = a + 1
+        elif a == c - 1:
+            out[:0] = [pi(a + 1, e), pi(a, e)]
+            c = a
+        elif a > c:
+            out.insert(0, pi(a + 1, e))
+        else:
+            out.insert(0, g)
+    return tuple(out), c
 
 
 def _ref_from_adjacent_transpositions(indices):
@@ -269,10 +300,30 @@ def test_canonicalize_hat_matches_full_rescan(w, mode):
 
 
 @SETTINGS
+@given(letters(HAT, max_index=4), st.sampled_from(GroupMode), st.integers(1, 60))
+@example(CANCEL_THEN_SITE_BEFORE, GroupMode.BVHAT, 3)
+def test_canonicalize_hat_matches_full_rescan_at_small_caps(w, mode, cap):
+    # the folds charge each carried letter's pushes in one spend; at a cap
+    # this small the step count often runs out inside such a block
+    assert capped_outcome(cap, lambda budget: canonicalize_hat(w, mode, budget)) == \
+        capped_outcome(cap, lambda budget: _ref_canonicalize_hat(w, mode, budget))
+
+
+@SETTINGS
 @given(letters((Family.LAMBDA,), max_index=6, max_size=40))
 @example(CANCEL_THEN_SITE_BEFORE)
 def test_f_fraction_matches_full_rescan(w):
     assert f_fraction(w) == _ref_f_fraction(w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pi_action_right_matches_prepending(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        top = rng.choice((3, 12, 40))
+        w = tuple(pi(rng.randint(0, top), rng.choice((1, -1))) for _ in range(rng.randint(300, 900)))
+        m = rng.randint(0, 14)
+        assert pi_action(w, m, "right") == _ref_pi_action_right(w, m)
 
 
 @SETTINGS

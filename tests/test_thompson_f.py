@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bvwords.cli import parse_word
+from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.thompson_f import FNormal, equal_f, f_fraction, is_trivial_f, normalize_monoid
 from bvwords.words import AlphabetError, Family, invert, lam, random_word
 
@@ -131,3 +132,14 @@ def test_equal_f_is_a_congruence():
         c = random_word(rng, (Family.LAMBDA,), max_index=4, max_len=4)
         # conjugation by c preserves triviality
         assert is_trivial_f(c + w + invert(w) + invert(c))
+
+
+def test_f_fraction_spends_one_step_per_push():
+    # l2' pushes past l0, then past l5 (as l6), and stops: two pushes
+    w = (lam(2, -1), lam(0), lam(5))
+    budget = Budget()
+    assert f_fraction(w, budget) == f_fraction(w)
+    assert budget.used == 2
+    with pytest.raises(StepLimitExceeded) as info:
+        f_fraction(w, Budget(1))
+    assert info.value.operation == "f_fraction"
