@@ -73,7 +73,11 @@ def parse_word(text: str) -> Word:
         if m is None:
             raise WordSyntaxError(token, position)
         family, index, mark = m.groups()
-        out.append(Gen(_FAMILY_BY_CODE[family], int(index), -1 if mark else 1))
+        try:
+            index = int(index)
+        except ValueError:  # more digits than Python converts
+            raise WordSyntaxError(token, position) from None
+        out.append(Gen(_FAMILY_BY_CODE[family], index, -1 if mark else 1))
     return tuple(out)
 
 
@@ -88,7 +92,7 @@ ALL_GROUPS = ("F", "Vhat", "BVhat", "V", "BV", "Sinf", "Binf")
 
 def decide_trivial(group: str, w: Word, budget: Budget) -> bool:
     if group == "F":
-        return is_trivial_f(w)
+        return is_trivial_f(w, budget)
     if group in _HAT_MODES:
         return is_trivial_hat(w, _HAT_MODES[group], budget)
     if group in _BV_MODES:
@@ -128,7 +132,7 @@ def _check_options(args: argparse.Namespace) -> None:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     if args.group == "F":
-        p, n = f_fraction(w)
+        p, n = f_fraction(w, _budget(args))
         record = {
             "command": "normalize", "group": "F", "input": args.word,
             "positive": list(p.indices), "negative": list(n.indices),

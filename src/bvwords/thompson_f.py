@@ -204,9 +204,12 @@ def f_fraction(w: Word, budget: Budget | None = None) -> tuple[FNormal, FNormal]
     return normalize_monoid(positive), normalize_monoid(negative)
 
 
-def is_trivial_f(w: Word) -> bool:
-    """Decide the word problem of F: trivial iff both fraction parts match."""
-    p, n = f_fraction(w)
+def is_trivial_f(w: Word, budget: Budget | None = None) -> bool:
+    """Decide the word problem of F: trivial iff both fraction parts match.
+
+    The pushes are charged to ``budget`` (a fresh ``Budget()`` by default).
+    """
+    p, n = f_fraction(w, budget)
     return p == n
 
 

@@ -154,6 +154,25 @@ def test_step_cap_exit(capsys):
     assert "step limit" in err.lower() or "cap" in err.lower()
 
 
+def test_step_cap_governs_f_route(capsys):
+    # l2' pushes past l0 and then past l5: two steps
+    code, out, _ = run(capsys, "trivial", "--group", "F", "--json", "l2' l0 l5")
+    assert code == 1 and json.loads(out)["steps"] == 2
+    code, out, _ = run(capsys, "equal", "--group", "F", "--json", "l2' l0", "l5'")
+    assert code == 1 and json.loads(out)["steps"] == 2
+    for argv in (("trivial", "--group", "F"), ("normalize", "--group", "F")):
+        code, out, err = run(capsys, *argv, "l2' l0 l5", "--max-steps", "1")
+        assert code == 3 and out == ""
+        assert "f_fraction: exceeded step limit of 1" in err
+
+
+def test_oversized_index_is_usage_error(capsys):
+    # more digits than Python's int conversion accepts by default
+    code, out, err = run(capsys, "trivial", "--group", "F", "l0 l" + "7" * 5000)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad token") and "at position 2" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_nonpositive_step_cap_is_usage_error(capsys, cap):
     code, out, err = run(capsys, "trivial", "--group", "V", "--max-steps", cap, "v0")
