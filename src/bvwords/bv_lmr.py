@@ -232,7 +232,7 @@ def apply_relation(
     mode: BVMode = BVMode.V,
 ) -> Word:
     """Replace one occurrence of a relation side at a given position."""
-    fam = RELATION_FAMILIES[rel_id] if rel_id in RELATION_FAMILIES else None
+    fam = RELATION_FAMILIES.get(rel_id)
     if fam is None:
         raise ValueError(f"unknown relation family {rel_id!r}")
     if fam.v_only and mode is BVMode.BV:
@@ -249,27 +249,24 @@ def apply_relation(
 # Commuting v letters across permutation-letter words
 
 
-def pi_action(w: Word, m: int, side: Literal["left", "right"]) -> tuple[Word, int]:
-    """Carry a splitting letter across a pure ``p`` word.
+def pi_action(w: Word, m: int) -> tuple[Word, int]:
+    """Carry a splitting letter across a pure ``p`` word, left to right.
 
-    side="right":  w * v_m   ~  v_j * w'   with j the image of m under w
-    side="left":   v_m' * w  ~  w' * v_k'  with k the preimage of m
+        v_m' * w  ~  w' * v_k'   with k the preimage of m under w
 
-    Both are compositions of single-letter moves (pv-shift, pv-split,
+    A composition of single-letter moves (pv-shift, pv-split,
     pv-split-up, pv-far and their rearrangements), each of which tracks
     the moving index through one adjacent transposition.  Letter indices
-    grow by at most one.
+    grow by at most one.  Inverting this move for ``invert(w)`` gives the
+    mirror move ``w * v_m ~ v_k * invert(l)``, where
+    ``(l, k) = pi_action(invert(w), m)`` and k is the image of m under w.
     """
     check_alphabet(w, frozenset({Family.PI}), "pi_action")
     if m < 0:
         raise ValueError("pi_action: index must be nonnegative")
-    if side not in ("left", "right"):
-        raise ValueError(f"pi_action: side must be 'left' or 'right', got {side!r}")
-    # side="right" is side="left" read from the right end: the moves are
-    # the same, so carry through the reversed word and reverse the output
     c = m
     out: list[Gen] = []
-    for g in (w if side == "left" else reversed(w)):
+    for g in w:
         a, e = g.index, g.exponent
         if a == c:
             out += (Gen(Family.PI, a + 1, e), Gen(Family.PI, a, e))
@@ -281,33 +278,23 @@ def pi_action(w: Word, m: int, side: Literal["left", "right"]) -> tuple[Word, in
             out.append(Gen(Family.PI, a + 1, e))
         else:
             out.append(g)
-    if side == "right":
-        out.reverse()
     return tuple(out), c
 
 
-def opi_commute(m: int, k: int, exponent: int, side: Literal["left", "right"]) -> tuple[Word, Word]:
+def opi_commute(m: int, k: int, exponent: int) -> tuple[Word, Word]:
     """Carry a splitting letter across a single pb letter, k strands up.
 
-    side="right":  pb_m^e * v_(m+k)   ~  first + second  with
+        pb_m^e * v_(m+k)   ~  first + second  with
         first  = v_m ... v_(m+k-2) v_(m+k-1)^2
         second = pb_(m+k+1)^e p_(m+k)^e ... p_m^e
-    side="left":   v_(m+k)' * pb_m^e  ~  first + second  with
-        first  = p_m^e ... p_(m+k)^e pb_(m+k+1)^e
-        second = (v_m ... v_(m+k-2) v_(m+k-1)^2)'
     """
     if k < 1:
         raise ValueError("opi_commute: need k >= 1 (k = 0 is pbv-absorb)")
     if m < 0 or exponent not in (1, -1):
         raise ValueError(f"opi_commute: bad instance (m={m}, exponent={exponent})")
     v_block = tuple(vgen(j) for j in range(m, m + k - 1)) + (vgen(m + k - 1), vgen(m + k - 1))
-    if side == "right":
-        second = (pibar(m + k + 1, exponent),) + tuple(pi(j, exponent) for j in range(m + k, m - 1, -1))
-        return v_block, second
-    if side == "left":
-        first = tuple(pi(j, exponent) for j in range(m, m + k + 1)) + (pibar(m + k + 1, exponent),)
-        return first, invert(v_block)
-    raise ValueError(f"opi_commute: side must be 'left' or 'right', got {side!r}")
+    second = (pibar(m + k + 1, exponent),) + tuple(pi(j, exponent) for j in range(m + k, m - 1, -1))
+    return v_block, second
 
 
 # ---------------------------------------------------------------------------
@@ -328,81 +315,46 @@ class LMRForm:
         return self.L + self.M + self.R
 
 
-def _is_positive_v(g: Gen) -> bool:
-    return g.family is Family.V and g.exponent > 0
+def _is_v(g: Gen, s: int) -> bool:
+    return g.family is Family.V and g.exponent == s
 
 
-def _is_negative_v(g: Gen) -> bool:
-    return g.family is Family.V and g.exponent < 0
+def _push_v_left(letters: list[Gen], p: int, s: int) -> None:
+    """One move of the stray ``v_c^s`` at position p past its left neighbour.
 
-
-def _push_positive_v_left(letters: list[Gen], p: int) -> None:
-    """One move of the stray positive v at position p past its left neighbour."""
-    mover = letters[p]
+    For ``s = -1`` every rule is the ``s = 1`` rule with each v exponent
+    negated; p and pb letters keep theirs.
+    """
+    c = letters[p].index
     nb = letters[p - 1]
-    c = mover.index
     a, e = nb.index, nb.exponent
     if nb.family is Family.V:
-        # neighbour is an inverse v (a stray positive v never follows a positive one)
+        # neighbour is a v^-s (a stray never follows a v^s)
         if a == c:
             del letters[p - 1:p + 1]
         elif a < c:
-            letters[p - 1:p + 1] = [vgen(c + 1), vgen(a, -1)]
+            letters[p - 1:p + 1] = [vgen(c + 1, s), vgen(a, -s)]
         else:
-            letters[p - 1:p + 1] = [vgen(c), vgen(a + 1, -1)]
+            letters[p - 1:p + 1] = [vgen(c, s), vgen(a + 1, -s)]
     elif nb.family is Family.PI:
         if a == c:
-            letters[p - 1:p + 1] = [vgen(c + 1), pi(a, e), pi(a + 1, e)]
+            letters[p - 1:p + 1] = [vgen(c + 1, s), pi(a, e), pi(a + 1, e)]
         elif a == c - 1:
-            letters[p - 1:p + 1] = [vgen(c - 1), pi(a + 1, e), pi(a, e)]
+            letters[p - 1:p + 1] = [vgen(c - 1, s), pi(a + 1, e), pi(a, e)]
         elif a > c:
-            letters[p - 1:p + 1] = [vgen(c), pi(a + 1, e)]
+            letters[p - 1:p + 1] = [vgen(c, s), pi(a + 1, e)]
         else:
-            letters[p - 1:p + 1] = [vgen(c), pi(a, e)]
+            letters[p - 1:p + 1] = [vgen(c, s), pi(a, e)]
     elif nb.family is Family.PIBAR:
         if a > c:
-            letters[p - 1:p + 1] = [vgen(c), pibar(a + 1, e)]
+            letters[p - 1:p + 1] = [vgen(c, s), pibar(a + 1, e)]
         elif a == c:
             letters[p - 1:p + 1] = [pi(a, e), pibar(a + 1, e)]
         else:
-            first, second = opi_commute(a, c - a, e, "right")
-            letters[p - 1:p + 1] = list(first) + list(second)
-    else:
-        raise AssertionError(f"unexpected neighbour {nb!r}")
-
-
-def _push_negative_v_right(letters: list[Gen], p: int) -> None:
-    """One move of the stray inverse v at position p past its right neighbour."""
-    mover = letters[p]
-    nb = letters[p + 1]
-    c = mover.index
-    a, e = nb.index, nb.exponent
-    if nb.family is Family.V:
-        # a positive v to the right of an inverse one cannot remain after
-        # the positive sweep, but handle it anyway for safety
-        if a == c:
-            del letters[p:p + 2]
-        elif c < a:
-            letters[p:p + 2] = [vgen(a + 1), vgen(c, -1)]
-        else:
-            letters[p:p + 2] = [vgen(a), vgen(c + 1, -1)]
-    elif nb.family is Family.PI:
-        if a == c:
-            letters[p:p + 2] = [pi(a + 1, e), pi(a, e), vgen(c + 1, -1)]
-        elif a == c - 1:
-            letters[p:p + 2] = [pi(a, e), pi(a + 1, e), vgen(c - 1, -1)]
-        elif a > c:
-            letters[p:p + 2] = [pi(a + 1, e), vgen(c, -1)]
-        else:
-            letters[p:p + 2] = [pi(a, e), vgen(c, -1)]
-    elif nb.family is Family.PIBAR:
-        if a > c:
-            letters[p:p + 2] = [pibar(a + 1, e), vgen(c, -1)]
-        elif a == c:
-            letters[p:p + 2] = [pibar(a + 1, e), pi(a, e)]
-        else:
-            first, second = opi_commute(a, c - a, e, "left")
-            letters[p:p + 2] = list(first) + list(second)
+            first, second = opi_commute(a, c - a, e)
+            if s < 0:
+                first = tuple(g.inverse() for g in first)
+            letters[p - 1:p + 1] = [*first, *second]
     else:
         raise AssertionError(f"unexpected neighbour {nb!r}")
 
@@ -417,43 +369,39 @@ def _flush_v_letters(letters: list[Gen], budget: Budget, op: str) -> tuple[list[
     strictly shrink a multiset measure, so the sweeps terminate.
     Returns the stripped (prefix, suffix); the remainder is pure p/pb.
 
-    A stray is a positive v after the head (the leading run of positive v
-    letters), or an inverse v before the tail (the trailing run of inverse
-    v letters).  Neither sweep rescans the word after a move.  A move at
-    the leftmost stray ``p`` rewrites only the pair ending at ``p``; the
-    letters before it are unchanged and held no stray, so the search
-    resumes at ``p - 1``, or past the head if the move extended it.  In the
-    inverse sweep the letters after the rewritten pair are unchanged and
-    held no stray, so the search resumes at the pair's last letter, or
-    before the tail if the move extended it.  Each picks the same stray as
-    a full rescan.
+    The inverse sweep is the positive sweep run with ``s = -1`` on the
+    list reversed in place.  Reversal maps the rightmost inverse stray to
+    the leftmost one and its right neighbour to its left one, and each
+    rule that moves ``v_c'`` rightward past a letter, read backwards, is
+    the rule that moves ``v_c`` leftward past it with every v exponent
+    negated (``_push_v_left``).  So the reversed sweep makes the same
+    moves in the same order, rightmost stray first, and spends the same
+    steps; reversing back restores the orientation.
+
+    A stray is a v^s after the head (the leading run of v^s letters).  The
+    sweep does not rescan the word after a move.  A move at the leftmost
+    stray ``p`` rewrites only the pair ending at ``p``; the letters before
+    it are unchanged and held no stray, so the search resumes at
+    ``p - 1``, or past the head if the move extended it.  This picks the
+    same stray as a full rescan.
     """
-    head = start = 0
-    while True:
-        while head < len(letters) and _is_positive_v(letters[head]):
-            head += 1
-        p = next((i for i in range(max(start, head), len(letters)) if _is_positive_v(letters[i])), None)
-        if p is None:
-            break
-        budget.spend(op)
-        _push_positive_v_left(letters, p)
-        start = p - 1
-    tail_len = skip = 0
-    while True:
-        n = len(letters)
-        while tail_len < n and _is_negative_v(letters[n - 1 - tail_len]):
-            tail_len += 1
-        p = next((i for i in range(n - 1 - max(skip, tail_len), -1, -1) if _is_negative_v(letters[i])), None)
-        if p is None:
-            break
-        budget.spend(op)
-        skip = n - p - 2
-        _push_negative_v_right(letters, p)
+    for s in (1, -1):
+        head = start = 0
+        while True:
+            while head < len(letters) and _is_v(letters[head], s):
+                head += 1
+            p = next((i for i in range(max(start, head), len(letters)) if _is_v(letters[i], s)), None)
+            if p is None:
+                break
+            budget.spend(op)
+            _push_v_left(letters, p, s)
+            start = p - 1
+        letters.reverse()
     head = 0
-    while head < len(letters) and _is_positive_v(letters[head]):
+    while head < len(letters) and _is_v(letters[head], 1):
         head += 1
     tail = len(letters)
-    while tail > head and _is_negative_v(letters[tail - 1]):
+    while tail > head and _is_v(letters[tail - 1], -1):
         tail -= 1
     prefix, suffix = letters[:head], letters[tail:]
     del letters[tail:]
@@ -527,17 +475,15 @@ def split_monosyllables(m_word: Word) -> list[Monosyllable]:
 
 def mono_raise(
     syl: Monosyllable,
-    op: Literal["a", "b", "c", "d"],
+    op: Literal["a", "d"],
     m: int | None = None,
 ) -> tuple[Word, Monosyllable, Word]:
     """One height-raising move on a monosyllable of single height h.
 
     op="a":  M        ~  M' v_j'          (returns ((), M', (v_j',)))
-    op="b":  M        ~  v_j M'           (returns ((v_j,), M', ()))
-    op="c":  M v_m    ~  M'  or  v_j M'   (0 <= m < h)
     op="d":  v_m' M   ~  M'  or  M' v_j'  (0 <= m < h)
 
-    In every case M' is again a monosyllable, of height {h + 1}, and any
+    In both cases M' is again a monosyllable, of height {h + 1}, and any
     emitted index j satisfies j < h.  The core moves are the two
     rearrangements of pbv-absorb,
 
@@ -545,36 +491,31 @@ def mono_raise(
         pb_(h-1)^e  =  v_(h-1) pb_h^e p_(h-1)^e
 
     with the freed v letter carried out through the flanking p words.
+
+    The leftward moves are these on the inverse syllable.  Write
+    ``mirror(P, M', S) = (invert(S), M'.inverse(), invert(P))``; then
+
+        M      ~  v_j M'            is  mirror(mono_raise(syl.inverse(), "a"))
+        M v_m  ~  M'  or  v_j M'    is  mirror(mono_raise(syl.inverse(), "d", m))
     """
     h = syl.single_height()
     e = syl.core.exponent
-    if op in ("c", "d"):
+    if op == "d":
         if m is None or not 0 <= m < h:
             raise ValueError(f"mono_raise op {op!r} needs an index 0 <= m < {h}, got {m}")
     elif m is not None:
         raise ValueError(f"mono_raise op {op!r} takes no index")
 
     if op == "a":
-        post, j = pi_action(syl.post, h - 1, "left")
+        post, j = pi_action(syl.post, h - 1)
         new = Monosyllable(syl.pre + (pi(h - 1, e),), pibar(h, e), post)
         return (), new, (vgen(j, -1),)
-    if op == "b":
-        pre, j = pi_action(syl.pre, h - 1, "right")
-        new = Monosyllable(pre, pibar(h, e), (pi(h - 1, e),) + syl.post)
-        return (vgen(j),), new, ()
-    if op == "c":
-        post, k = pi_action(syl.post, m, "right")
-        if k == h - 1:
-            new = Monosyllable(syl.pre + (pi(h - 1, e),), pibar(h, e), post)
-            return (), new, ()
-        pre, j = pi_action(syl.pre, k, "right")
-        return (vgen(j),), Monosyllable(pre, pibar(h, e), post), ()
     if op == "d":
-        pre, k = pi_action(syl.pre, m, "left")
+        pre, k = pi_action(syl.pre, m)
         if k == h - 1:
             new = Monosyllable(pre, pibar(h, e), (pi(h - 1, e),) + syl.post)
             return (), new, ()
-        post, j = pi_action(syl.post, k, "left")
+        post, j = pi_action(syl.post, k)
         return (), Monosyllable(pre, pibar(h, e), post), (vgen(j, -1),)
     raise ValueError(f"mono_raise: unknown op {op!r}")
 

@@ -27,22 +27,13 @@ import re
 import sys
 from typing import Sequence
 
-from .braid import braid_to_word, is_trivial_braid, word_to_braid
-from .bv_lmr import BVMode, LMRForm, is_trivial_bv, to_third_form
-from .hatgroups import GroupMode, canonicalize_hat, is_trivial_hat
-from .limits import Budget, StepLimitExceeded
-from .perms import from_sigma_word
-from .presentations import FAMILIES, verify_all
-from .thompson_f import f_fraction, is_trivial_f
-from .words import (
-    AlphabetError,
-    Family,
-    Gen,
-    Word,
-    expand_bv_generators,
-    invert,
-    random_word,
-)
+from .braid import braid_to_word
+from .bv_lmr import LMRForm, to_third_form
+from .hatgroups import GroupMode, canonicalize_hat
+from .limits import MAX_INDEX, Budget, StepLimitExceeded
+from .presentations import DECIDERS, FAMILIES, GroupId, verify_all
+from .thompson_f import f_fraction
+from .words import AlphabetError, Family, Gen, Word, invert, random_word
 
 _TOKEN = re.compile(r"^(pb|l|s|v|p)([0-9]+)(')?$")
 _FAMILY_BY_CODE = {f.value: f for f in Family}
@@ -59,14 +50,19 @@ class UsageError(ValueError):
 
 
 class WordSyntaxError(ValueError):
-    def __init__(self, token: str, position: int):
-        super().__init__(f"bad token {token!r} at position {position}")
+    def __init__(self, token: str, position: int, reason: str = ""):
+        message = f"bad token {token!r} at position {position}"
+        super().__init__(f"{message}: {reason}" if reason else message)
         self.token = token
         self.position = position
 
 
 def parse_word(text: str) -> Word:
-    """Parse a token string; positions in errors are 1-based."""
+    """Parse a token string; positions in errors are 1-based.
+
+    An index above ``limits.MAX_INDEX`` is rejected before any work, since
+    the deciders allocate in proportion to the largest index.
+    """
     out = []
     for position, token in enumerate(text.split(), start=1):
         m = _TOKEN.match(token)
@@ -76,32 +72,15 @@ def parse_word(text: str) -> Word:
         try:
             index = int(index)
         except ValueError:  # more digits than Python converts
-            raise WordSyntaxError(token, position) from None
+            index = MAX_INDEX + 1
+        if index > MAX_INDEX:
+            raise WordSyntaxError(token, position, f"index above {MAX_INDEX}")
         out.append(Gen(_FAMILY_BY_CODE[family], index, -1 if mark else 1))
     return tuple(out)
 
 
 def format_word(w: Word) -> str:
     return " ".join(g.token() for g in w)
-
-
-_HAT_MODES = {"Vhat": GroupMode.VHAT, "BVhat": GroupMode.BVHAT}
-_BV_MODES = {"V": BVMode.V, "BV": BVMode.BV}
-ALL_GROUPS = ("F", "Vhat", "BVhat", "V", "BV", "Sinf", "Binf")
-
-
-def decide_trivial(group: str, w: Word, budget: Budget) -> bool:
-    if group == "F":
-        return is_trivial_f(w, budget)
-    if group in _HAT_MODES:
-        return is_trivial_hat(w, _HAT_MODES[group], budget)
-    if group in _BV_MODES:
-        return is_trivial_bv(w, _BV_MODES[group], budget)
-    if group == "Sinf":
-        return from_sigma_word(w).is_identity()
-    if group == "Binf":
-        return is_trivial_braid(word_to_braid(w), budget)
-    raise ValueError(f"unknown group {group!r}")
 
 
 def _emit(args: argparse.Namespace, record: dict, human: str) -> None:
@@ -125,8 +104,11 @@ def _check_options(args: argparse.Namespace) -> None:
             raise UsageError("bound must be nonnegative")
         if args.family is not None and args.family not in FAMILIES:
             raise UsageError(f"unknown relation family {args.family!r}")
-    if args.command == "selftest" and min(args.samples, args.max_index, args.max_len) < 0:
-        raise UsageError("--samples, --max-index and --max-len must be nonnegative")
+    if args.command == "selftest":
+        if min(args.samples, args.max_index, args.max_len) < 0:
+            raise UsageError("--samples, --max-index and --max-len must be nonnegative")
+        if args.max_index > MAX_INDEX:
+            raise UsageError(f"--max-index must be at most {MAX_INDEX}")
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -140,7 +122,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         human = f"positive: {format_word(p.word()) or '(empty)'}\nnegative: {format_word(n.word()) or '(empty)'}"
         _emit(args, record, human)
         return EXIT_TRUE
-    mode = _HAT_MODES[args.group]
+    mode = GroupMode(args.group)
     fr = canonicalize_hat(w, mode, _budget(args))
     if mode is GroupMode.VHAT:
         beta_repr = repr(fr.beta)
@@ -177,9 +159,15 @@ def _cmd_lmr(args: argparse.Namespace) -> int:
     return EXIT_TRUE
 
 
+def _verdict(args: argparse.Namespace, w: Word, budget: Budget) -> bool:
+    """The verdict of the group's first decider."""
+    _, decide = DECIDERS[GroupId(args.group)][0]
+    return decide(w, budget)
+
+
 def _cmd_trivial(args: argparse.Namespace) -> int:
     budget = _budget(args)
-    verdict = decide_trivial(args.group, parse_word(args.word), budget)
+    verdict = _verdict(args, parse_word(args.word), budget)
     record = {
         "command": "trivial", "group": args.group, "input": args.word,
         "trivial": verdict, "steps": budget.used,
@@ -191,7 +179,7 @@ def _cmd_trivial(args: argparse.Namespace) -> int:
 def _cmd_equal(args: argparse.Namespace) -> int:
     budget = _budget(args)
     w = parse_word(args.word1) + invert(parse_word(args.word2))
-    verdict = decide_trivial(args.group, w, budget)
+    verdict = _verdict(args, w, budget)
     record = {
         "command": "equal", "group": args.group,
         "inputs": [args.word1, args.word2],
@@ -226,11 +214,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     disagreements = []
     for n in range(args.samples):
         w = random_word(rng, families, args.max_index, args.max_len)
-        for mode, hat_mode in ((BVMode.V, GroupMode.VHAT), (BVMode.BV, GroupMode.BVHAT)):
-            by_lmr = is_trivial_bv(w, mode, _budget(args))
-            by_hat = is_trivial_hat(expand_bv_generators(w), hat_mode, _budget(args))
+        for group in (GroupId.V, GroupId.BV):
+            by_lmr, by_hat = (decide(w, _budget(args)) for _, decide in DECIDERS[group])
             if by_lmr != by_hat:
-                disagreements.append((n, mode.value, format_word(w)))
+                disagreements.append((n, group.value, format_word(w)))
     checked = 2 * args.samples
     record = {
         "command": "selftest", "samples": args.samples, "seed": args.seed,
@@ -268,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lmr)
 
     p = sub.add_parser("trivial", help="decide the word problem")
-    p.add_argument("--group", required=True, choices=ALL_GROUPS)
+    p.add_argument("--group", required=True, choices=[g.value for g in GroupId])
     p.add_argument("word")
     common(p)
     p.set_defaults(func=_cmd_trivial)
 
     p = sub.add_parser("equal", help="decide equality of two words")
-    p.add_argument("--group", required=True, choices=ALL_GROUPS)
+    p.add_argument("--group", required=True, choices=[g.value for g in GroupId])
     p.add_argument("word1")
     p.add_argument("word2")
     common(p)

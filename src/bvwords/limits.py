@@ -14,6 +14,11 @@ from __future__ import annotations
 DEFAULT_REWRITE_STEPS = 10_000_000
 DEFAULT_BRAID_STEPS = 1_000_000
 
+# The largest letter index the command line accepts.  Permutation images
+# and the hat expansion allocate in proportion to the largest index, so a
+# single token such as ``s1000000000`` would otherwise exhaust memory.
+MAX_INDEX = 100_000
+
 
 class StepLimitExceeded(RuntimeError):
     """A rewriting loop hit its step cap before finishing."""

@@ -18,10 +18,10 @@ hat pair is generated by {l0, s0, s1} (with l1 := s0 l0 s1' s0' and the
 higher letters conjugates by powers of l0), and V and BV are generated
 either by {v0, v1, pb0, pb1} or by {p0, p1, pb0, pb1}, the remaining
 letters again being conjugates or short compounds.  ``verify`` checks
-one relation instance with the deciders of its group; for V and BV it
-runs two fully independent routes (the left-middle-right decider, and
-the hat decider after expanding every generator into l/s letters) and
-requires both to agree that the relator is trivial.
+one relation instance with every decider ``DECIDERS`` lists for its
+group; for V and BV these are two fully independent routes (the
+left-middle-right decider, and the hat decider after expanding every
+generator into l/s letters), and both must find the relator trivial.
 
 ``negative_controls`` and ``corrupt_instance`` supply deliberately
 false relations so a vacuously green verifier cannot go unnoticed.
@@ -208,15 +208,10 @@ _BV_V_BASE = {vgen(0), vgen(1), pibar(0), pibar(1)}
 _BV_P_BASE = {pi(0), pi(1), pibar(0), pibar(1)}
 
 
-def _conjugate_down(base: Gen, i: int) -> Word:
-    # the index-i member of a family whose members are l0-conjugates:
-    # x_i = l0^(1-i) x_1 l0^(i-1), stated here for i >= 2
-    return (lam(0, -1),) * (i - 1) + (base,) + (lam(0),) * (i - 1)
-
-
-def _conjugate_down_v(base: Gen, i: int) -> Word:
-    # same shape with v0 as the conjugator: x_i = v0^(1-i) x_1 v0^(i-1)
-    return (vgen(0, -1),) * (i - 1) + (base,) + (vgen(0),) * (i - 1)
+def _conjugate_down(base: Gen, i: int, by: Gen) -> Word:
+    # the index-i member of a family whose members are conjugates by a
+    # base letter (l0 or v0): x_i = by^(1-i) x_1 by^(i-1), stated for i >= 2
+    return (by.inverse(),) * (i - 1) + (base,) + (by,) * (i - 1)
 
 
 def _expand_letter(g: Gen, scheme: Scheme) -> Word:
@@ -233,24 +228,24 @@ def _expand_positive(g: Gen, scheme: Scheme) -> Word:
         if fam is Family.LAMBDA and i == 1:
             return (sig(0), lam(0), sig(1, -1), sig(0, -1))
         if fam is Family.LAMBDA and i >= 2:
-            return expand_finite_defs(_conjugate_down(lam(1), i), scheme)
+            return expand_finite_defs(_conjugate_down(lam(1), i, lam(0)), scheme)
         if fam is Family.SIGMA and i >= 2:
-            return _conjugate_down(sig(1), i)
+            return _conjugate_down(sig(1), i, lam(0))
         raise AlphabetError(f"{g!r} is not reachable from the hat base letters")
     if scheme is Scheme.BV_V:
         if fam is Family.V and i >= 2:
-            return _conjugate_down_v(vgen(1), i)
+            return _conjugate_down(vgen(1), i, vgen(0))
         if fam is Family.PIBAR and i >= 2:
-            return _conjugate_down_v(pibar(1), i)
+            return _conjugate_down(pibar(1), i, vgen(0))
         if fam is Family.PI:
             body = (pibar(i), vgen(i), pibar(i + 1, -1))
             return expand_finite_defs(body, scheme)
         raise AlphabetError(f"{g!r} is not reachable from the v-scheme base letters")
     if scheme is Scheme.BV_P:
         if fam is Family.PI and i >= 2:
-            return expand_finite_defs(_conjugate_down_v(pi(1), i), scheme)
+            return expand_finite_defs(_conjugate_down(pi(1), i, vgen(0)), scheme)
         if fam is Family.PIBAR and i >= 2:
-            return expand_finite_defs(_conjugate_down_v(pibar(1), i), scheme)
+            return expand_finite_defs(_conjugate_down(pibar(1), i, vgen(0)), scheme)
         if fam is Family.V:
             body = (pibar(i, -1), pi(i), pibar(i + 1))
             return expand_finite_defs(body, scheme)
@@ -389,24 +384,26 @@ class VerifyResult:
         return f"source={self.source} group={self.group.value} verdict={self.verdict} steps={self.steps}{extra}"
 
 
-def _decide(w: Word, group: GroupId, budget: Budget) -> tuple[bool, str]:
-    if group is GroupId.F:
-        return is_trivial_f(w), "f-fraction"
-    if group is GroupId.VHAT:
-        return is_trivial_hat(w, GroupMode.VHAT, budget), "hat-fraction"
-    if group is GroupId.BVHAT:
-        return is_trivial_hat(w, GroupMode.BVHAT, budget), "hat-fraction"
-    if group is GroupId.SINF:
-        return from_sigma_word(w).is_identity(), "perm-image"
-    if group is GroupId.BINF:
-        return is_trivial_braid(word_to_braid(w), budget), "handle-reduction"
-    if group in (GroupId.V, GroupId.BV):
-        mode = BVMode.V if group is GroupId.V else BVMode.BV
-        hat_mode = GroupMode.VHAT if group is GroupId.V else GroupMode.BVHAT
-        by_lmr = is_trivial_bv(w, mode, budget)
-        by_hat = is_trivial_hat(expand_bv_generators(w), hat_mode, budget)
-        return by_lmr and by_hat, f"lmr={by_lmr} hat={by_hat}"
-    raise ValueError(f"unknown group {group!r}")
+# Each group's deciders as (name, decider) pairs, the first being the one
+# a single verdict uses.  V and BV have two independent routes, checked
+# against each other: neither calls the other.  The lambdas look each
+# decider up by its module-global name at call time, so a caller that
+# rebinds the name (a tracer, a test) reaches every use of it.
+DECIDERS: dict[GroupId, tuple[tuple[str, Callable[[Word, Budget], bool]], ...]] = {
+    GroupId.F: (("f-fraction", lambda w, b: is_trivial_f(w, b)),),
+    GroupId.VHAT: (("hat-fraction", lambda w, b: is_trivial_hat(w, GroupMode.VHAT, b)),),
+    GroupId.BVHAT: (("hat-fraction", lambda w, b: is_trivial_hat(w, GroupMode.BVHAT, b)),),
+    GroupId.V: (
+        ("lmr", lambda w, b: is_trivial_bv(w, BVMode.V, b)),
+        ("hat", lambda w, b: is_trivial_hat(expand_bv_generators(w), GroupMode.VHAT, b)),
+    ),
+    GroupId.BV: (
+        ("lmr", lambda w, b: is_trivial_bv(w, BVMode.BV, b)),
+        ("hat", lambda w, b: is_trivial_hat(expand_bv_generators(w), GroupMode.BVHAT, b)),
+    ),
+    GroupId.SINF: (("perm-image", lambda w, b: from_sigma_word(w).is_identity()),),
+    GroupId.BINF: (("handle-reduction", lambda w, b: is_trivial_braid(word_to_braid(w), b)),),
+}
 
 
 def verify(instance: RelationInstance, max_steps: int | None = None) -> VerifyResult:
@@ -414,10 +411,15 @@ def verify(instance: RelationInstance, max_steps: int | None = None) -> VerifyRe
     budget = Budget(max_steps) if max_steps is not None else Budget()
     w = instance.relator()
     try:
-        ok, detail = _decide(w, instance.group, budget)
+        verdicts = [(name, decide(w, budget)) for name, decide in DECIDERS[instance.group]]
     except StepLimitExceeded as e:
         return VerifyResult(instance.source, instance.group, "resource-cap",
                             budget.used, e.operation)
+    ok = all(v for _, v in verdicts)
+    if len(verdicts) == 1:
+        detail = verdicts[0][0]
+    else:
+        detail = " ".join(f"{name}={v}" for name, v in verdicts)
     return VerifyResult(instance.source, instance.group,
                         "holds" if ok else "fails", budget.used, detail)
 

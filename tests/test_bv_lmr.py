@@ -52,6 +52,28 @@ def random_pi_word(rng, max_index, max_len):
     return tuple(pi(rng.randint(0, max_index), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len)))
 
 
+def pi_action_right(w, m):
+    """``w * v_m ~ v_j * w'``: the left move on the inverted word, inverted."""
+    moved, j = pi_action(invert(w), m)
+    return invert(moved), j
+
+
+def opi_commute_left(m, k, e):
+    """``v_(m+k)' * pb_m^e ~ first + second``: the right move at exponent
+    ``-e``, inverted."""
+    first, second = opi_commute(m, k, -e)
+    return invert(second), invert(first)
+
+
+def mono_raise_op(syl, op, m=None):
+    """Ops "b" and "c" are the mirrors of "a" and "d" on the inverse
+    syllable, with mirror(P, M, S) = (S', M.inverse(), P')."""
+    if op in ("a", "d"):
+        return mono_raise(syl, op, m=m)
+    prefix, new, suffix = mono_raise(syl.inverse(), {"b": "a", "c": "d"}[op], m=m)
+    return invert(suffix), new.inverse(), invert(prefix)
+
+
 def random_single_height_syllable(rng):
     h = rng.randint(1, 4)
     flank = lambda: tuple(pi(rng.randint(0, h - 2), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))) if h >= 2 else ()
@@ -123,13 +145,13 @@ def test_relation_table_sound_via_hat():
 
 
 def test_pi_action_examples():
-    assert pi_action((pi(2),), 0, "right") == ((pi(3),), 0)
-    assert pi_action((pi(0),), 0, "right") == ((pi(0), pi(1)), 1)
-    assert pi_action((pi(0),), 3, "right") == ((pi(0),), 3)
+    assert pi_action_right((pi(2),), 0) == ((pi(3),), 0)
+    assert pi_action_right((pi(0),), 0) == ((pi(0), pi(1)), 1)
+    assert pi_action_right((pi(0),), 3) == ((pi(0),), 3)
     with pytest.raises(AlphabetError):
-        pi_action((vgen(0),), 0, "right")
+        pi_action_right((vgen(0),), 0)
     with pytest.raises(ValueError):
-        pi_action((pi(0),), -1, "right")
+        pi_action_right((pi(0),), -1)
 
 
 def test_pi_action_tracks_permutation():
@@ -139,9 +161,9 @@ def test_pi_action_tracks_permutation():
         w = random_pi_word(rng, 4, 6)
         m = rng.randint(0, 6)
         perm = from_sigma_word(w)
-        _, j = pi_action(w, m, "right")
+        _, j = pi_action_right(w, m)
         assert j == perm.apply(m)
-        _, k = pi_action(w, m, "left")
+        _, k = pi_action(w, m)
         assert k == perm.inverse().apply(m)
         if m > max((g.index for g in w), default=-1) + 1:
             assert j == m and k == m
@@ -152,31 +174,31 @@ def test_pi_action_preserves_element():
     for _ in range(60):
         w = random_pi_word(rng, 3, 5)
         m = rng.randint(0, 4)
-        moved, j = pi_action(w, m, "right")
+        moved, j = pi_action_right(w, m)
         assert max((g.index for g in moved), default=0) <= max((g.index for g in w), default=0) + 1
         assert hat_same(w + (vgen(m),), (vgen(j),) + moved)
-        moved, k = pi_action(w, m, "left")
+        moved, k = pi_action(w, m)
         assert hat_same((vgen(m, -1),) + w, moved + (vgen(k, -1),))
 
 
 def test_opi_commute_examples():
-    first, second = opi_commute(0, 1, 1, "right")
+    first, second = opi_commute(0, 1, 1)
     assert first == (vgen(0), vgen(0)) and second == (pibar(2), pi(1), pi(0))
-    first, second = opi_commute(1, 2, 1, "right")
+    first, second = opi_commute(1, 2, 1)
     assert first == (vgen(1), vgen(2), vgen(2)) and second == (pibar(4), pi(3), pi(2), pi(1))
     with pytest.raises(ValueError):
-        opi_commute(0, 0, 1, "right")
+        opi_commute(0, 0, 1)
     with pytest.raises(ValueError):
-        opi_commute(0, 1, 2, "right")
+        opi_commute(0, 1, 2)
 
 
 def test_opi_commute_preserves_element():
     for m in range(3):
         for k in range(1, 4):
             for e in (1, -1):
-                first, second = opi_commute(m, k, e, "right")
+                first, second = opi_commute(m, k, e)
                 assert hat_same((pibar(m, e), vgen(m + k)), first + second)
-                first, second = opi_commute(m, k, e, "left")
+                first, second = opi_commute_left(m, k, e)
                 assert hat_same((vgen(m + k, -1), pibar(m, e)), first + second)
 
 
@@ -230,11 +252,11 @@ def test_mono_raise_examples():
     prefix, new, suffix = mono_raise(base, "a")
     assert prefix == () and suffix == (vgen(0, -1),)
     assert new == Monosyllable((pi(0),), pibar(1), ())
-    prefix, new, suffix = mono_raise(base, "c", m=0)
+    prefix, new, suffix = mono_raise_op(base, "c", m=0)
     assert prefix == () and suffix == ()
     assert new == Monosyllable((pi(0),), pibar(1), ())
     with pytest.raises(ValueError):
-        mono_raise(base, "c", m=1)
+        mono_raise_op(base, "c", m=1)
     with pytest.raises(ValueError):
         mono_raise(base, "a", m=0)
     with pytest.raises(ValueError):
@@ -248,7 +270,7 @@ def test_mono_raise_preserves_element():
         h = syl.single_height()
         for op in "abcd":
             m = rng.randint(0, h - 1) if op in "cd" else None
-            prefix, new, suffix = mono_raise(syl, op, m=m)
+            prefix, new, suffix = mono_raise_op(syl, op, m=m)
             assert new.single_height() == h + 1
             assert all(g.index < h for g in prefix + suffix)
             lhs = {"a": syl.word(), "b": syl.word(),

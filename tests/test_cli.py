@@ -12,6 +12,7 @@ from bvwords.cli import (
     main,
     parse_word,
 )
+from bvwords.limits import MAX_INDEX
 from bvwords.words import Family, lam, pi, pibar, random_word, sig, vgen
 
 ALL_FAMILIES = (Family.LAMBDA, Family.SIGMA, Family.V, Family.PI, Family.PIBAR)
@@ -173,6 +174,14 @@ def test_oversized_index_is_usage_error(capsys):
     assert err.startswith("error: bad token") and "at position 2" in err
 
 
+def test_index_cap_at_the_boundary(capsys):
+    code, out, _ = run(capsys, "trivial", "--group", "Sinf", f"s{MAX_INDEX} s{MAX_INDEX}")
+    assert (code, out) == (0, "true\n")
+    code, out, err = run(capsys, "trivial", "--group", "Sinf", f"s0 s{MAX_INDEX + 1}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad token") and f"at position 2: index above {MAX_INDEX}" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_nonpositive_step_cap_is_usage_error(capsys, cap):
     code, out, err = run(capsys, "trivial", "--group", "V", "--max-steps", cap, "v0")
@@ -185,7 +194,7 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, error):
     def broken(*args):
         raise error
 
-    monkeypatch.setattr("bvwords.cli.is_trivial_bv", broken)
+    monkeypatch.setattr("bvwords.presentations.is_trivial_bv", broken)
     code, out, err = run(capsys, "trivial", "--group", "V", "v0")
     assert code == 4 and out == ""
     assert err.startswith("internal error:") and "boom" in err
@@ -197,6 +206,7 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, error):
     (("verify", "--bound", "1", "--family", "no-such-family"), "unknown relation family"),
     (("selftest", "--samples", "2", "--max-index", "-1"), "must be nonnegative"),
     (("verify", "--bound", "1", "--max-steps", "0"), "step limit must be positive"),
+    (("selftest", "--samples", "1", "--max-index", str(MAX_INDEX + 1)), f"at most {MAX_INDEX}"),
 ])
 def test_bad_options_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

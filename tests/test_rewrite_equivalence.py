@@ -21,10 +21,10 @@ from bvwords.bv_lmr import (
     HeightSet,
     _equalize_heights,
     _flush_v_letters,
-    _push_negative_v_right,
-    _push_positive_v_left,
+    _push_v_left,
     _repair_syllable_heights,
     letter_height,
+    opi_commute,
     pi_action,
     raise_word_heights,
     split_monosyllables,
@@ -42,7 +42,7 @@ from bvwords.hatgroups import (
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
 from bvwords.thompson_f import f_fraction, normalize_monoid
-from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam, pi
+from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam, pi, pibar, vgen
 
 CAP = 200_000
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -229,19 +229,75 @@ def _ref_stray_negative_v(letters_):
     return None
 
 
+def _ref_opi_commute_left(m, k, exponent):
+    """The ``side="left"`` form ``opi_commute`` had before the inverse
+    sweep became the positive one on the reversed list:
+
+        v_(m+k)' * pb_m^e  ~  first + second  with
+        first  = p_m^e ... p_(m+k)^e pb_(m+k+1)^e
+        second = (v_m ... v_(m+k-2) v_(m+k-1)^2)'
+    """
+    if k < 1:
+        raise ValueError("opi_commute: need k >= 1 (k = 0 is pbv-absorb)")
+    if m < 0 or exponent not in (1, -1):
+        raise ValueError(f"opi_commute: bad instance (m={m}, exponent={exponent})")
+    v_block = tuple(vgen(j) for j in range(m, m + k - 1)) + (vgen(m + k - 1), vgen(m + k - 1))
+    first = tuple(pi(j, exponent) for j in range(m, m + k + 1)) + (pibar(m + k + 1, exponent),)
+    return first, invert(v_block)
+
+
+def _ref_push_negative_v_right(letters, p):
+    """One move of the stray inverse v at position p past its right neighbour."""
+    mover = letters[p]
+    nb = letters[p + 1]
+    c = mover.index
+    a, e = nb.index, nb.exponent
+    if nb.family is Family.V:
+        # a positive v to the right of an inverse one cannot remain after
+        # the positive sweep, but handle it anyway for safety
+        if a == c:
+            del letters[p:p + 2]
+        elif c < a:
+            letters[p:p + 2] = [vgen(a + 1), vgen(c, -1)]
+        else:
+            letters[p:p + 2] = [vgen(a), vgen(c + 1, -1)]
+    elif nb.family is Family.PI:
+        if a == c:
+            letters[p:p + 2] = [pi(a + 1, e), pi(a, e), vgen(c + 1, -1)]
+        elif a == c - 1:
+            letters[p:p + 2] = [pi(a, e), pi(a + 1, e), vgen(c - 1, -1)]
+        elif a > c:
+            letters[p:p + 2] = [pi(a + 1, e), vgen(c, -1)]
+        else:
+            letters[p:p + 2] = [pi(a, e), vgen(c, -1)]
+    elif nb.family is Family.PIBAR:
+        if a > c:
+            letters[p:p + 2] = [pibar(a + 1, e), vgen(c, -1)]
+        elif a == c:
+            letters[p:p + 2] = [pibar(a + 1, e), pi(a, e)]
+        else:
+            first, second = _ref_opi_commute_left(a, c - a, e)
+            letters[p:p + 2] = list(first) + list(second)
+    else:
+        raise AssertionError(f"unexpected neighbour {nb!r}")
+
+
 def _ref_flush_v_letters(letters_, budget, op):
+    """Both sweeps with full rescans; the inverse sweep pushes rightward
+    with its own rules, an oracle for the package's sweep on the reversed
+    list."""
     while True:
         p = _ref_stray_positive_v(letters_)
         if p is None:
             break
         budget.spend(op)
-        _push_positive_v_left(letters_, p)
+        _push_v_left(letters_, p, 1)
     while True:
         p = _ref_stray_negative_v(letters_)
         if p is None:
             break
         budget.spend(op)
-        _push_negative_v_right(letters_, p)
+        _ref_push_negative_v_right(letters_, p)
     head = 0
     while head < len(letters_) and letters_[head].family is Family.V and letters_[head].exponent > 0:
         head += 1
@@ -323,7 +379,16 @@ def test_pi_action_right_matches_prepending(seed):
         top = rng.choice((3, 12, 40))
         w = tuple(pi(rng.randint(0, top), rng.choice((1, -1))) for _ in range(rng.randint(300, 900)))
         m = rng.randint(0, 14)
-        assert pi_action(w, m, "right") == _ref_pi_action_right(w, m)
+        moved, k = pi_action(invert(w), m)
+        assert (invert(moved), k) == _ref_pi_action_right(w, m)
+
+
+@pytest.mark.parametrize("e", (1, -1))
+def test_opi_commute_inverted_matches_left_form(e):
+    for m in range(4):
+        for k in range(1, 5):
+            first, second = opi_commute(m, k, -e)
+            assert (invert(second), invert(first)) == _ref_opi_commute_left(m, k, e)
 
 
 @SETTINGS
