@@ -1,7 +1,7 @@
 """The word problem for the infinite braid group, by handle reduction.
 
-A braid word is a tuple of ``(index, exponent)`` pairs over the standard
-generators, where generator ``i`` crosses strands ``i`` and ``i+1``.
+A braid word is a word of ``s`` letters, where ``s_i`` crosses strands
+``i`` and ``i+1``.
 
 A *handle* is a subword  ``s_k^e  u  s_k^-e``  whose interior ``u``
 contains no occurrence of generator ``k`` or ``k-1`` (letters with index
@@ -33,62 +33,18 @@ whose strand permutation is not the identity, is certainly nontrivial.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from .limits import DEFAULT_BRAID_STEPS, Budget
-from .perms import Permutation, from_adjacent_transpositions
-from .words import AlphabetError, Family, Gen, Word, sig
+from .perms import from_sigma_word
+from .words import Family, Gen, Word, check_alphabet, free_reduce, invert
 
-BraidLetter = tuple[int, int]
-BraidWord = tuple[BraidLetter, ...]
-
-
-def braid_word(letters: Iterable[Sequence[int]]) -> BraidWord:
-    out = []
-    for index, exponent in letters:
-        if index < 0:
-            raise ValueError(f"braid generator index must be nonnegative: {index}")
-        if exponent not in (1, -1):
-            raise ValueError(f"braid letter exponent must be +1 or -1: {exponent}")
-        out.append((index, exponent))
-    return tuple(out)
+_BRAID_ALPHABET = frozenset({Family.SIGMA})
 
 
-def word_to_braid(w: Word) -> BraidWord:
-    """Reinterpret a word over ``s`` letters as a braid word."""
-    for g in w:
-        if g.family is not Family.SIGMA:
-            raise AlphabetError(f"word_to_braid: non-braid letter {g!r}")
-    return tuple((g.index, g.exponent) for g in w)
+def exponent_sum(w: Word) -> int:
+    return sum(g.exponent for g in w)
 
 
-def braid_to_word(b: BraidWord) -> Word:
-    return tuple(sig(i, e) for i, e in b)
-
-
-def invert_braid(b: BraidWord) -> BraidWord:
-    return tuple((i, -e) for i, e in reversed(b))
-
-
-def free_reduce_braid(b: BraidWord) -> BraidWord:
-    out: list[BraidLetter] = []
-    for let in b:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
-
-
-def exponent_sum(b: BraidWord) -> int:
-    return sum(e for _, e in b)
-
-
-def permutation_image(b: BraidWord) -> Permutation:
-    return from_adjacent_transpositions(i for i, _ in b)
-
-
-def _leftmost_handle(w: list[BraidLetter], start: int) -> tuple[int, int] | None:
+def _leftmost_handle(w: list[tuple[int, int]], start: int) -> tuple[int, int] | None:
     """The handle with the leftmost closing letter, as (open, close) positions.
 
     Only closing letters at ``start`` or later are tried; the caller
@@ -109,9 +65,9 @@ def _leftmost_handle(w: list[BraidLetter], start: int) -> tuple[int, int] | None
     return None
 
 
-def _reduce_handle(w: list[BraidLetter], open_: int, close: int) -> None:
+def _reduce_handle(w: list[tuple[int, int]], open_: int, close: int) -> None:
     k, e = w[open_]
-    replacement: list[BraidLetter] = []
+    replacement: list[tuple[int, int]] = []
     for idx, d in w[open_ + 1:close]:
         if idx == k + 1:
             replacement += [(k + 1, -e), (k, d), (k + 1, e)]
@@ -120,31 +76,37 @@ def _reduce_handle(w: list[BraidLetter], open_: int, close: int) -> None:
     w[open_:close + 1] = replacement
 
 
-def handle_reduce(b: BraidWord, budget: Budget | None = None) -> BraidWord:
-    """Fully handle-reduce a braid word; the result is handle free."""
+def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
+    """Fully handle-reduce a braid word; the result is handle free.
+
+    The search runs on a list of ``(index, exponent)`` pairs, built once
+    from the freely reduced word and read back into letters at the end.
+    """
+    check_alphabet(w, _BRAID_ALPHABET, "handle_reduce")
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
-    w = list(free_reduce_braid(b))
+    pairs = [(g.index, g.exponent) for g in free_reduce(w)]
     start = 0
     while True:
-        found = _leftmost_handle(w, start)
+        found = _leftmost_handle(pairs, start)
         if found is None:
-            return tuple(w)
+            return tuple(Gen(Family.SIGMA, i, e) for i, e in pairs)
         budget.spend("handle_reduce")
-        _reduce_handle(w, *found)
+        _reduce_handle(pairs, *found)
         start = found[0]
 
 
-def is_trivial_braid(b: BraidWord, budget: Budget | None = None) -> bool:
+def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
     """Decide whether a braid word represents the trivial braid."""
-    b = free_reduce_braid(b)
-    if not b:
+    check_alphabet(w, _BRAID_ALPHABET, "is_trivial_braid")
+    w = free_reduce(w)
+    if not w:
         return True
-    if exponent_sum(b) != 0:
+    if exponent_sum(w) != 0:
         return False
-    if not permutation_image(b).is_identity():
+    if not from_sigma_word(w).is_identity():
         return False
-    return len(handle_reduce(b, budget)) == 0
+    return len(handle_reduce(w, budget)) == 0
 
 
-def equal_braid(b1: BraidWord, b2: BraidWord, budget: Budget | None = None) -> bool:
-    return is_trivial_braid(b1 + invert_braid(b2), budget)
+def equal_braid(w1: Word, w2: Word, budget: Budget | None = None) -> bool:
+    return is_trivial_braid(w1 + invert(w2), budget)

@@ -41,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
-from .braid import BraidWord, is_trivial_braid
+from .braid import is_trivial_braid
 from .limits import Budget
-from .perms import from_adjacent_transpositions
+from .perms import from_sigma_word
 from .thompson_f import is_trivial_f
 from .words import (
     AlphabetError,
@@ -167,43 +167,39 @@ class _RelationFamily:
     nparams: int
     takes_exponent: bool
     v_only: bool
-    condition: object  # callable(indices) -> bool
-    build: object      # callable(indices, exponent) -> (lhs, rhs)
-
-
-def _fam(rel_id, nparams, takes_exponent, v_only, condition, build):
-    return _RelationFamily(rel_id, nparams, takes_exponent, v_only, condition, build)
+    condition: Callable[..., bool]               # (indices) -> bool
+    build: Callable[..., tuple[Word, Word]]      # (indices, exponent) -> (lhs, rhs)
 
 
 RELATION_FAMILIES: dict[str, _RelationFamily] = {
     f.rel_id: f
     for f in [
-        _fam("vv-shift", 2, False, False, lambda q, m: m < q,
-             lambda q, m, e: ((vgen(q), vgen(m)), (vgen(m), vgen(q + 1)))),
-        _fam("pv-shift", 2, False, False, lambda q, m: m < q,
-             lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q + 1)))),
-        _fam("pv-split", 1, True, False, lambda m: True,
-             lambda m, e: ((pi(m, e), vgen(m)), (vgen(m + 1), pi(m, e), pi(m + 1, e)))),
-        _fam("pv-far", 2, False, False, lambda q, m: m > q + 1,
-             lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q)))),
-        _fam("pbv-shift", 2, False, False, lambda q, m: m < q,
-             lambda q, m, e: ((pibar(q), vgen(m)), (vgen(m), pibar(q + 1)))),
-        _fam("pbv-absorb", 1, True, False, lambda m: True,
-             lambda m, e: ((pibar(m, e), vgen(m)), (pi(m, e), pibar(m + 1, e)))),
-        _fam("pp-far", 2, False, False, lambda q, m: q >= m + 2,
-             lambda q, m, e: ((pi(q), pi(m)), (pi(m), pi(q)))),
-        _fam("pp-braid", 1, False, False, lambda m: True,
-             lambda m, e: ((pi(m), pi(m + 1), pi(m)), (pi(m + 1), pi(m), pi(m + 1)))),
-        _fam("pbp-far", 2, False, False, lambda q, m: q >= m + 2,
-             lambda q, m, e: ((pibar(q), pi(m)), (pi(m), pibar(q)))),
-        _fam("pb-braid", 1, False, False, lambda m: True,
-             lambda m, e: ((pi(m), pibar(m + 1), pi(m)), (pibar(m + 1), pi(m), pibar(m + 1)))),
-        _fam("p-invol", 1, False, True, lambda m: True,
-             lambda m, e: ((pi(m), pi(m)), ())),
-        _fam("pb-invol", 1, False, True, lambda m: True,
-             lambda m, e: ((pibar(m), pibar(m)), ())),
-        _fam("pv-split-up", 1, True, False, lambda m: True,
-             lambda m, e: ((pi(m, e), vgen(m + 1)), (vgen(m), pi(m + 1, e), pi(m, e)))),
+        _RelationFamily("vv-shift", 2, False, False, lambda q, m: m < q,
+                        lambda q, m, e: ((vgen(q), vgen(m)), (vgen(m), vgen(q + 1)))),
+        _RelationFamily("pv-shift", 2, False, False, lambda q, m: m < q,
+                        lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q + 1)))),
+        _RelationFamily("pv-split", 1, True, False, lambda m: True,
+                        lambda m, e: ((pi(m, e), vgen(m)), (vgen(m + 1), pi(m, e), pi(m + 1, e)))),
+        _RelationFamily("pv-far", 2, False, False, lambda q, m: m > q + 1,
+                        lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q)))),
+        _RelationFamily("pbv-shift", 2, False, False, lambda q, m: m < q,
+                        lambda q, m, e: ((pibar(q), vgen(m)), (vgen(m), pibar(q + 1)))),
+        _RelationFamily("pbv-absorb", 1, True, False, lambda m: True,
+                        lambda m, e: ((pibar(m, e), vgen(m)), (pi(m, e), pibar(m + 1, e)))),
+        _RelationFamily("pp-far", 2, False, False, lambda q, m: q >= m + 2,
+                        lambda q, m, e: ((pi(q), pi(m)), (pi(m), pi(q)))),
+        _RelationFamily("pp-braid", 1, False, False, lambda m: True,
+                        lambda m, e: ((pi(m), pi(m + 1), pi(m)), (pi(m + 1), pi(m), pi(m + 1)))),
+        _RelationFamily("pbp-far", 2, False, False, lambda q, m: q >= m + 2,
+                        lambda q, m, e: ((pibar(q), pi(m)), (pi(m), pibar(q)))),
+        _RelationFamily("pb-braid", 1, False, False, lambda m: True,
+                        lambda m, e: ((pi(m), pibar(m + 1), pi(m)), (pibar(m + 1), pi(m), pibar(m + 1)))),
+        _RelationFamily("p-invol", 1, False, True, lambda m: True,
+                        lambda m, e: ((pi(m), pi(m)), ())),
+        _RelationFamily("pb-invol", 1, False, True, lambda m: True,
+                        lambda m, e: ((pibar(m), pibar(m)), ())),
+        _RelationFamily("pv-split-up", 1, True, False, lambda m: True,
+                        lambda m, e: ((pi(m, e), vgen(m + 1)), (vgen(m), pi(m + 1, e), pi(m, e)))),
     ]
 }
 
@@ -750,20 +746,20 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     return LMRForm(tuple(left), middle, tuple(right), height, h)
 
 
-def m_to_sigma(m_word: Word, h: int) -> BraidWord:
-    """Translate a middle word of height h into a braid word.
+def m_to_sigma(m_word: Word, h: int) -> Word:
+    """Translate a middle word of height h into a braid word of ``s`` letters.
 
-    pb letters sit at index h - 1 and map to strand 0; p letters at index
-    i map to strand h - 1 - i.
+    pb letters sit at index h - 1 and map to ``s_0``; p letters at index
+    i map to ``s_(h-1-i)``.  Exponents are kept.
     """
     if not word_height(m_word).contains(h):
         raise ValueError(f"m_to_sigma: {h} is not a height of the word")
     out = []
     for g in m_word:
         if g.family is Family.PIBAR:
-            out.append((0, g.exponent))
+            out.append(Gen(Family.SIGMA, 0, g.exponent))
         else:
-            out.append((h - 1 - g.index, g.exponent))
+            out.append(Gen(Family.SIGMA, h - 1 - g.index, g.exponent))
     return tuple(out)
 
 
@@ -782,7 +778,7 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
         if not is_trivial_braid(sigma, budget):
             return False
     else:
-        if not from_adjacent_transpositions(i for i, _ in sigma).is_identity():
+        if not from_sigma_word(sigma).is_identity():
             return False
     outer = tuple(lam(g.index, g.exponent) for g in form.L + form.R)
     return is_trivial_f(outer)

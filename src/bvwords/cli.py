@@ -27,7 +27,6 @@ import re
 import sys
 from typing import Sequence
 
-from .braid import braid_to_word
 from .bv_lmr import LMRForm, to_third_form
 from .hatgroups import GroupMode, canonicalize_hat
 from .limits import MAX_INDEX, Budget, StepLimitExceeded
@@ -127,7 +126,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     if mode is GroupMode.VHAT:
         beta_repr = repr(fr.beta)
     else:
-        beta_repr = format_word(braid_to_word(fr.beta)) or "(empty)"
+        beta_repr = format_word(fr.beta) or "(empty)"
     record = {
         "command": "normalize", "group": args.group, "input": args.word,
         "positive": list(fr.f_part.indices), "beta": beta_repr,

@@ -59,9 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .braid import BraidWord, braid_to_word, is_trivial_braid
+from .braid import is_trivial_braid
 from .limits import Budget
-from .perms import Permutation, from_adjacent_transpositions
+from .perms import Permutation, from_sigma_word
 from .thompson_f import FNormal, collect_fraction, normalize_monoid
 from .words import (
     Family,
@@ -122,10 +122,14 @@ def push_lambda_inverse_right(linv: Gen, x: Gen) -> Word:
 
 @dataclass(frozen=True)
 class HatFraction:
-    """The collected shape ``f * beta * g**-1`` of a hat-group element."""
+    """The collected shape ``f * beta * g**-1`` of a hat-group element.
+
+    ``beta`` is the middle: a word of ``s`` letters in BVhat, and its
+    strand permutation in Vhat.
+    """
 
     f_part: FNormal
-    beta: BraidWord | Permutation
+    beta: Word | Permutation
     g_part: FNormal
     mode: GroupMode
 
@@ -141,7 +145,7 @@ class HatFraction:
         if self.mode is GroupMode.VHAT:
             middle: Word = tuple(sig(i) for i in self._permutation().adjacent_word())
         else:
-            middle = braid_to_word(self._braid())
+            middle = self._braid()
         return self.f_part.word() + middle + invert(self.g_part.word())
 
     def _permutation(self) -> Permutation:
@@ -149,7 +153,7 @@ class HatFraction:
             raise TypeError(f"HatFraction: a {self.mode.value} middle must be a Permutation, got {self.beta!r}")
         return self.beta
 
-    def _braid(self) -> BraidWord:
+    def _braid(self) -> Word:
         if not isinstance(self.beta, tuple):
             raise TypeError(f"HatFraction: a {self.mode.value} middle must be a braid word, got {self.beta!r}")
         return self.beta
@@ -168,14 +172,9 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
     check_alphabet(w, _HAT_ALPHABET, "canonicalize_hat")
     budget = budget if budget is not None else Budget()
     positive, middle, negative = collect_fraction(free_reduce(w), budget, "canonicalize_hat")
-    beta: BraidWord | Permutation
-    if mode is GroupMode.VHAT:
-        beta = from_adjacent_transpositions([i for i, _ in middle])
-    else:
-        beta = middle
     return HatFraction(
         f_part=normalize_monoid(positive),
-        beta=beta,
+        beta=from_sigma_word(middle) if mode is GroupMode.VHAT else middle,
         g_part=normalize_monoid(negative),
         mode=mode,
     )

@@ -14,9 +14,12 @@ cross-checks live in the split-group test suite).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .words import AlphabetError, Family, Gen, Word
+from .words import Family, Word, check_alphabet
+
+_SIGMA = frozenset({Family.SIGMA})
+_PI = frozenset({Family.PI})
 
 
 class Permutation:
@@ -133,13 +136,8 @@ def from_adjacent_transpositions(indices: Iterable[int]) -> Permutation:
     return Permutation({x: y for x, y in enumerate(line) if x != y})
 
 
-def _transposition_indices(w: Word) -> Iterator[int]:
-    families = {g.family for g in w}
-    if not families <= {Family.SIGMA} and not families <= {Family.PI}:
-        raise AlphabetError(f"from_sigma_word: want all s or all p letters, got {sorted(f.value for f in families)}")
-    return (g.index for g in w)
-
-
 def from_sigma_word(w: Word) -> Permutation:
-    """Image of a permutation-generator word; exponents are irrelevant."""
-    return from_adjacent_transpositions(_transposition_indices(w))
+    """Image of a word of all ``s`` or all ``p`` letters; exponents are irrelevant."""
+    families = _PI if w and w[0].family is Family.PI else _SIGMA
+    check_alphabet(w, families, "from_sigma_word")
+    return from_adjacent_transpositions(g.index for g in w)

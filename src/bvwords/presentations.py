@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from . import bv_lmr
-from .braid import is_trivial_braid, word_to_braid
+from .braid import is_trivial_braid
 from .bv_lmr import BVMode, is_trivial_bv
 from .hatgroups import GroupMode, is_trivial_hat
 from .limits import Budget, StepLimitExceeded
@@ -402,7 +402,7 @@ DECIDERS: dict[GroupId, tuple[tuple[str, Callable[[Word, Budget], bool]], ...]] 
         ("hat", lambda w, b: is_trivial_hat(expand_bv_generators(w), GroupMode.BVHAT, b)),
     ),
     GroupId.SINF: (("perm-image", lambda w, b: from_sigma_word(w).is_identity()),),
-    GroupId.BINF: (("handle-reduction", lambda w, b: is_trivial_braid(word_to_braid(w), b)),),
+    GroupId.BINF: (("handle-reduction", lambda w, b: is_trivial_braid(w, b)),),
 }
 
 

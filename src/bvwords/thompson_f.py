@@ -75,10 +75,10 @@ def normalize_monoid(w: Word) -> FNormal:
 
 def collect_fraction(
     w: Word, budget: Budget, op: str,
-) -> tuple[Word, tuple[tuple[int, int], ...], Word]:
+) -> tuple[Word, Word, Word]:
     """Collect a freely reduced word over l/s letters into the shape
     ``P * beta * N**-1``: ``P`` and ``N`` positive ``l`` words, ``beta``
-    a braid word of ``(index, exponent)`` pairs.  Returns ``(P, beta, N)``.
+    a word of ``s`` letters.  Returns ``(P, beta, N)``.
 
     The first phase moves every inverse ``l`` letter to the right end,
     rightmost inverse first, one letter at a time:
@@ -180,7 +180,7 @@ def collect_fraction(
         numerator.append(m)
     return (
         tuple(Gen(Family.LAMBDA, i) for i in numerator),
-        tuple((y >> 2, 2 - (y & 3)) for y in block),
+        tuple(Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in block),
         tuple(Gen(Family.LAMBDA, i) for i in denominator),
     )
 

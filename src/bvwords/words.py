@@ -103,10 +103,14 @@ def word(*gens: Gen) -> Word:
 
 
 def check_alphabet(w: Iterable[Gen], families: frozenset[Family] | set[Family], what: str) -> None:
+    """Reject a letter outside ``families``, or with an exponent other than
+    +-1 or a negative index, before any rewriting sees it."""
     for g in w:
         if g.family not in families:
             allowed = "/".join(sorted(f.value for f in families))
             raise AlphabetError(f"{what}: letter {g!r} not in alphabet {allowed}")
+        if g.exponent not in (1, -1) or g.index < 0:
+            raise AlphabetError(f"{what}: malformed letter {tuple(g)!r}")
 
 
 def free_reduce(w: Iterable[Gen]) -> Word:
@@ -130,6 +134,9 @@ def invert(w: Sequence[Gen]) -> Word:
     return tuple(g.inverse() for g in reversed(w))
 
 
+_BV_ALPHABET = frozenset({Family.V, Family.PI, Family.PIBAR})
+
+
 def _expansion(g: Gen) -> list[Gen]:
     # Positive-exponent expansions of the v/p/pb letters into l/s letters.
     n = g.index
@@ -137,12 +144,10 @@ def _expansion(g: Gen) -> list[Gen]:
         return [lam(0)] * (n + 1) + [lam(1)] + [lam(0, -1)] * (n + 2)
     if g.family is Family.PI:
         return [lam(0)] * (n + 2) + [sig(1)] + [lam(0, -1)] * (n + 2)
-    if g.family is Family.PIBAR:
-        return [lam(0)] * (n + 1) + [sig(0)] + [lam(0, -1)] * (n + 1)
-    raise AlphabetError(f"expand_bv_generators: cannot expand {g!r}")
+    return [lam(0)] * (n + 1) + [sig(0)] + [lam(0, -1)] * (n + 1)
 
 
-def expand_bv_generators(w: Iterable[Gen]) -> Word:
+def expand_bv_generators(w: Word) -> Word:
     """Rewrite a v/p/pb word as the l/s word it abbreviates.
 
     Each splitting or permuting generator is a conjugate of ``l1``, ``s0``
@@ -153,6 +158,7 @@ def expand_bv_generators(w: Iterable[Gen]) -> Word:
     >>> expand_bv_generators((pibar(0),))
     (l0, s0, l0')
     """
+    check_alphabet(w, _BV_ALPHABET, "expand_bv_generators")
     out: list[Gen] = []
     for g in w:
         base = _expansion(g)

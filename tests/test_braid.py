@@ -4,26 +4,19 @@ import random
 
 import pytest
 
-from bvwords.braid import (
-    braid_to_word,
-    braid_word,
-    equal_braid,
-    exponent_sum,
-    free_reduce_braid,
-    handle_reduce,
-    invert_braid,
-    is_trivial_braid,
-    permutation_image,
-    word_to_braid,
-)
+from bvwords.braid import equal_braid, exponent_sum, handle_reduce, is_trivial_braid
 from bvwords.limits import Budget, StepLimitExceeded
-from bvwords.perms import Permutation
-from bvwords.words import sig
+from bvwords.perms import Permutation, from_sigma_word
+from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, sig
+
+
+def _s(*pairs):
+    return tuple(sig(i, e) for i, e in pairs)
 
 
 def _random_braid(rng, max_index, max_len):
     n = rng.randrange(max_len + 1)
-    return tuple((rng.randrange(max_index + 1), rng.choice((1, -1))) for _ in range(n))
+    return tuple(sig(rng.randrange(max_index + 1), rng.choice((1, -1))) for _ in range(n))
 
 
 def _insert_relator(b, rng):
@@ -31,46 +24,52 @@ def _insert_relator(b, rng):
     i = rng.randrange(7)
     if rng.random() < 0.5:
         j = i + 2 + rng.randrange(3)
-        rel = ((i, 1), (j, 1), (i, -1), (j, -1))
+        rel = _s((i, 1), (j, 1), (i, -1), (j, -1))
     else:
-        rel = ((i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1))
+        rel = _s((i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1))
     pos = rng.randrange(len(b) + 1)
     return b[:pos] + rel + b[pos:]
 
 
 def test_braid_word_validation():
-    assert braid_word([(0, 1), (3, -1)]) == ((0, 1), (3, -1))
-    with pytest.raises(ValueError):
-        braid_word([(-1, 1)])
-    with pytest.raises(ValueError):
-        braid_word([(0, 2)])
+    # the braid functions take words of s letters with index >= 0 and
+    # exponent +-1; anything else is rejected before any rewriting
+    assert handle_reduce((sig(0), sig(3, -1))) == (sig(0), sig(3, -1))
+    with pytest.raises(AlphabetError):
+        handle_reduce((Gen(Family.SIGMA, -1, 1),))
+    with pytest.raises(AlphabetError):
+        is_trivial_braid((Gen(Family.SIGMA, 0, 2),))
+    with pytest.raises(AlphabetError):
+        is_trivial_braid((sig(0), Gen(Family.LAMBDA, 0, -1)))
 
 
 def test_word_conversion_round_trip():
+    # handle reduction works on (index, exponent) pairs inside and reads
+    # them back into the same letters
     w = (sig(0), sig(2, -1), sig(1))
-    assert braid_to_word(word_to_braid(w)) == w
+    assert handle_reduce(w) == w
 
 
 def test_free_reduce_and_invert():
-    b = ((0, 1), (1, 1), (1, -1), (0, -1), (2, 1))
-    assert free_reduce_braid(b) == ((2, 1),)
-    assert free_reduce_braid(b + invert_braid(b)) == ()
+    b = _s((0, 1), (1, 1), (1, -1), (0, -1), (2, 1))
+    assert free_reduce(b) == _s((2, 1))
+    assert free_reduce(b + invert(b)) == ()
 
 
 def test_exponent_sum():
     assert exponent_sum(()) == 0
-    assert exponent_sum(((0, 1), (3, 1), (0, -1), (5, 1))) == 2
+    assert exponent_sum(_s((0, 1), (3, 1), (0, -1), (5, 1))) == 2
 
 
 def test_permutation_image():
-    b = ((0, 1), (1, -1))
-    p = permutation_image(b)
+    b = _s((0, 1), (1, -1))
+    p = from_sigma_word(b)
     assert p == Permutation({0: 1, 1: 2, 2: 0})
 
 
 def test_defining_relators_are_trivial():
-    far = ((0, 1), (2, 1), (0, -1), (2, -1))
-    braid = ((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1))
+    far = _s((0, 1), (2, 1), (0, -1), (2, -1))
+    braid = _s((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1))
     assert is_trivial_braid(far)
     assert is_trivial_braid(braid)
     assert handle_reduce(far) == ()
@@ -78,17 +77,17 @@ def test_defining_relators_are_trivial():
 
 
 def test_generators_are_not_trivial():
-    assert not is_trivial_braid(((0, 1),))
+    assert not is_trivial_braid(_s((0, 1)))
     # order matters: squares survive in the braid group
-    assert not is_trivial_braid(((0, 1), (0, 1)))
-    assert not is_trivial_braid(((0, 1), (1, 1), (0, 1), (1, 1)))
+    assert not is_trivial_braid(_s((0, 1), (0, 1)))
+    assert not is_trivial_braid(_s((0, 1), (1, 1), (0, 1), (1, 1)))
 
 
 def test_inverse_pairs_are_trivial():
     rng = random.Random(41)
     for _ in range(200):
         b = _random_braid(rng, 6, 20)
-        assert is_trivial_braid(b + invert_braid(b))
+        assert is_trivial_braid(b + invert(b))
 
 
 def test_verdict_invariant_under_relator_insertion():
@@ -105,12 +104,12 @@ def test_trivial_implies_invariants_vanish():
         b = _random_braid(rng, 6, 20)
         if is_trivial_braid(b):
             assert exponent_sum(b) == 0
-            assert permutation_image(b).is_identity()
+            assert from_sigma_word(b).is_identity()
 
 
 def test_equal_braid():
-    lhs = ((0, 1), (1, 1), (0, 1))
-    rhs = ((1, 1), (0, 1), (1, 1))
+    lhs = _s((0, 1), (1, 1), (0, 1))
+    rhs = _s((1, 1), (0, 1), (1, 1))
     assert equal_braid(lhs, rhs)
     assert not equal_braid(lhs, rhs[:-1])
 
@@ -123,6 +122,6 @@ def test_handle_reduce_preserves_element():
 
 
 def test_budget_cap_raises():
-    b = ((0, 1), (1, 1), (0, -1)) * 10
+    b = _s((0, 1), (1, 1), (0, -1)) * 10
     with pytest.raises(StepLimitExceeded):
         handle_reduce(b, Budget(limit=2))

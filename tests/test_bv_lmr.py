@@ -38,6 +38,7 @@ from bvwords.words import (
     pi,
     pibar,
     random_word,
+    sig,
     vgen,
 )
 
@@ -377,9 +378,9 @@ def test_third_form_invariants_random():
 
 
 def test_m_to_sigma():
-    assert m_to_sigma((pibar(1),), 2) == ((0, 1),)
-    assert m_to_sigma((pi(0),), 2) == ((1, 1),)
-    assert m_to_sigma((pi(0), pibar(1, -1)), 2) == ((1, 1), (0, -1))
+    assert m_to_sigma((pibar(1),), 2) == (sig(0, 1),)
+    assert m_to_sigma((pi(0),), 2) == (sig(1, 1),)
+    assert m_to_sigma((pi(0), pibar(1, -1)), 2) == (sig(1, 1), sig(0, -1))
     with pytest.raises(ValueError):
         m_to_sigma((pibar(1),), 3)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from bvwords.bv_lmr import RELATION_FAMILIES, relation_sides, to_third_form
 from bvwords.limits import Budget
 from bvwords.presentations import DECIDERS, GroupId, RelationInstance, instantiate_family, verify
 from bvwords.thompson_f import f_fraction
-from bvwords.words import Family, Gen, invert, lam
+from bvwords.words import AlphabetError, Family, Gen, invert, lam
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -114,3 +115,26 @@ def test_verify_detail_per_group():
         GroupId.V: "lmr=True hat=True",
         GroupId.BV: "lmr=True hat=True",
     }
+
+
+ALPHABETS = {
+    GroupId.F: (Family.LAMBDA,),
+    GroupId.VHAT: (Family.LAMBDA, Family.SIGMA),
+    GroupId.BVHAT: (Family.LAMBDA, Family.SIGMA),
+    GroupId.V: (Family.V, Family.PI, Family.PIBAR),
+    GroupId.BV: (Family.V, Family.PI, Family.PIBAR),
+    GroupId.SINF: (Family.SIGMA,),
+    GroupId.BINF: (Family.SIGMA,),
+}
+
+
+@pytest.mark.parametrize("group,name", [(g, name) for g in GroupId for name, _ in DECIDERS[g]])
+@pytest.mark.parametrize("index,exponent", [(0, 0), (0, 2), (-1, 1)])
+def test_malformed_letters_are_rejected(group, name, index, exponent):
+    # a Gen built directly can carry any index and exponent; every decider
+    # must reject a bad one before rewriting, alone or among good letters
+    for family in ALPHABETS[group]:
+        bad = Gen(family, index, exponent)
+        for w in ((bad,), (Gen(family, 1), bad), (bad, Gen(family, 1, -1))):
+            with pytest.raises(AlphabetError):
+                decide(group, name, w)

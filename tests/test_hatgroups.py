@@ -105,7 +105,7 @@ def test_defining_relators_trivial():
 def test_canonicalize_golden():
     frac = canonicalize_hat((sig(0), lam(0)), GroupMode.BVHAT)
     assert frac.f_part == FNormal((1,))
-    assert frac.beta == ((0, 1), (1, 1))
+    assert frac.beta == (sig(0, 1), sig(1, 1))
     assert frac.g_part == FNormal(())
     frac = canonicalize_hat((sig(0), lam(0)), GroupMode.VHAT)
     assert frac.f_part == FNormal((1,))
@@ -125,7 +125,7 @@ def test_canonicalize_trivial_inputs():
 
 def test_sigma_exponents_by_mode():
     frac = canonicalize_hat((sig(2, -1),), GroupMode.BVHAT)
-    assert frac.beta == ((2, -1),)
+    assert frac.beta == (sig(2, -1),)
     frac = canonicalize_hat((sig(2, -1),), GroupMode.VHAT)
     assert frac.beta == Permutation.transposition(2, 3)
 
@@ -218,15 +218,15 @@ def test_budget_cap_raises():
 
 
 _MISMATCHED_BETA = """
-from bvwords.braid import braid_word
 from bvwords.hatgroups import GroupMode, HatFraction
 from bvwords.perms import Permutation
 from bvwords.thompson_f import FNormal
+from bvwords.words import sig
 
 assert False, "this check must vanish under -O"
 empty = FNormal(())
 cases = [
-    HatFraction(empty, braid_word([(0, 1), (0, -1)]), empty, GroupMode.VHAT),
+    HatFraction(empty, (sig(0), sig(0, -1)), empty, GroupMode.VHAT),
     HatFraction(empty, Permutation.identity(), empty, GroupMode.BVHAT),
 ]
 for fr in cases:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bvwords.braid import _reduce_handle, free_reduce_braid, handle_reduce, word_to_braid
+from bvwords.braid import handle_reduce
 from bvwords.bv_lmr import (
     HeightSet,
     _equalize_heights,
@@ -42,7 +42,7 @@ from bvwords.hatgroups import (
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
 from bvwords.thompson_f import f_fraction, normalize_monoid
-from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam, pi, pibar, vgen
+from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam, pi, pibar, sig, vgen
 
 CAP = 200_000
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -89,9 +89,9 @@ def capped_outcome(cap, fn, *args):
 
 def _ref_leftmost_handle(w):
     for close in range(1, len(w)):
-        k, f = w[close]
+        k, f = w[close].index, w[close].exponent
         for open_ in range(close - 1, -1, -1):
-            k2, e2 = w[open_]
+            k2, e2 = w[open_].index, w[open_].exponent
             if k2 == k:
                 if e2 == -f:
                     return open_, close
@@ -102,13 +102,21 @@ def _ref_leftmost_handle(w):
 
 
 def _ref_handle_reduce(b, budget):
-    w = list(free_reduce_braid(b))
+    w = list(free_reduce(b))
     while True:
         found = _ref_leftmost_handle(w)
         if found is None:
             return tuple(w)
         budget.spend("handle_reduce")
-        _reduce_handle(w, *found)
+        open_, close = found
+        k, e = w[open_].index, w[open_].exponent
+        interior = []
+        for g in w[open_ + 1:close]:
+            if g.index == k + 1:
+                interior += [sig(k + 1, -e), sig(k, g.exponent), sig(k + 1, e)]
+            else:
+                interior.append(g)
+        w[open_:close + 1] = interior
 
 
 def _ref_canonicalize_hat(w, mode, budget):
@@ -142,7 +150,7 @@ def _ref_canonicalize_hat(w, mode, budget):
     )
     split = min(first_sigma, first_neg)
     middle = tuple(letters_[split:first_neg])
-    beta = from_sigma_word(middle) if mode is GroupMode.VHAT else word_to_braid(middle)
+    beta = from_sigma_word(middle) if mode is GroupMode.VHAT else middle
     return HatFraction(
         f_part=normalize_monoid(tuple(letters_[:split])),
         beta=beta,
@@ -342,7 +350,8 @@ BV = (Family.V, Family.PI, Family.PIBAR)
 
 
 @SETTINGS
-@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from((1, -1))), max_size=40).map(tuple))
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from((1, -1))), max_size=40)
+       .map(lambda b: tuple(sig(i, e) for i, e in b)))
 def test_handle_reduce_matches_full_rescan(b):
     assert outcome(handle_reduce, b) == outcome(_ref_handle_reduce, b)
 

@@ -35,6 +35,8 @@ def test_letter_validation():
     with pytest.raises(ValueError):
         lam(-1)
     with pytest.raises(ValueError):
+        sig(-1)
+    with pytest.raises(ValueError):
         sig(0, 2)
     with pytest.raises(ValueError):
         pi(1, 0)
