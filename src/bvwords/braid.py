@@ -34,7 +34,7 @@ whose strand permutation is not the identity, is certainly nontrivial.
 from __future__ import annotations
 
 from .limits import DEFAULT_BRAID_STEPS, Budget
-from .perms import from_sigma_word
+from .perms import from_adjacent_transpositions
 from .words import Family, Gen, Word, check_alphabet, free_reduce, invert
 
 _BRAID_ALPHABET = frozenset({Family.SIGMA})
@@ -103,7 +103,7 @@ def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
         return True
     if exponent_sum(w) != 0:
         return False
-    if not from_sigma_word(w).is_identity():
+    if not from_adjacent_transpositions(g.index for g in w).is_identity():
         return False
     return len(handle_reduce(w, budget)) == 0
 

@@ -55,7 +55,6 @@ from .words import (
     check_alphabet,
     free_reduce,
     invert,
-    lam,
     pi,
     pibar,
     vgen,
@@ -277,22 +276,6 @@ def pi_action(w: Word, m: int) -> tuple[Word, int]:
     return tuple(out), c
 
 
-def opi_commute(m: int, k: int, exponent: int) -> tuple[Word, Word]:
-    """Carry a splitting letter across a single pb letter, k strands up.
-
-        pb_m^e * v_(m+k)   ~  first + second  with
-        first  = v_m ... v_(m+k-2) v_(m+k-1)^2
-        second = pb_(m+k+1)^e p_(m+k)^e ... p_m^e
-    """
-    if k < 1:
-        raise ValueError("opi_commute: need k >= 1 (k = 0 is pbv-absorb)")
-    if m < 0 or exponent not in (1, -1):
-        raise ValueError(f"opi_commute: bad instance (m={m}, exponent={exponent})")
-    v_block = tuple(vgen(j) for j in range(m, m + k - 1)) + (vgen(m + k - 1), vgen(m + k - 1))
-    second = (pibar(m + k + 1, exponent),) + tuple(pi(j, exponent) for j in range(m + k, m - 1, -1))
-    return v_block, second
-
-
 # ---------------------------------------------------------------------------
 # First form: sorting a word into L M R
 
@@ -311,107 +294,102 @@ class LMRForm:
         return self.L + self.M + self.R
 
 
-def _is_v(g: Gen, s: int) -> bool:
-    return g.family is Family.V and g.exponent == s
+# The sweeps work on int-coded letters ``index << 3 | kind``, kind 0 ``v``,
+# 1 ``v'``, 2 ``p``, 3 ``p'``, 4 ``pb``, 5 ``pb'``: adding 8 raises the index,
+# and a ``pb`` letter less 2 is the ``p`` letter of its index and exponent.
+_KIND = {Family.V: 0, Family.PI: 2, Family.PIBAR: 4}
+_FAMILY = (Family.V, Family.V, Family.PI, Family.PI, Family.PIBAR, Family.PIBAR)
 
 
-def _push_v_left(letters: list[Gen], p: int, s: int) -> None:
-    """One move of the stray ``v_c^s`` at position p past its left neighbour.
+def _encode(w: Word) -> list[int]:
+    return [g.index << 3 | _KIND[g.family] | (g.exponent < 0) for g in w]
 
-    For ``s = -1`` every rule is the ``s = 1`` rule with each v exponent
-    negated; p and pb letters keep theirs.
+
+def _decode(codes: list[int]) -> Word:
+    return tuple([Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in codes])
+
+
+def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: str) -> list[int]:
+    """Sweep every ``v^s`` letter to its end of the coded list (the left
+    for ``s = 1``, the right for ``s = -1``) and strip those letters off.
+
+    The positive sweep moves the leftmost stray, a ``v`` after the leading
+    run of them, past its left neighbour by the rules of the module
+    docstring; past ``pb_a^e`` with ``a < c``, ``v_c`` is replayed as
+    ``v_a ... v_(c-2) v_(c-1)^2 pb_(c+1)^e p_c^e ... p_a^e``.  Both pb
+    moves shrink a multiset measure, so the sweep ends.  Each move is one
+    step of ``op``.  The search starts at ``start``, at or before the
+    first stray, and resumes at ``p - 1`` after a move at ``p``: the move
+    rewrote only the pair ending at ``p``, and no letter before it was a
+    stray, so this finds the stray a full rescan would.
+
+    The inverse sweep is the positive one with every v exponent negated,
+    run on the list reversed in place: each rule that moves ``v_c'``
+    rightward past a letter, read backwards, is the rule that moves
+    ``v_c`` leftward past it with v exponents negated.  So it makes the
+    same moves in the same order, rightmost stray first, with the same
+    steps.
     """
-    c = letters[p].index
-    nb = letters[p - 1]
-    a, e = nb.index, nb.exponent
-    if nb.family is Family.V:
-        # neighbour is a v^-s (a stray never follows a v^s)
-        if a == c:
-            del letters[p - 1:p + 1]
-        elif a < c:
-            letters[p - 1:p + 1] = [vgen(c + 1, s), vgen(a, -s)]
-        else:
-            letters[p - 1:p + 1] = [vgen(c, s), vgen(a + 1, -s)]
-    elif nb.family is Family.PI:
-        if a == c:
-            letters[p - 1:p + 1] = [vgen(c + 1, s), pi(a, e), pi(a + 1, e)]
-        elif a == c - 1:
-            letters[p - 1:p + 1] = [vgen(c - 1, s), pi(a + 1, e), pi(a, e)]
-        elif a > c:
-            letters[p - 1:p + 1] = [vgen(c, s), pi(a + 1, e)]
-        else:
-            letters[p - 1:p + 1] = [vgen(c, s), pi(a, e)]
-    elif nb.family is Family.PIBAR:
-        if a > c:
-            letters[p - 1:p + 1] = [vgen(c, s), pibar(a + 1, e)]
-        elif a == c:
-            letters[p - 1:p + 1] = [pi(a, e), pibar(a + 1, e)]
-        else:
-            first, second = opi_commute(a, c - a, e)
-            if s < 0:
-                first = tuple(g.inverse() for g in first)
-            letters[p - 1:p + 1] = [*first, *second]
-    else:
-        raise AssertionError(f"unexpected neighbour {nb!r}")
-
-
-def _flush_v_letters(letters: list[Gen], budget: Budget, op: str) -> tuple[list[Gen], list[Gen]]:
-    """Sweep every v letter to an end of the list and strip it off.
-
-    Positive v letters are swept to the far left, leftmost stray first;
-    then inverse v letters are swept to the far right, rightmost stray
-    first.  Sweeping past a pb letter may consume the mover (pbv-absorb)
-    or replay it as a block of lower-index movers (opi_commute); both
-    strictly shrink a multiset measure, so the sweeps terminate.
-    Returns the stripped (prefix, suffix); the remainder is pure p/pb.
-
-    The inverse sweep is the positive sweep run with ``s = -1`` on the
-    list reversed in place.  Reversal maps the rightmost inverse stray to
-    the leftmost one and its right neighbour to its left one, and each
-    rule that moves ``v_c'`` rightward past a letter, read backwards, is
-    the rule that moves ``v_c`` leftward past it with every v exponent
-    negated (``_push_v_left``).  So the reversed sweep makes the same
-    moves in the same order, rightmost stray first, and spends the same
-    steps; reversing back restores the orientation.
-
-    A stray is a v^s after the head (the leading run of v^s letters).  The
-    sweep does not rescan the word after a move.  A move at the leftmost
-    stray ``p`` rewrites only the pair ending at ``p``; the letters before
-    it are unchanged and held no stray, so the search resumes at
-    ``p - 1``, or past the head if the move extended it.  This picks the
-    same stray as a full rescan.
-    """
-    for s in (1, -1):
-        head = start = 0
-        while True:
-            while head < len(letters) and _is_v(letters[head], s):
-                head += 1
-            p = next((i for i in range(max(start, head), len(letters)) if _is_v(letters[i], s)), None)
-            if p is None:
-                break
-            budget.spend(op)
-            _push_v_left(letters, p, s)
-            start = p - 1
-        letters.reverse()
+    mover = int(s < 0)
+    if mover:
+        codes.reverse()
+        start = len(codes) - 1 - start
     head = 0
-    while head < len(letters) and _is_v(letters[head], 1):
-        head += 1
-    tail = len(letters)
-    while tail > head and _is_v(letters[tail - 1], -1):
-        tail -= 1
-    prefix, suffix = letters[:head], letters[tail:]
-    del letters[tail:]
-    del letters[:head]
-    return prefix, suffix
+    while True:
+        n = len(codes)
+        while head < n and codes[head] & 7 == mover:
+            head += 1
+        p = max(start, head)
+        while p < n and codes[p] & 7 != mover:
+            p += 1
+        if p == n:
+            break
+        budget.spend(op)
+        x, y = codes[p], codes[p - 1]
+        c, a, kind = x >> 3, y >> 3, y & 7
+        if kind < 2:
+            # a v^-s: a stray never follows a v^s
+            if a == c:
+                del codes[p - 1:p + 1]
+            elif a < c:
+                codes[p - 1], codes[p] = x + 8, y
+            else:
+                codes[p - 1], codes[p] = x, y + 8
+        elif kind < 4:
+            if a == c:
+                codes[p - 1:p + 1] = x + 8, y, y + 8
+            elif a == c - 1:
+                codes[p - 1:p + 1] = x - 8, y + 8, y
+            else:
+                codes[p - 1], codes[p] = x, y + 8 if a > c else y
+        elif a > c:
+            codes[p - 1], codes[p] = x, y + 8
+        elif a == c:
+            codes[p - 1], codes[p] = y - 2, y + 8
+        else:
+            k = c - a
+            codes[p - 1:p + 1] = [*range(x - (k << 3), x - 8, 8), x - 8, x - 8,
+                                  y + ((k + 1) << 3), *range(y - 2 + (k << 3), y - 10, -8)]
+        start = p - 1
+    spill = codes[:head]
+    del codes[:head]
+    if mover:
+        codes.reverse()
+        spill.reverse()
+    return spill
 
 
 def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
-    """Sort a v/p/pb word into left-middle-right shape (heights unset)."""
+    """Sort a v/p/pb word into left-middle-right shape (heights unset).
+
+    The inverse movers start right of the flushed positive letters and
+    move away, so only p/pb letters are left."""
     check_alphabet(w, _BV_ALPHABET, "to_first_form")
     budget = budget if budget is not None else Budget()
-    letters = list(free_reduce(w))
-    left, right = _flush_v_letters(letters, budget, "to_first_form")
-    return LMRForm(L=tuple(left), M=free_reduce(letters), R=tuple(right))
+    codes = _encode(free_reduce(w))
+    left = _flush_v_letters(codes, 1, 0, budget, "to_first_form")
+    right = _flush_v_letters(codes, -1, len(codes) - 1, budget, "to_first_form")
+    return LMRForm(L=_decode(left), M=free_reduce(_decode(codes)), R=_decode(right))
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +482,15 @@ def mono_raise(
 
     if op == "a":
         post, j = pi_action(syl.post, h - 1)
-        new = Monosyllable(syl.pre + (pi(h - 1, e),), pibar(h, e), post)
-        return (), new, (vgen(j, -1),)
+        new = Monosyllable(syl.pre + (Gen(Family.PI, h - 1, e),), Gen(Family.PIBAR, h, e), post)
+        return (), new, (Gen(Family.V, j, -1),)
     if op == "d":
         pre, k = pi_action(syl.pre, m)
         if k == h - 1:
-            new = Monosyllable(pre, pibar(h, e), (pi(h - 1, e),) + syl.post)
+            new = Monosyllable(pre, Gen(Family.PIBAR, h, e), (Gen(Family.PI, h - 1, e),) + syl.post)
             return (), new, ()
         post, j = pi_action(syl.post, k)
-        return (), Monosyllable(pre, pibar(h, e), post), (vgen(j, -1),)
+        return (), Monosyllable(pre, Gen(Family.PIBAR, h, e), post), (Gen(Family.V, j, -1),)
     raise ValueError(f"mono_raise: unknown op {op!r}")
 
 
@@ -590,10 +568,7 @@ def l_height_bound(l_word: Word) -> int:
     return k
 
 
-def _repair_syllable_heights(
-    middle: Word,
-    budget: Budget,
-) -> tuple[list[Gen], list[Gen], list[Gen]]:
+def _repair_syllable_heights(middle: Word, budget: Budget) -> tuple[Word, Word, Word]:
     """Split pb letters until every monosyllable has a single height.
 
     A monosyllable's height set is empty exactly when some p index in it
@@ -610,45 +585,50 @@ def _repair_syllable_heights(
     every leveled run to its right level: crossing bumps a p index by at
     most one per passing v against exactly one for the run's pb index,
     and the p letter deposited by an absorption sits just below the
-    absorbing pb letter's raised index.  Returns (left spill, middle
-    letters, right spill); the spills are v words.
-    """
-    letters = list(middle)
-    left_spill: list[Gen] = []
-    right_spill: list[Gen] = []
+    absorbing pb letter's raised index.  Returns (left spill, middle,
+    right spill); the spills are v words.
 
-    def split_core(pos: int, side: str) -> None:
-        g = letters[pos]
-        c, e = g.index, g.exponent
-        if side == "left":
-            letters[pos:pos + 1] = [vgen(c), pibar(c + 1, e), pi(c, e)]
-        else:
-            letters[pos:pos + 1] = [pi(c, e), pibar(c + 1, e), vgen(c, -1)]
-        prefix, suffix = _flush_v_letters(letters, budget, "repair_heights")
-        left_spill.extend(prefix)
-        right_spill[:0] = suffix
+    Both loops run on the int coding of ``_flush_v_letters``.  A split
+    flushes only the v letter it inserted, from where it was inserted.
+    A flush of both signs would make the same moves: the letters are pure
+    p/pb before the split, and every rule emits v letters of the mover's
+    sign only, so the sweep of the other sign finds nothing.  A right
+    split leaves the letters up to the raised pb letter in place, so the
+    scan for the next run to level resumes there.
+    """
+    codes = _encode(middle)
+    left_spill: list[int] = []
+    right_spill: list[int] = []
 
     while True:
-        last = max(i for i, g in enumerate(letters) if g.family is Family.PIBAR)
-        if all(g.index < letters[last].index for g in letters[last + 1:]):
+        last = len(codes) - 1
+        while not codes[last] & 4:
+            last -= 1
+        x = codes[last]
+        if max(codes[last + 1:], default=-1) < x & ~7:  # every later p index < c
             break
         budget.spend("repair_heights")
-        split_core(last, "left")
+        # v_c pb_(c+1)^e p_c^e
+        codes[last:last + 1] = x & ~7, x + 8, x - 2
+        left_spill += _flush_v_letters(codes, 1, last, budget, "repair_heights")
 
-    done = 0
+    start = 0
     while True:
-        cores = [i for i, g in enumerate(letters) if g.family is Family.PIBAR]
-        if done == len(cores):
+        pos = start
+        while pos < len(codes) and not codes[pos] & 4:
+            pos += 1
+        if pos == len(codes):
             break
-        start = cores[done - 1] + 1 if done else 0
-        pos = cores[done]
-        if all(g.index < letters[pos].index for g in letters[start:pos]):
-            done += 1
+        x = codes[pos]
+        if max(codes[start:pos], default=-1) < x & ~7:  # the run's p indices < c
+            start = pos + 1
             continue
         budget.spend("repair_heights")
-        split_core(pos, "right")
+        # p_c^e pb_(c+1)^e v_c'
+        codes[pos:pos + 1] = x - 2, x + 8, x & ~7 | 1
+        right_spill[:0] = _flush_v_letters(codes, -1, pos + 2, budget, "repair_heights")
 
-    return left_spill, letters, right_spill
+    return _decode(left_spill), _decode(codes), _decode(right_spill)
 
 
 def _equalize_heights(
@@ -719,7 +699,7 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     lspill, repaired, rspill = _repair_syllable_heights(middle, budget)
     left += lspill
     right[:0] = rspill
-    syllables = split_monosyllables(tuple(repaired))
+    syllables = split_monosyllables(repaired)
     lspill, syllables, rspill = _equalize_heights(syllables, budget)
     left += lspill
     right[:0] = rspill
@@ -780,7 +760,7 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     else:
         if not from_sigma_word(sigma).is_identity():
             return False
-    outer = tuple(lam(g.index, g.exponent) for g in form.L + form.R)
+    outer = tuple(Gen(Family.LAMBDA, g.index, g.exponent) for g in form.L + form.R)
     return is_trivial_f(outer)
 
 

@@ -231,6 +231,22 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_TRUE if not disagreements else EXIT_FALSE
 
 
+# The ``--seed`` default.  argparse passes a string default through the
+# option's ``type`` only when the option is absent, so ``_seed`` reads
+# BVWORDS_SEED only when selftest runs without ``--seed``.
+_SEED_DEFAULT = "$BVWORDS_SEED, else 0"
+
+
+def _seed(text: str) -> int:
+    source = "the seed"
+    if text is _SEED_DEFAULT:
+        source, text = "BVWORDS_SEED", os.environ.get("BVWORDS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{source} must be an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvwords",
@@ -274,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="cross-check the two V/BV deciders on random words")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=int(os.environ.get("BVWORDS_SEED", "0")))
+    p.add_argument("--seed", type=_seed, default=_SEED_DEFAULT, help="default: %(default)s")
     p.add_argument("--max-index", type=int, default=5)
     p.add_argument("--max-len", type=int, default=10)
     common(p)

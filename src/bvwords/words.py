@@ -137,14 +137,14 @@ def invert(w: Sequence[Gen]) -> Word:
 _BV_ALPHABET = frozenset({Family.V, Family.PI, Family.PIBAR})
 
 
-def _expansion(g: Gen) -> list[Gen]:
-    # Positive-exponent expansions of the v/p/pb letters into l/s letters.
-    n = g.index
-    if g.family is Family.V:
-        return [lam(0)] * (n + 1) + [lam(1)] + [lam(0, -1)] * (n + 2)
-    if g.family is Family.PI:
-        return [lam(0)] * (n + 2) + [sig(1)] + [lam(0, -1)] * (n + 2)
-    return [lam(0)] * (n + 1) + [sig(0)] + [lam(0, -1)] * (n + 1)
+_L0, _L0_INV = Gen(Family.LAMBDA, 0, 1), Gen(Family.LAMBDA, 0, -1)
+# family -> (a, b, c, c') for the expansion l0^(n+a) c l0'^(n+b) of the
+# letter of index n; its inverse expands to l0^(n+b) c' l0'^(n+a)
+_EXPANSION = {
+    Family.V: (1, 2, Gen(Family.LAMBDA, 1, 1), Gen(Family.LAMBDA, 1, -1)),
+    Family.PI: (2, 2, Gen(Family.SIGMA, 1, 1), Gen(Family.SIGMA, 1, -1)),
+    Family.PIBAR: (1, 1, Gen(Family.SIGMA, 0, 1), Gen(Family.SIGMA, 0, -1)),
+}
 
 
 def expand_bv_generators(w: Word) -> Word:
@@ -161,8 +161,12 @@ def expand_bv_generators(w: Word) -> Word:
     check_alphabet(w, _BV_ALPHABET, "expand_bv_generators")
     out: list[Gen] = []
     for g in w:
-        base = _expansion(g)
-        out.extend(base if g.exponent > 0 else invert(base))
+        a, b, core, core_inv = _EXPANSION[g.family]
+        if g.exponent < 0:
+            a, b, core = b, a, core_inv
+        out += [_L0] * (g.index + a)
+        out.append(core)
+        out += [_L0_INV] * (g.index + b)
     return free_reduce(out)
 
 

@@ -17,7 +17,6 @@ from bvwords.bv_lmr import (
     letter_height,
     m_to_sigma,
     mono_raise,
-    opi_commute,
     pi_action,
     raise_m,
     raise_word_heights,
@@ -41,6 +40,7 @@ from bvwords.words import (
     sig,
     vgen,
 )
+from test_rewrite_equivalence import opi_commute
 
 BV_FAMILIES = (Family.V, Family.PI, Family.PIBAR)
 

@@ -140,6 +140,16 @@ def test_seed_env_var(monkeypatch):
     assert args.seed == 4
 
 
+def test_bad_seed_env_var_fails_only_selftest_without_seed(monkeypatch, capsys):
+    monkeypatch.setenv("BVWORDS_SEED", "abc")
+    assert run(capsys, "trivial", "--group", "F", "l0 l0'") == (0, "true\n", "")
+    with pytest.raises(SystemExit) as exit_:
+        main(["selftest", "--samples", "2"])
+    assert exit_.value.code == 2
+    assert "BVWORDS_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert run(capsys, "selftest", "--samples", "2", "--seed", "3") == (0, "agreement: 4/4\n", "")
+
+
 def test_parse_error_exit(capsys):
     code, out, err = run(capsys, "trivial", "--group", "F", "l0 xx")
     assert code == 2 and out == ""

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from bvwords.braid import handle_reduce
 from bvwords.bv_lmr import (
     HeightSet,
+    _decode,
+    _encode,
     _equalize_heights,
     _flush_v_letters,
-    _push_v_left,
     _repair_syllable_heights,
     letter_height,
-    opi_commute,
     pi_action,
     raise_word_heights,
     split_monosyllables,
@@ -237,6 +237,66 @@ def _ref_stray_negative_v(letters_):
     return None
 
 
+def opi_commute(m, k, exponent):
+    """Carry a splitting letter across a single pb letter, k strands up.
+
+        pb_m^e * v_(m+k)   ~  first + second  with
+        first  = v_m ... v_(m+k-2) v_(m+k-1)^2
+        second = pb_(m+k+1)^e p_(m+k)^e ... p_m^e
+
+    The package makes this move on int-coded letters inside
+    ``_flush_v_letters``; this is its letter form.
+    """
+    if k < 1:
+        raise ValueError("opi_commute: need k >= 1 (k = 0 is pbv-absorb)")
+    if m < 0 or exponent not in (1, -1):
+        raise ValueError(f"opi_commute: bad instance (m={m}, exponent={exponent})")
+    v_block = tuple(vgen(j) for j in range(m, m + k - 1)) + (vgen(m + k - 1), vgen(m + k - 1))
+    second = (pibar(m + k + 1, exponent),) + tuple(pi(j, exponent) for j in range(m + k, m - 1, -1))
+    return v_block, second
+
+
+def _ref_push_v_left(letters_, p, s):
+    """One move of the stray ``v_c^s`` at position p past its left
+    neighbour, on letters: the move ``_flush_v_letters`` makes on codes.
+
+    For ``s = -1`` every rule is the ``s = 1`` rule with each v exponent
+    negated; p and pb letters keep theirs.
+    """
+    c = letters_[p].index
+    nb = letters_[p - 1]
+    a, e = nb.index, nb.exponent
+    if nb.family is Family.V:
+        # neighbour is a v^-s (a stray never follows a v^s)
+        if a == c:
+            del letters_[p - 1:p + 1]
+        elif a < c:
+            letters_[p - 1:p + 1] = [vgen(c + 1, s), vgen(a, -s)]
+        else:
+            letters_[p - 1:p + 1] = [vgen(c, s), vgen(a + 1, -s)]
+    elif nb.family is Family.PI:
+        if a == c:
+            letters_[p - 1:p + 1] = [vgen(c + 1, s), pi(a, e), pi(a + 1, e)]
+        elif a == c - 1:
+            letters_[p - 1:p + 1] = [vgen(c - 1, s), pi(a + 1, e), pi(a, e)]
+        elif a > c:
+            letters_[p - 1:p + 1] = [vgen(c, s), pi(a + 1, e)]
+        else:
+            letters_[p - 1:p + 1] = [vgen(c, s), pi(a, e)]
+    elif nb.family is Family.PIBAR:
+        if a > c:
+            letters_[p - 1:p + 1] = [vgen(c, s), pibar(a + 1, e)]
+        elif a == c:
+            letters_[p - 1:p + 1] = [pi(a, e), pibar(a + 1, e)]
+        else:
+            first, second = opi_commute(a, c - a, e)
+            if s < 0:
+                first = tuple(g.inverse() for g in first)
+            letters_[p - 1:p + 1] = [*first, *second]
+    else:
+        raise AssertionError(f"unexpected neighbour {nb!r}")
+
+
 def _ref_opi_commute_left(m, k, exponent):
     """The ``side="left"`` form ``opi_commute`` had before the inverse
     sweep became the positive one on the reversed list:
@@ -299,7 +359,7 @@ def _ref_flush_v_letters(letters_, budget, op):
         if p is None:
             break
         budget.spend(op)
-        _push_v_left(letters_, p, 1)
+        _ref_push_v_left(letters_, p, 1)
     while True:
         p = _ref_stray_negative_v(letters_)
         if p is None:
@@ -316,6 +376,56 @@ def _ref_flush_v_letters(letters_, budget, op):
     del letters_[tail:]
     del letters_[:head]
     return prefix, suffix
+
+
+def _flush(letters_, budget, op):
+    """The package's two flushes, as ``to_first_form`` runs them, on a
+    letter list."""
+    codes = _encode(letters_)
+    prefix = _flush_v_letters(codes, 1, 0, budget, op)
+    suffix = _flush_v_letters(codes, -1, len(codes) - 1, budget, op)
+    letters_[:] = _decode(codes)
+    return list(_decode(prefix)), list(_decode(suffix))
+
+
+def _ref_repair_syllable_heights(middle, budget):
+    """Height repair with a full flush of both signs after every split."""
+    letters_ = list(middle)
+    left_spill = []
+    right_spill = []
+
+    def split_core(pos, side):
+        g = letters_[pos]
+        c, e = g.index, g.exponent
+        if side == "left":
+            letters_[pos:pos + 1] = [vgen(c), pibar(c + 1, e), pi(c, e)]
+        else:
+            letters_[pos:pos + 1] = [pi(c, e), pibar(c + 1, e), vgen(c, -1)]
+        prefix, suffix = _ref_flush_v_letters(letters_, budget, "repair_heights")
+        left_spill.extend(prefix)
+        right_spill[:0] = suffix
+
+    while True:
+        last = max(i for i, g in enumerate(letters_) if g.family is Family.PIBAR)
+        if all(g.index < letters_[last].index for g in letters_[last + 1:]):
+            break
+        budget.spend("repair_heights")
+        split_core(last, "left")
+
+    done = 0
+    while True:
+        cores = [i for i, g in enumerate(letters_) if g.family is Family.PIBAR]
+        if done == len(cores):
+            break
+        start = cores[done - 1] + 1 if done else 0
+        pos = cores[done]
+        if all(g.index < letters_[pos].index for g in letters_[start:pos]):
+            done += 1
+            continue
+        budget.spend("repair_heights")
+        split_core(pos, "right")
+
+    return left_spill, letters_, right_spill
 
 
 def _ref_equalize_heights(syllables, budget):
@@ -443,8 +553,56 @@ def test_flush_v_letters_matches_full_rescan(w):
         prefix, suffix = flush(rest, budget, "to_first_form")
         return prefix, rest, suffix
 
-    assert outcome(lambda budget: run(_flush_v_letters, budget)) == \
+    assert outcome(lambda budget: run(_flush, budget)) == \
         outcome(lambda budget: run(_ref_flush_v_letters, budget))
+
+
+@SETTINGS
+@given(letters(BV, max_size=20), st.integers(1, 60))
+def test_flush_v_letters_matches_full_rescan_at_small_caps(w, cap):
+    def run(flush):
+        def go(budget):
+            rest = list(w)
+            prefix, suffix = flush(rest, budget, "to_first_form")
+            return prefix, rest, suffix
+        return go
+
+    assert capped_outcome(cap, run(_flush)) == capped_outcome(cap, run(_ref_flush_v_letters))
+
+
+@pytest.mark.parametrize("s", (1, -1))
+@pytest.mark.parametrize("e", (1, -1))
+def test_int_pb_rule_matches_opi_commute(e, s):
+    # the sweep of sign s runs on the list reversed when s = -1, so there
+    # the pair pb_m^e v_(m+k)' is written right to left
+    for m in range(4):
+        for k in range(1, 5):
+            first, second = opi_commute(m, k, e)
+            if s < 0:
+                first = tuple(g.inverse() for g in first)
+            pair = (pibar(m, e), vgen(m + k, s))
+            budget = Budget(CAP)
+            codes = _encode(pair[::s])
+            spill = _decode(_flush_v_letters(codes, s, 0 if s > 0 else 1, budget, "op"))
+            assert (spill[::s], _decode(codes)[::s]) == (first, second)
+            assert budget.used == 1
+            letters_ = list(pair)
+            _ref_push_v_left(letters_, 1, s)
+            assert tuple(letters_) == first + second
+
+
+@SETTINGS
+@given(letters(BV, max_index=4, max_size=16), st.one_of(st.integers(1, 60), st.just(CAP)))
+def test_repair_heights_matches_full_flush(w, cap):
+    middle = to_first_form(w).M
+    if not any(g.family is Family.PIBAR for g in middle):
+        return
+
+    def run(repair):
+        return lambda budget: tuple(map(tuple, repair(middle, budget)))
+
+    assert capped_outcome(cap, run(_repair_syllable_heights)) == \
+        capped_outcome(cap, run(_ref_repair_syllable_heights))
 
 
 @SETTINGS

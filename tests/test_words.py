@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvwords.words import (
     AlphabetError,
@@ -104,6 +106,39 @@ def test_expansion_is_homomorphic():
         assert free_reduce(joint) == free_reduce(
             expand_bv_generators(w1) + expand_bv_generators(w2)
         )
+
+
+def _ref_expansion(g):
+    """One letter's l/s block, built through the validating constructors;
+    an inverse letter's block is the inverted positive block."""
+    n = g.index
+    if g.family is Family.V:
+        base = [lam(0)] * (n + 1) + [lam(1)] + [lam(0, -1)] * (n + 2)
+    elif g.family is Family.PI:
+        base = [lam(0)] * (n + 2) + [sig(1)] + [lam(0, -1)] * (n + 2)
+    else:
+        base = [lam(0)] * (n + 1) + [sig(0)] + [lam(0, -1)] * (n + 1)
+    return base if g.exponent > 0 else list(invert(base))
+
+
+BV_WORDS = st.lists(
+    st.builds(Gen, st.sampled_from((Family.V, Family.PI, Family.PIBAR)),
+              st.integers(0, 6), st.sampled_from((1, -1))),
+    max_size=12,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BV_WORDS)
+def test_expansion_matches_per_letter_blocks(w):
+    assert expand_bv_generators(w) == free_reduce([x for g in w for x in _ref_expansion(g)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(BV_WORDS, BV_WORDS)
+def test_expansion_homomorphism(w1, w2):
+    assert expand_bv_generators(w1 + w2) == \
+        free_reduce(expand_bv_generators(w1) + expand_bv_generators(w2))
 
 
 def test_random_word_bounds():
