@@ -34,14 +34,26 @@ that height the middle translates letter for letter into a braid word
 and the original word is trivial exactly when that braid word is trivial
 (in BV; its permutation image suffices for V) and the v letters of L and
 R, read as l letters, are trivial in Thompson's group F.
+
+In the strand-splitting picture ``v_n`` splits a strand and the p/pb
+letters cross strands, so raising a monosyllable from height h to h + 1
+doubles one strand of its braid: the cabling map, which
+``tests/test_bv_lmr.py`` checks letter for letter.  ``pi_action`` carries
+the v letter freed at the core through a flank, and its loop is that map
+in p coordinates.
+
+From the first form on, the route works on int-coded letters
+``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
+repair and every raise, where the syllables hold codes too.  Letters are
+decoded once, when ``to_third_form`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Literal, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Literal, Sequence
 
 from .braid import is_trivial_braid
 from .limits import Budget
@@ -61,7 +73,6 @@ from .words import (
 )
 
 _BV_ALPHABET = frozenset({Family.V, Family.PI, Family.PIBAR})
-_MIDDLE_ALPHABET = frozenset({Family.PI, Family.PIBAR})
 
 
 class BVMode(Enum):
@@ -241,42 +252,6 @@ def apply_relation(
 
 
 # ---------------------------------------------------------------------------
-# Commuting v letters across permutation-letter words
-
-
-def pi_action(w: Word, m: int) -> tuple[Word, int]:
-    """Carry a splitting letter across a pure ``p`` word, left to right.
-
-        v_m' * w  ~  w' * v_k'   with k the preimage of m under w
-
-    A composition of single-letter moves (pv-shift, pv-split,
-    pv-split-up, pv-far and their rearrangements), each of which tracks
-    the moving index through one adjacent transposition.  Letter indices
-    grow by at most one.  Inverting this move for ``invert(w)`` gives the
-    mirror move ``w * v_m ~ v_k * invert(l)``, where
-    ``(l, k) = pi_action(invert(w), m)`` and k is the image of m under w.
-    """
-    check_alphabet(w, frozenset({Family.PI}), "pi_action")
-    if m < 0:
-        raise ValueError("pi_action: index must be nonnegative")
-    c = m
-    out: list[Gen] = []
-    for g in w:
-        a, e = g.index, g.exponent
-        if a == c:
-            out += (Gen(Family.PI, a + 1, e), Gen(Family.PI, a, e))
-            c = a + 1
-        elif a == c - 1:
-            out += (Gen(Family.PI, a, e), Gen(Family.PI, a + 1, e))
-            c = a
-        elif a > c:
-            out.append(Gen(Family.PI, a + 1, e))
-        else:
-            out.append(g)
-    return tuple(out), c
-
-
-# ---------------------------------------------------------------------------
 # First form: sorting a word into L M R
 
 
@@ -394,55 +369,102 @@ def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
 
 # ---------------------------------------------------------------------------
 # Monosyllables and raising
+#
+# Raising runs on the int coding as well: a flank is a tuple of p codes, a
+# core a pb code, raising an index adds 8 and inverting a letter flips bit 0.
 
 
-@dataclass(frozen=True)
+def _invert_codes(codes: Sequence[int]) -> list[int]:
+    return [x ^ 1 for x in reversed(codes)]
+
+
+def pi_action(codes: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
+    """Carry a splitting letter across a coded pure ``p`` word, left to right.
+
+        v_m' * w  ~  w' * v_k'   with k the preimage of m under w
+
+    ``codes`` and the returned ``w'`` are p codes.  A composition of
+    single-letter moves (pv-shift, pv-split, pv-split-up, pv-far and their
+    rearrangements), each of which tracks the moving index through one
+    adjacent transposition.  Letter indices grow by at most one.
+    Inverting this move for ``invert(w)`` gives the mirror move
+    ``w * v_m ~ v_k * invert(l)``, where ``(l, k) = pi_action(invert(w), m)``
+    and k is the image of m under w.
+
+    Read through ``p_i -> s_(h-1-i)`` at a height h above every index, this
+    is the cabling of one strand: the strand at position ``h - m`` on the
+    left is doubled, ``s_i`` letters clear of it are shifted or kept, a
+    crossing with it becomes two crossings, and it leaves on the right at
+    position ``h - k``.
+    """
+    if m < 0:
+        raise ValueError("pi_action: index must be nonnegative")
+    # lo and hi bound the codes of the letters p_(c-1) and p_c
+    c, lo, hi = m, (m - 1) << 3, (m + 1) << 3
+    out: list[int] = []
+    for x in codes:
+        if x & 6 != 2:
+            raise AlphabetError(f"pi_action: {x} is not a p code")
+        if x < lo:
+            out.append(x)
+        elif x >= hi:
+            out.append(x + 8)
+        elif x >= lo + 8:    # p_c: the strand moves up
+            out += (x + 8, x)
+            c, lo, hi = c + 1, lo + 8, hi + 8
+        else:                # p_(c-1): the strand moves down
+            out += (x, x + 8)
+            c, lo, hi = c - 1, lo - 8, hi - 8
+    return tuple(out), c
+
+
+@dataclass(frozen=True, slots=True)
 class Monosyllable:
-    """A p/pb word containing exactly one pb letter, split around it."""
+    """A p/pb word containing exactly one pb letter, split around it.
 
-    pre: Word
-    core: Gen
-    post: Word
+    The fields are int codes: ``pre`` and ``post`` are tuples of p codes,
+    ``core`` is the pb code.  Its height set is {core index + 1} when every
+    p index lies below the core's and empty otherwise; ``single_height``
+    tells the two apart with one ``max`` per flank.
+    """
+
+    pre: tuple[int, ...]
+    core: int
+    post: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.core.family is not Family.PIBAR:
-            raise ValueError(f"monosyllable core must be a pb letter, got {self.core!r}")
-        check_alphabet(self.pre, frozenset({Family.PI}), "Monosyllable.pre")
-        check_alphabet(self.post, frozenset({Family.PI}), "Monosyllable.post")
+        if self.core & 6 != 4:
+            raise ValueError(f"monosyllable core must be a pb code, got {self.core!r}")
+        for x in self.pre + self.post:
+            if x & 6 != 2:
+                raise AlphabetError(f"monosyllable flanks must be p codes, got {self!r}")
 
     def word(self) -> Word:
-        return self.pre + (self.core,) + self.post
+        return _decode([*self.pre, self.core, *self.post])
 
     def height(self) -> HeightSet:
-        return self._height
-
-    @cached_property
-    def _height(self) -> HeightSet:
-        # the equalization sweeps ask every syllable for its height many
-        # times; the syllable is immutable, so compute it once
         return word_height(self.word())
 
     def single_height(self) -> int:
-        h = self.height()
-        if h.kind != "single":
-            raise ValueError(f"monosyllable has no single height: {self!r}")
-        return h.value
+        top = self.core & ~7
+        if max(self.pre, default=-1) >= top or max(self.post, default=-1) >= top:
+            raise ValueError(f"monosyllable has no single height: {self.word()!r}")
+        return (self.core >> 3) + 1
 
     def inverse(self) -> "Monosyllable":
-        return Monosyllable(invert(self.post), self.core.inverse(), invert(self.pre))
+        return Monosyllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
 
 
-def split_monosyllables(m_word: Word) -> list[Monosyllable]:
-    """Cut a p/pb word just after each pb letter (trailing p goes last)."""
-    check_alphabet(m_word, _MIDDLE_ALPHABET, "split_monosyllables")
-    cores = [i for i, g in enumerate(m_word) if g.family is Family.PIBAR]
+def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
+    """Cut a coded p/pb word just after each pb letter (trailing p goes last)."""
+    cores = [i for i, x in enumerate(codes) if x & 4]
     if not cores:
         raise ValueError("split_monosyllables: word has no pb letter")
     out = []
     start = 0
     for n, pos in enumerate(cores):
-        post = m_word[pos + 1:] if n == len(cores) - 1 else ()
-        out.append(Monosyllable(m_word[start:pos], m_word[pos], post))
+        post = tuple(codes[pos + 1:]) if n == len(cores) - 1 else ()
+        out.append(Monosyllable(tuple(codes[start:pos]), codes[pos], post))
         start = pos + 1
     return out
 
@@ -451,20 +473,23 @@ def mono_raise(
     syl: Monosyllable,
     op: Literal["a", "d"],
     m: int | None = None,
-) -> tuple[Word, Monosyllable, Word]:
+) -> tuple[tuple[int, ...], Monosyllable, tuple[int, ...]]:
     """One height-raising move on a monosyllable of single height h.
 
     op="a":  M        ~  M' v_j'          (returns ((), M', (v_j',)))
     op="d":  v_m' M   ~  M'  or  M' v_j'  (0 <= m < h)
 
     In both cases M' is again a monosyllable, of height {h + 1}, and any
-    emitted index j satisfies j < h.  The core moves are the two
-    rearrangements of pbv-absorb,
+    emitted index j satisfies j < h; the emitted letter is a code.  The
+    core moves are the two rearrangements of pbv-absorb,
 
         pb_(h-1)^e  =  p_(h-1)^e pb_h^e v_(h-1)'
         pb_(h-1)^e  =  v_(h-1) pb_h^e p_(h-1)^e
 
-    with the freed v letter carried out through the flanking p words.
+    with the freed v letter carried out through the flanking p words.  In
+    the braid picture the move doubles one strand of ``m_to_sigma(M, h)``:
+    the strand at ``h - m`` on the left for op "d" and at 0 for op "a".
+    It leaves on the right at ``h - j``, or at 0 when nothing spills.
 
     The leftward moves are these on the inverse syllable.  Write
     ``mirror(P, M', S) = (invert(S), M'.inverse(), invert(P))``; then
@@ -473,78 +498,85 @@ def mono_raise(
         M v_m  ~  M'  or  v_j M'    is  mirror(mono_raise(syl.inverse(), "d", m))
     """
     h = syl.single_height()
-    e = syl.core.exponent
     if op == "d":
         if m is None or not 0 <= m < h:
             raise ValueError(f"mono_raise op {op!r} needs an index 0 <= m < {h}, got {m}")
     elif m is not None:
         raise ValueError(f"mono_raise op {op!r} takes no index")
 
+    # pb_h^e, and p_(h-1)^e: a pb code less 2 is the p code of its letter
+    core, p_core = syl.core + 8, syl.core - 2
     if op == "a":
         post, j = pi_action(syl.post, h - 1)
-        new = Monosyllable(syl.pre + (Gen(Family.PI, h - 1, e),), Gen(Family.PIBAR, h, e), post)
-        return (), new, (Gen(Family.V, j, -1),)
+        return (), Monosyllable(syl.pre + (p_core,), core, post), (j << 3 | 1,)
     if op == "d":
         pre, k = pi_action(syl.pre, m)
         if k == h - 1:
-            new = Monosyllable(pre, Gen(Family.PIBAR, h, e), (Gen(Family.PI, h - 1, e),) + syl.post)
-            return (), new, ()
+            return (), Monosyllable(pre, core, (p_core,) + syl.post), ()
         post, j = pi_action(syl.post, k)
-        return (), Monosyllable(pre, Gen(Family.PIBAR, h, e), post), (Gen(Family.V, j, -1),)
+        return (), Monosyllable(pre, core, post), (j << 3 | 1,)
     raise ValueError(f"mono_raise: unknown op {op!r}")
 
 
-def raise_word_heights(syllables: Sequence[Monosyllable]) -> tuple[list[Monosyllable], Gen | None]:
+def raise_word_heights(syllables: Sequence[Monosyllable]) -> tuple[list[Monosyllable], int | None]:
     """Raise every height by one along a nondecreasing syllable sequence.
 
     The first syllable spills a trailing inverse v (op "a"); each later
     syllable absorbs the spill (op "d"), possibly re-emitting one.  The
     nondecreasing precondition guarantees each spilled index stays below
-    the next height.  Returns the raised syllables and the final spill.
+    the next height.  Returns the raised syllables and the code of the
+    final spill, or None.  In the braid picture the whole word's braid has
+    one strand doubled, entering on the left at position 0.
     """
-    heights = [s.single_height() for s in syllables]
-    if any(x > y for x, y in zip(heights, heights[1:])):
-        raise ValueError(f"raise_word_heights: heights must be nondecreasing, got {heights}")
+    cores = [s.core >> 3 for s in syllables]
+    if cores != sorted(cores):
+        raise ValueError(f"raise_word_heights: heights must be nondecreasing, got {[c + 1 for c in cores]}")
     out: list[Monosyllable] = []
-    carry: Gen | None = None
+    carry: int | None = None
     for syl in syllables:
         if carry is None:
             _, new, spill = mono_raise(syl, "a")
         else:
-            _, new, spill = mono_raise(syl, "d", m=carry.index)
+            _, new, spill = mono_raise(syl, "d", m=carry >> 3)
         out.append(new)
         carry = spill[0] if spill else None
     return out, carry
 
 
-def _concat_syllables(syllables: Sequence[Monosyllable]) -> Word:
-    out: Word = ()
+def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
+    out: list[int] = []
     for s in syllables:
-        out += s.word()
+        out += s.pre
+        out.append(s.core)
+        out += s.post
     return out
 
 
-def raise_m(m_word: Word, side: Literal["left", "right"]) -> tuple[Word, Word]:
-    """Raise the height of a middle word by one, spilling one v letter.
+def raise_m(codes: Sequence[int], side: Literal["left", "right"]) -> tuple[list[int], list[int]]:
+    """Raise the height of a coded middle word by one, spilling one v code.
 
-    side="right":  M ~ first + second, second an inverse v word (len <= 1)
-    side="left":   M ~ first + second, first a positive v word (len <= 1)
+    side="right":  M ~ first + second, second an inverse v code (len <= 1)
+    side="left":   M ~ first + second, first a positive v code (len <= 1)
 
     A middle without pb letters has a tail height set, which already
     contains every larger height, so it is returned unchanged.
     """
-    if word_height(m_word).is_empty:
-        raise ValueError("raise_m: middle word must have nonempty height")
-    if all(g.family is Family.PI for g in m_word):
-        return ((), m_word) if side == "left" else (m_word, ())
-    if side == "right":
-        raised, spill = raise_word_heights(split_monosyllables(m_word))
-        return _concat_syllables(raised), ((spill,) if spill else ())
+    if side not in ("left", "right"):
+        raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
+    if any(x & 6 not in (2, 4) for x in codes):
+        raise AlphabetError(f"raise_m: a code outside the p/pb letters in {codes!r}")
+    if not any(x & 4 for x in codes):
+        return ([], list(codes)) if side == "left" else (list(codes), [])
     if side == "left":
-        raised, spill = raise_word_heights(split_monosyllables(invert(m_word)))
-        emitted = (spill.inverse(),) if spill else ()
-        return emitted, invert(_concat_syllables(raised))
-    raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
+        codes = _invert_codes(codes)
+    syllables = split_monosyllables(codes)
+    if len({s.core >> 3 for s in syllables}) > 1:
+        raise ValueError("raise_m: middle word must have nonempty height")
+    raised, spill = raise_word_heights(syllables)
+    out, emitted = _concat_syllables(raised), [] if spill is None else [spill]
+    if side == "right":
+        return out, emitted
+    return _invert_codes(emitted), _invert_codes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +592,19 @@ def l_height_bound(l_word: Word) -> int:
     starting from 0 (the two branches agree at m = k - 1).
     """
     check_alphabet(l_word, frozenset({Family.V}), "l_height_bound")
+    if any(g.exponent < 0 for g in l_word):
+        raise AlphabetError("l_height_bound: word must be positive")
+    return _height_bound(g.index for g in l_word)
+
+
+def _height_bound(indices: Iterable[int]) -> int:
     k = 0
-    for g in l_word:
-        if g.exponent < 0:
-            raise AlphabetError("l_height_bound: word must be positive")
-        k = k + 1 if g.index <= k - 1 else g.index + 2
+    for m in indices:
+        k = k + 1 if m <= k - 1 else m + 2
     return k
 
 
-def _repair_syllable_heights(middle: Word, budget: Budget) -> tuple[Word, Word, Word]:
+def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int], list[int], list[int]]:
     """Split pb letters until every monosyllable has a single height.
 
     A monosyllable's height set is empty exactly when some p index in it
@@ -585,8 +621,9 @@ def _repair_syllable_heights(middle: Word, budget: Budget) -> tuple[Word, Word, 
     every leveled run to its right level: crossing bumps a p index by at
     most one per passing v against exactly one for the run's pb index,
     and the p letter deposited by an absorption sits just below the
-    absorbing pb letter's raised index.  Returns (left spill, middle,
-    right spill); the spills are v words.
+    absorbing pb letter's raised index.  Takes the coded middle, rewrites
+    it in place and returns (left spill, middle, right spill), all codes;
+    the spills are v letters.
 
     Both loops run on the int coding of ``_flush_v_letters``.  A split
     flushes only the v letter it inserted, from where it was inserted.
@@ -596,7 +633,6 @@ def _repair_syllable_heights(middle: Word, budget: Budget) -> tuple[Word, Word, 
     split leaves the letters up to the raised pb letter in place, so the
     scan for the next run to level resumes there.
     """
-    codes = _encode(middle)
     left_spill: list[int] = []
     right_spill: list[int] = []
 
@@ -628,37 +664,40 @@ def _repair_syllable_heights(middle: Word, budget: Budget) -> tuple[Word, Word, 
         codes[pos:pos + 1] = x - 2, x + 8, x & ~7 | 1
         right_spill[:0] = _flush_v_letters(codes, -1, pos + 2, budget, "repair_heights")
 
-    return _decode(left_spill), _decode(codes), _decode(right_spill)
+    return left_spill, codes, right_spill
 
 
 def _equalize_heights(
     syllables: list[Monosyllable],
     budget: Budget,
-) -> tuple[list[Gen], list[Monosyllable], list[Gen]]:
+) -> tuple[list[int], list[Monosyllable], list[int]]:
     """Bring all syllable heights to a common value.
 
     Two sweeps.  The first makes the heights nondecreasing by raising
     suffix blocks (always nondecreasing, by induction from the right),
-    spilling inverse v letters past the word's right end.  The second
-    levels each prefix up to the next height: a leveled prefix has
-    constant heights, so its inversion is again nondecreasing and the
-    right-spilling raise applies, with the spill inverting back to a
-    positive v letter past the word's left end.  The second sweep keeps
+    spilling inverse v letters past the word's right end.  Raising
+    ``syllables[j:]`` leaves ``syllables[:j]`` alone, so each target, the
+    largest height left of j, is a prefix maximum of the heights as given.
+    The second sweep levels each prefix up to the next height: a leveled
+    prefix has constant heights, so its inversion is again nondecreasing
+    and the right-spilling raise applies, with the spill inverting back to
+    a positive v letter past the word's left end.  The second sweep keeps
     the whole list inverted while it runs, so each syllable is inverted
     twice in all rather than twice per raise.  Returns (left spill,
-    syllables, right spill).
+    syllables, right spill), the spills as codes.
     """
-    right_spill: list[Gen] = []
+    right_spill: list[int] = []
+    targets = list(accumulate((s.single_height() for s in syllables), max))
     for j in range(len(syllables) - 1, 0, -1):
-        target = max(s.single_height() for s in syllables[:j])
-        while syllables[j].single_height() < target:
+        while syllables[j].single_height() < targets[j - 1]:
             budget.spend("equalize_heights")
             raised, spill = raise_word_heights(syllables[j:])
             syllables[j:] = raised
             if spill is not None:
-                right_spill.insert(0, spill)
+                right_spill.append(spill)
+    right_spill.reverse()
 
-    left_spill: list[Gen] = []
+    left_spill: list[int] = []
     n = len(syllables)
     if syllables[0].single_height() < max(s.single_height() for s in syllables):
         # A syllable and its inverse have the same height, so the sweep
@@ -672,7 +711,7 @@ def _equalize_heights(
                 raised, spill = raise_word_heights(inv[n - j:])
                 inv[n - j:] = raised
                 if spill is not None:
-                    left_spill.append(spill.inverse())
+                    left_spill.append(spill ^ 1)
         syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.single_height() for s in syllables}
     if len(heights) != 1:
@@ -686,44 +725,47 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     The middle's height set contains k, and both L and the inverse of R
     have height bound at most k, so the middle translates into a braid
     word on the strands below k while L and R read as monoid letters.
+    Height repair, equalization and raising run on the int coding; the
+    three parts are decoded once, on return.
     """
     budget = budget if budget is not None else Budget()
     first = to_first_form(w, budget)
-    left, middle, right = list(first.L), first.M, list(first.R)
 
-    if all(g.family is Family.PI for g in middle):
-        height = word_height(middle)
-        k = max(l_height_bound(tuple(left)), l_height_bound(invert(tuple(right))), height.value)
-        return LMRForm(tuple(left), middle, tuple(right), height, k)
+    if all(g.family is Family.PI for g in first.M):
+        height = word_height(first.M)
+        k = max(l_height_bound(first.L), l_height_bound(invert(first.R)), height.value)
+        return LMRForm(first.L, first.M, first.R, height, k)
 
-    lspill, repaired, rspill = _repair_syllable_heights(middle, budget)
+    left, right = _encode(first.L), _encode(first.R)
+    lspill, middle, rspill = _repair_syllable_heights(_encode(first.M), budget)
     left += lspill
     right[:0] = rspill
-    syllables = split_monosyllables(repaired)
-    lspill, syllables, rspill = _equalize_heights(syllables, budget)
+    lspill, syllables, rspill = _equalize_heights(split_monosyllables(middle), budget)
     left += lspill
     right[:0] = rspill
     middle = _concat_syllables(syllables)
     h = syllables[0].single_height()
 
     while True:
-        k1 = l_height_bound(tuple(left))
-        k2 = l_height_bound(invert(tuple(right)))
+        # L's letters are v codes, and R's read backwards are those of R'
+        k1 = _height_bound(x >> 3 for x in left)
+        k2 = _height_bound(x >> 3 for x in reversed(right))
         if k1 <= h and k2 <= h:
             break
         budget.spend("to_third_form")
         if k1 <= h < k2 or (k1 > h and k2 > h):
             emitted, middle = raise_m(middle, "left")
-            left += list(emitted)
+            left += emitted
         else:
             middle, emitted = raise_m(middle, "right")
-            right[:0] = list(emitted)
+            right[:0] = emitted
         h += 1
 
-    height = word_height(middle)
+    m_word = _decode(middle)
+    height = word_height(m_word)
     if not height.contains(h):
         raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")
-    return LMRForm(tuple(left), middle, tuple(right), height, h)
+    return LMRForm(_decode(left), m_word, _decode(right), height, h)
 
 
 def m_to_sigma(m_word: Word, h: int) -> Word:

@@ -65,12 +65,11 @@ from .perms import Permutation, from_sigma_word
 from .thompson_f import FNormal, collect_fraction, normalize_monoid
 from .words import (
     Family,
-    Gen,
     Word,
     check_alphabet,
     free_reduce,
     invert,
-    lam,
+    lam,  # for the canonicalize_hat doctest
     sig,
 )
 
@@ -80,44 +79,6 @@ _HAT_ALPHABET = frozenset({Family.LAMBDA, Family.SIGMA})
 class GroupMode(Enum):
     VHAT = "Vhat"
     BVHAT = "BVhat"
-
-
-def push_sigma_past_lambda(s: Gen, l: Gen) -> Word:
-    """Rewrite the two-letter word ``s l`` with the ``l`` letter first."""
-    if s.family is not Family.SIGMA or l.family is not Family.LAMBDA or l.exponent < 0:
-        raise ValueError(f"push_sigma_past_lambda: want (s letter, positive l letter), got ({s!r}, {l!r})")
-    q, e, m = s.index, s.exponent, l.index
-    if m < q:
-        return (lam(m), sig(q + 1, e))
-    if m == q:
-        return (lam(m + 1), sig(m, e), sig(m + 1, e))
-    if m == q + 1:
-        return (lam(q), sig(q + 1, e), sig(q, e))
-    return (lam(m), sig(q, e))
-
-
-def push_lambda_inverse_right(linv: Gen, x: Gen) -> Word:
-    """Rewrite the two-letter word ``linv x`` with the inverse letter last."""
-    if linv.family is not Family.LAMBDA or linv.exponent > 0:
-        raise ValueError(f"push_lambda_inverse_right: first letter must be an inverse l, got {linv!r}")
-    m = linv.index
-    if x.family is Family.LAMBDA and x.exponent > 0:
-        q = x.index
-        if m == q:
-            return ()
-        if m < q:
-            return (lam(q + 1), lam(m, -1))
-        return (lam(q), lam(m + 1, -1))
-    if x.family is Family.SIGMA:
-        q, e = x.index, x.exponent
-        if m < q:
-            return (sig(q + 1, e), lam(m, -1))
-        if m == q + 1:
-            return (sig(q, e), sig(q + 1, e), lam(q, -1))
-        if m == q:
-            return (sig(m + 1, e), sig(m, e), lam(m + 1, -1))
-        return (sig(q, e), lam(m, -1))
-    raise ValueError(f"push_lambda_inverse_right: cannot push past {x!r}")
 
 
 @dataclass(frozen=True)
@@ -157,10 +118,6 @@ class HatFraction:
         if not isinstance(self.beta, tuple):
             raise TypeError(f"HatFraction: a {self.mode.value} middle must be a braid word, got {self.beta!r}")
         return self.beta
-
-
-def _is_positive(g: Gen) -> bool:
-    return g.family is Family.SIGMA or g.exponent > 0
 
 
 def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> HatFraction:

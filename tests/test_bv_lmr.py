@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvwords.bv_lmr import (
     BVMode,
@@ -10,6 +12,8 @@ from bvwords.bv_lmr import (
     LMRForm,
     Monosyllable,
     RELATION_FAMILIES,
+    _decode,
+    _encode,
     apply_relation,
     equal_bv,
     is_trivial_bv,
@@ -53,10 +57,42 @@ def random_pi_word(rng, max_index, max_len):
     return tuple(pi(rng.randint(0, max_index), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len)))
 
 
+# The raising chain runs on int-coded letters; these helpers take and
+# give letters, so the examples below read as words.
+
+
+def codes(w):
+    return tuple(_encode(w))
+
+
+def syllable(pre, core, post):
+    return Monosyllable(codes(pre), _encode((core,))[0], codes(post))
+
+
+def pi_action_letters(w, m):
+    moved, k = pi_action(codes(w), m)
+    return _decode(moved), k
+
+
 def pi_action_right(w, m):
     """``w * v_m ~ v_j * w'``: the left move on the inverted word, inverted."""
-    moved, j = pi_action(invert(w), m)
+    moved, j = pi_action_letters(invert(w), m)
     return invert(moved), j
+
+
+def mono_raise_letters(syl, op, m=None):
+    prefix, new, suffix = mono_raise(syl, op, m=m)
+    return _decode(prefix), new, _decode(suffix)
+
+
+def raise_word_heights_letters(syllables):
+    raised, carry = raise_word_heights(syllables)
+    return raised, None if carry is None else _decode((carry,))[0]
+
+
+def raise_m_letters(m_word, side):
+    first, second = raise_m(codes(m_word), side)
+    return _decode(first), _decode(second)
 
 
 def opi_commute_left(m, k, e):
@@ -70,15 +106,15 @@ def mono_raise_op(syl, op, m=None):
     """Ops "b" and "c" are the mirrors of "a" and "d" on the inverse
     syllable, with mirror(P, M, S) = (S', M.inverse(), P')."""
     if op in ("a", "d"):
-        return mono_raise(syl, op, m=m)
-    prefix, new, suffix = mono_raise(syl.inverse(), {"b": "a", "c": "d"}[op], m=m)
+        return mono_raise_letters(syl, op, m=m)
+    prefix, new, suffix = mono_raise_letters(syl.inverse(), {"b": "a", "c": "d"}[op], m=m)
     return invert(suffix), new.inverse(), invert(prefix)
 
 
 def random_single_height_syllable(rng):
     h = rng.randint(1, 4)
     flank = lambda: tuple(pi(rng.randint(0, h - 2), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))) if h >= 2 else ()
-    return Monosyllable(flank(), pibar(h - 1, rng.choice((1, -1))), flank())
+    return syllable(flank(), pibar(h - 1, rng.choice((1, -1))), flank())
 
 
 def test_height_algebra():
@@ -164,7 +200,7 @@ def test_pi_action_tracks_permutation():
         perm = from_sigma_word(w)
         _, j = pi_action_right(w, m)
         assert j == perm.apply(m)
-        _, k = pi_action(w, m)
+        _, k = pi_action_letters(w, m)
         assert k == perm.inverse().apply(m)
         if m > max((g.index for g in w), default=-1) + 1:
             assert j == m and k == m
@@ -178,7 +214,7 @@ def test_pi_action_preserves_element():
         moved, j = pi_action_right(w, m)
         assert max((g.index for g in moved), default=0) <= max((g.index for g in w), default=0) + 1
         assert hat_same(w + (vgen(m),), (vgen(j),) + moved)
-        moved, k = pi_action(w, m)
+        moved, k = pi_action_letters(w, m)
         assert hat_same((vgen(m, -1),) + w, moved + (vgen(k, -1),))
 
 
@@ -228,40 +264,40 @@ def test_first_form_structure_and_preservation():
 
 def test_monosyllable_structure():
     with pytest.raises(ValueError):
-        Monosyllable((), pi(0), ())
+        syllable((), pi(0), ())
     with pytest.raises(AlphabetError):
-        Monosyllable((pibar(0),), pibar(1), ())
-    syl = Monosyllable((pi(0),), pibar(2), (pi(1, -1),))
+        syllable((pibar(0),), pibar(1), ())
+    syl = syllable((pi(0),), pibar(2), (pi(1, -1),))
     assert syl.height() == HeightSet.singleton(3)
     assert syl.single_height() == 3
     assert syl.inverse().word() == invert(syl.word())
-    gap = Monosyllable((pi(2),), pibar(2), ())
+    gap = syllable((pi(2),), pibar(2), ())
     assert gap.height() == HeightSet.empty()
     with pytest.raises(ValueError):
         gap.single_height()
 
 
 def test_split_monosyllables():
-    parts = split_monosyllables((pi(0), pibar(1), pibar(2), pi(3)))
+    parts = split_monosyllables(codes((pi(0), pibar(1), pibar(2), pi(3))))
     assert [p.word() for p in parts] == [(pi(0), pibar(1)), (pibar(2), pi(3))]
     with pytest.raises(ValueError):
-        split_monosyllables((pi(0), pi(1)))
+        split_monosyllables(codes((pi(0), pi(1))))
 
 
 def test_mono_raise_examples():
-    base = Monosyllable((), pibar(0), ())
-    prefix, new, suffix = mono_raise(base, "a")
+    base = syllable((), pibar(0), ())
+    prefix, new, suffix = mono_raise_letters(base, "a")
     assert prefix == () and suffix == (vgen(0, -1),)
-    assert new == Monosyllable((pi(0),), pibar(1), ())
+    assert new == syllable((pi(0),), pibar(1), ())
     prefix, new, suffix = mono_raise_op(base, "c", m=0)
     assert prefix == () and suffix == ()
-    assert new == Monosyllable((pi(0),), pibar(1), ())
+    assert new == syllable((pi(0),), pibar(1), ())
     with pytest.raises(ValueError):
         mono_raise_op(base, "c", m=1)
     with pytest.raises(ValueError):
         mono_raise(base, "a", m=0)
     with pytest.raises(ValueError):
-        mono_raise(Monosyllable((pi(2),), pibar(2), ()), "a")
+        mono_raise(syllable((pi(2),), pibar(2), ()), "a")
 
 
 def test_mono_raise_preserves_element():
@@ -281,37 +317,102 @@ def test_mono_raise_preserves_element():
 
 
 def test_raise_word_heights():
-    raised, carry = raise_word_heights([Monosyllable((), pibar(0), ())])
-    assert raised == [Monosyllable((pi(0),), pibar(1), ())] and carry == vgen(0, -1)
-    raised, carry = raise_word_heights([Monosyllable((), pibar(0), ()), Monosyllable((), pibar(0), ())])
+    raised, carry = raise_word_heights_letters([syllable((), pibar(0), ())])
+    assert raised == [syllable((pi(0),), pibar(1), ())] and carry == vgen(0, -1)
+    raised, carry = raise_word_heights_letters([syllable((), pibar(0), ()), syllable((), pibar(0), ())])
     assert [s.single_height() for s in raised] == [2, 2] and carry is None
     assert hat_same((pibar(0), pibar(0)), raised[0].word() + raised[1].word())
     assert raise_word_heights([]) == ([], None)
     with pytest.raises(ValueError):
-        raise_word_heights([Monosyllable((), pibar(2), ()), Monosyllable((), pibar(0), ())])
+        raise_word_heights([syllable((), pibar(2), ()), syllable((), pibar(0), ())])
     rng = random.Random(67)
     for _ in range(30):
         syls = sorted((random_single_height_syllable(rng) for _ in range(rng.randint(1, 4))),
                       key=lambda s: s.single_height())
         before = tuple(g for s in syls for g in s.word())
-        raised, carry = raise_word_heights(syls)
+        raised, carry = raise_word_heights_letters(syls)
         after = tuple(g for s in raised for g in s.word()) + ((carry,) if carry else ())
         assert [s.single_height() for s in raised] == [s.single_height() + 1 for s in syls]
         assert carry is None or carry.index < syls[-1].single_height()
         assert hat_same(before, after)
 
 
+def cable(braid, p):
+    """Double the strand at position p of an ``s`` word: the cabling map.
+
+    The word is read right to left, p being the doubled strand's position
+    below the letter read:
+
+        i + 1 < p:   s_i^e stays
+        i > p:       s_i^e becomes s_(i+1)^e
+        i == p:      s_i^e becomes s_p^e s_(p+1)^e, and then p += 1
+        i + 1 == p:  s_i^e becomes s_p^e s_(p-1)^e, and then p -= 1
+
+    Returns the cabled word and the strand's position above the word.
+    """
+    out = []
+    for g in reversed(braid):
+        i, e = g.index, g.exponent
+        if i + 1 < p:
+            out.append(g)
+        elif i > p:
+            out.append(sig(i + 1, e))
+        elif i == p:
+            out += [sig(p + 1, e), sig(p, e)]
+            p += 1
+        else:
+            out += [sig(p - 1, e), sig(p, e)]
+            p -= 1
+    return tuple(reversed(out)), p
+
+
+def strand_end(braid, p):
+    """Where the strand at position p above an ``s`` word leaves it below."""
+    for g in braid:
+        if g.index == p:
+            p += 1
+        elif g.index + 1 == p:
+            p -= 1
+    return p
+
+
+@st.composite
+def single_height_syllables(draw):
+    h = draw(st.integers(1, 6))
+    flank = st.lists(st.builds(pi, st.integers(0, max(h - 2, 0)), st.sampled_from((1, -1))),
+                     max_size=8 if h >= 2 else 0).map(tuple)
+    return syllable(draw(flank), pibar(h - 1, draw(st.sampled_from((1, -1)))), draw(flank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_height_syllables())
+def test_raising_cables_one_strand(syl):
+    # raising a syllable from height h to h + 1 doubles one strand of its
+    # braid: the one a carried v_m' names (position h - m), or position 0
+    # with nothing carried, and the strand's end below names the spill
+    h = syl.single_height()
+    braid = m_to_sigma(syl.word(), h)
+    for op, m in [("a", None)] + [("d", m) for m in range(h)]:
+        _, new, spill = mono_raise_letters(syl, op, m=m)
+        top = 0 if m is None else h - m
+        end = strand_end(braid, top)
+        if op == "a":
+            assert spill[0].index == h - end
+        assert end == (h - spill[0].index if spill else 0)
+        assert cable(braid, end) == (m_to_sigma(new.word(), h + 1), top)
+
+
 def test_raise_m():
-    assert raise_m((pi(0),), "left") == ((), (pi(0),))
-    assert raise_m((pi(0),), "right") == ((pi(0),), ())
-    assert raise_m((pibar(1),), "right") == ((pi(1), pibar(2)), (vgen(1, -1),))
-    assert raise_m((pibar(1),), "left") == ((vgen(1),), (pibar(2), pi(1)))
+    assert raise_m_letters((pi(0),), "left") == ((), (pi(0),))
+    assert raise_m_letters((pi(0),), "right") == ((pi(0),), ())
+    assert raise_m_letters((pibar(1),), "right") == ((pi(1), pibar(2)), (vgen(1, -1),))
+    assert raise_m_letters((pibar(1),), "left") == ((vgen(1),), (pibar(2), pi(1)))
     with pytest.raises(ValueError):
-        raise_m((pi(2), pibar(2)), "right")
+        raise_m_letters((pi(2), pibar(2)), "right")
     for m_word in ((pibar(0),), (pi(0), pibar(2)), (pibar(1), pi(0), pibar(1, -1))):
         h = word_height(m_word)
         for side in ("left", "right"):
-            first, second = raise_m(m_word, side)
+            first, second = raise_m_letters(m_word, side)
             assert hat_same(m_word, first + second)
             raised = second if side == "left" else first
             assert word_height(raised).contains(h.value + 1)

@@ -8,18 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from bvwords.hatgroups import (
-    GroupMode,
-    canonicalize_hat,
-    equal_hat,
-    is_trivial_hat,
-    push_lambda_inverse_right,
-    push_sigma_past_lambda,
-)
+from bvwords.hatgroups import GroupMode, canonicalize_hat, equal_hat, is_trivial_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, from_sigma_word
 from bvwords.thompson_f import FNormal, normalize_monoid
 from bvwords.words import Family, free_reduce, invert, lam, random_word, sig
+from test_rewrite_equivalence import push_lambda_inverse_right, push_sigma_past_lambda
 
 BOTH = (GroupMode.VHAT, GroupMode.BVHAT)
 LS = (Family.LAMBDA, Family.SIGMA)

@@ -5,12 +5,16 @@ rescans the whole word before every rewrite, or rebuilds a value letter by
 letter.  The package's loops resume next to the last rewrite instead, and
 must pick the same sites in the same order, so on random words the outputs
 are equal and, where the loop spends from a ``Budget``, so is the number of
-steps spent.
+steps spent.  The LMR route's int-coded loops are held the same way to the
+letter-level versions they replaced, which are kept here.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Literal, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,24 +29,31 @@ from bvwords.bv_lmr import (
     _flush_v_letters,
     _repair_syllable_heights,
     letter_height,
+    mono_raise,
     pi_action,
     raise_word_heights,
     split_monosyllables,
     to_first_form,
     word_height,
 )
-from bvwords.hatgroups import (
-    GroupMode,
-    HatFraction,
-    _is_positive,
-    canonicalize_hat,
-    push_lambda_inverse_right,
-    push_sigma_past_lambda,
-)
+from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
 from bvwords.thompson_f import f_fraction, normalize_monoid
-from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, lam, pi, pibar, sig, vgen
+from bvwords.words import (
+    AlphabetError,
+    Family,
+    Gen,
+    Word,
+    check_alphabet,
+    free_reduce,
+    invert,
+    lam,
+    pi,
+    pibar,
+    sig,
+    vgen,
+)
 
 CAP = 200_000
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -117,6 +128,52 @@ def _ref_handle_reduce(b, budget):
             else:
                 interior.append(g)
         w[open_:close + 1] = interior
+
+
+# The single-letter rules of ``canonicalize_hat``'s two phases, as the
+# full-rescan reference applies them; ``test_hatgroups`` checks them too.
+
+
+def _is_positive(g: Gen) -> bool:
+    return g.family is Family.SIGMA or g.exponent > 0
+
+
+def push_sigma_past_lambda(s: Gen, l: Gen) -> Word:
+    """Rewrite the two-letter word ``s l`` with the ``l`` letter first."""
+    if s.family is not Family.SIGMA or l.family is not Family.LAMBDA or l.exponent < 0:
+        raise ValueError(f"push_sigma_past_lambda: want (s letter, positive l letter), got ({s!r}, {l!r})")
+    q, e, m = s.index, s.exponent, l.index
+    if m < q:
+        return (lam(m), sig(q + 1, e))
+    if m == q:
+        return (lam(m + 1), sig(m, e), sig(m + 1, e))
+    if m == q + 1:
+        return (lam(q), sig(q + 1, e), sig(q, e))
+    return (lam(m), sig(q, e))
+
+
+def push_lambda_inverse_right(linv: Gen, x: Gen) -> Word:
+    """Rewrite the two-letter word ``linv x`` with the inverse letter last."""
+    if linv.family is not Family.LAMBDA or linv.exponent > 0:
+        raise ValueError(f"push_lambda_inverse_right: first letter must be an inverse l, got {linv!r}")
+    m = linv.index
+    if x.family is Family.LAMBDA and x.exponent > 0:
+        q = x.index
+        if m == q:
+            return ()
+        if m < q:
+            return (lam(q + 1), lam(m, -1))
+        return (lam(q), lam(m + 1, -1))
+    if x.family is Family.SIGMA:
+        q, e = x.index, x.exponent
+        if m < q:
+            return (sig(q + 1, e), lam(m, -1))
+        if m == q + 1:
+            return (sig(q, e), sig(q + 1, e), lam(q, -1))
+        if m == q:
+            return (sig(m + 1, e), sig(m, e), lam(m + 1, -1))
+        return (sig(q, e), lam(m, -1))
+    raise ValueError(f"push_lambda_inverse_right: cannot push past {x!r}")
 
 
 def _ref_canonicalize_hat(w, mode, budget):
@@ -428,13 +485,138 @@ def _ref_repair_syllable_heights(middle, budget):
     return left_spill, letters_, right_spill
 
 
+# The raising chain as it ran on letters before it moved to the int coding:
+# the references for ``pi_action``, ``Monosyllable``, ``split_monosyllables``,
+# ``mono_raise`` and ``raise_word_heights``.
+
+_MIDDLE_ALPHABET = frozenset({Family.PI, Family.PIBAR})
+
+
+def _ref_pi_action(w: Word, m: int) -> tuple[Word, int]:
+    """``pi_action`` on letters: ``v_m' * w ~ w' * v_k'``."""
+    check_alphabet(w, frozenset({Family.PI}), "_ref_pi_action")
+    if m < 0:
+        raise ValueError("_ref_pi_action: index must be nonnegative")
+    c = m
+    out: list[Gen] = []
+    for g in w:
+        a, e = g.index, g.exponent
+        if a == c:
+            out += (Gen(Family.PI, a + 1, e), Gen(Family.PI, a, e))
+            c = a + 1
+        elif a == c - 1:
+            out += (Gen(Family.PI, a, e), Gen(Family.PI, a + 1, e))
+            c = a
+        elif a > c:
+            out.append(Gen(Family.PI, a + 1, e))
+        else:
+            out.append(g)
+    return tuple(out), c
+
+
+@dataclass(frozen=True)
+class _RefMonosyllable:
+    """A p/pb word containing exactly one pb letter, split around it."""
+
+    pre: Word
+    core: Gen
+    post: Word
+
+    def __post_init__(self) -> None:
+        if self.core.family is not Family.PIBAR:
+            raise ValueError(f"monosyllable core must be a pb letter, got {self.core!r}")
+        check_alphabet(self.pre, frozenset({Family.PI}), "_RefMonosyllable.pre")
+        check_alphabet(self.post, frozenset({Family.PI}), "_RefMonosyllable.post")
+
+    def word(self) -> Word:
+        return self.pre + (self.core,) + self.post
+
+    def height(self) -> HeightSet:
+        return self._height
+
+    @cached_property
+    def _height(self) -> HeightSet:
+        # the equalization sweeps ask every syllable for its height many
+        # times; the syllable is immutable, so compute it once
+        return word_height(self.word())
+
+    def single_height(self) -> int:
+        h = self.height()
+        if h.kind != "single":
+            raise ValueError(f"monosyllable has no single height: {self!r}")
+        return h.value
+
+    def inverse(self) -> "_RefMonosyllable":
+        return _RefMonosyllable(invert(self.post), self.core.inverse(), invert(self.pre))
+
+
+def _ref_split_monosyllables(m_word: Word) -> list[_RefMonosyllable]:
+    """Cut a p/pb word just after each pb letter (trailing p goes last)."""
+    check_alphabet(m_word, _MIDDLE_ALPHABET, "_ref_split_monosyllables")
+    cores = [i for i, g in enumerate(m_word) if g.family is Family.PIBAR]
+    if not cores:
+        raise ValueError("_ref_split_monosyllables: word has no pb letter")
+    out = []
+    start = 0
+    for n, pos in enumerate(cores):
+        post = m_word[pos + 1:] if n == len(cores) - 1 else ()
+        out.append(_RefMonosyllable(m_word[start:pos], m_word[pos], post))
+        start = pos + 1
+    return out
+
+
+def _ref_mono_raise(
+    syl: _RefMonosyllable,
+    op: Literal["a", "d"],
+    m: int | None = None,
+) -> tuple[Word, _RefMonosyllable, Word]:
+    """``mono_raise`` on letters: op "a" spills, op "d" absorbs ``v_m'``."""
+    h = syl.single_height()
+    e = syl.core.exponent
+    if op == "d":
+        if m is None or not 0 <= m < h:
+            raise ValueError(f"_ref_mono_raise op {op!r} needs an index 0 <= m < {h}, got {m}")
+    elif m is not None:
+        raise ValueError(f"_ref_mono_raise op {op!r} takes no index")
+
+    if op == "a":
+        post, j = _ref_pi_action(syl.post, h - 1)
+        new = _RefMonosyllable(syl.pre + (Gen(Family.PI, h - 1, e),), Gen(Family.PIBAR, h, e), post)
+        return (), new, (Gen(Family.V, j, -1),)
+    if op == "d":
+        pre, k = _ref_pi_action(syl.pre, m)
+        if k == h - 1:
+            new = _RefMonosyllable(pre, Gen(Family.PIBAR, h, e), (Gen(Family.PI, h - 1, e),) + syl.post)
+            return (), new, ()
+        post, j = _ref_pi_action(syl.post, k)
+        return (), _RefMonosyllable(pre, Gen(Family.PIBAR, h, e), post), (Gen(Family.V, j, -1),)
+    raise ValueError(f"_ref_mono_raise: unknown op {op!r}")
+
+
+def _ref_raise_word_heights(syllables: Sequence[_RefMonosyllable]) -> tuple[list[_RefMonosyllable], Gen | None]:
+    """``raise_word_heights`` on letters; the final spill is a letter or None."""
+    heights = [s.single_height() for s in syllables]
+    if any(x > y for x, y in zip(heights, heights[1:])):
+        raise ValueError(f"_ref_raise_word_heights: heights must be nondecreasing, got {heights}")
+    out: list[_RefMonosyllable] = []
+    carry: Gen | None = None
+    for syl in syllables:
+        if carry is None:
+            _, new, spill = _ref_mono_raise(syl, "a")
+        else:
+            _, new, spill = _ref_mono_raise(syl, "d", m=carry.index)
+        out.append(new)
+        carry = spill[0] if spill else None
+    return out, carry
+
+
 def _ref_equalize_heights(syllables, budget):
     right_spill = []
     for j in range(len(syllables) - 1, 0, -1):
         target = max(s.single_height() for s in syllables[:j])
         while syllables[j].single_height() < target:
             budget.spend("equalize_heights")
-            raised, spill = raise_word_heights(syllables[j:])
+            raised, spill = _ref_raise_word_heights(syllables[j:])
             syllables[j:] = raised
             if spill is not None:
                 right_spill.insert(0, spill)
@@ -444,7 +626,7 @@ def _ref_equalize_heights(syllables, budget):
         while syllables[0].single_height() < target:
             budget.spend("equalize_heights")
             inv = [s.inverse() for s in reversed(syllables[:j])]
-            raised, spill = raise_word_heights(inv)
+            raised, spill = _ref_raise_word_heights(inv)
             syllables[:j] = [s.inverse() for s in reversed(raised)]
             if spill is not None:
                 left_spill.append(spill.inverse())
@@ -498,8 +680,8 @@ def test_pi_action_right_matches_prepending(seed):
         top = rng.choice((3, 12, 40))
         w = tuple(pi(rng.randint(0, top), rng.choice((1, -1))) for _ in range(rng.randint(300, 900)))
         m = rng.randint(0, 14)
-        moved, k = pi_action(invert(w), m)
-        assert (invert(moved), k) == _ref_pi_action_right(w, m)
+        moved, k = pi_action(_encode(invert(w)), m)
+        assert (invert(_decode(moved)), k) == _ref_pi_action_right(w, m)
 
 
 @pytest.mark.parametrize("e", (1, -1))
@@ -598,24 +780,60 @@ def test_repair_heights_matches_full_flush(w, cap):
     if not any(g.family is Family.PIBAR for g in middle):
         return
 
-    def run(repair):
-        return lambda budget: tuple(map(tuple, repair(middle, budget)))
+    def coded(budget):
+        return tuple(map(_decode, _repair_syllable_heights(_encode(middle), budget)))
 
-    assert capped_outcome(cap, run(_repair_syllable_heights)) == \
-        capped_outcome(cap, run(_ref_repair_syllable_heights))
+    def ref(budget):
+        return tuple(map(tuple, _ref_repair_syllable_heights(middle, budget)))
+
+    assert capped_outcome(cap, coded) == capped_outcome(cap, ref)
+
+
+def _repaired_middle(w):
+    """The height-repaired middle of a word, or None when it has no pb letter."""
+    middle = to_first_form(w).M
+    if not any(g.family is Family.PIBAR for g in middle):
+        return None
+    return _decode(_repair_syllable_heights(_encode(middle), Budget(CAP))[1])
 
 
 @SETTINGS
-@given(letters(BV, max_index=4, max_size=16))
-def test_equalize_heights_matches_full_inversion(w):
-    middle = to_first_form(w).M
-    if not any(g.family is Family.PIBAR for g in middle):
+@given(letters(BV, max_index=4, max_size=16), st.one_of(st.integers(1, 60), st.just(CAP)))
+def test_equalize_heights_matches_full_inversion(w, cap):
+    # the coded chain against the letter chain it replaced, itself run
+    # with the full inversions of ``_ref_equalize_heights``
+    middle = _repaired_middle(w)
+    if middle is None:
         return
-    _, repaired, _ = _repair_syllable_heights(middle, Budget(CAP))
-    syllables = split_monosyllables(tuple(repaired))
 
-    def run(equalize, budget):
-        return equalize(list(syllables), budget)
+    def coded(budget):
+        left, syllables, right = _equalize_heights(split_monosyllables(_encode(middle)), budget)
+        return _decode(left), [s.word() for s in syllables], _decode(right)
 
-    assert outcome(lambda budget: run(_equalize_heights, budget)) == \
-        outcome(lambda budget: run(_ref_equalize_heights, budget))
+    def ref(budget):
+        left, syllables, right = _ref_equalize_heights(_ref_split_monosyllables(middle), budget)
+        return tuple(left), [s.word() for s in syllables], tuple(right)
+
+    assert capped_outcome(cap, coded) == capped_outcome(cap, ref)
+
+
+@SETTINGS
+@given(letters(BV, max_index=4, max_size=16), st.integers(1, 4))
+def test_raise_word_heights_matches_letter_chain(w, times):
+    # a whole nondecreasing run of syllables raised several times over
+    middle = _repaired_middle(w)
+    if middle is None:
+        return
+    coded = sorted(split_monosyllables(_encode(middle)), key=lambda s: s.core >> 3)
+    ref = sorted(_ref_split_monosyllables(middle), key=lambda s: s.core.index)
+    for _ in range(times):
+        coded, spill = raise_word_heights(coded)
+        ref, ref_spill = _ref_raise_word_heights(ref)
+        assert [s.word() for s in coded] == [s.word() for s in ref]
+        assert (None if spill is None else _decode((spill,))[0]) == ref_spill
+        for syl, ref_syl in zip(coded, ref):
+            h = syl.single_height()
+            for op, m in [("a", None)] + [("d", m) for m in range(h)]:
+                prefix, new, suffix = mono_raise(syl, op, m=m)
+                ref_prefix, ref_new, ref_suffix = _ref_mono_raise(ref_syl, op, m=m)
+                assert (_decode(prefix), new.word(), _decode(suffix)) == (ref_prefix, ref_new.word(), ref_suffix)
