@@ -1,8 +1,8 @@
 """The left-middle-right calculus for V and BV over v/p/pb letters.
 
 V and BV are presented on splitting letters ``v_n`` and permuting letters
-``p_n`` (``pi``), ``pb_n`` (``pi-bar``) by the families below; V adds the
-involution families at the end.
+``p_n`` (``pi``), ``pb_n`` (``pi-bar``) by the families below, the v/p/pb
+rows of the one relation table; V adds the involution families.
 
     vv-shift     v_q v_m        = v_m v_(q+1)          (m < q)
     pv-shift     p_q v_m        = v_m p_(q+1)          (m < q)
@@ -53,16 +53,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .braid import is_trivial_braid
 from .limits import Budget
 from .perms import from_sigma_word
 from .thompson_f import is_trivial_f
 from .words import (
+    _TRUE,
     AlphabetError,
     Family,
+    FamilySpec,
     Gen,
+    GroupId,
     Word,
     check_alphabet,
     free_reduce,
@@ -171,61 +174,53 @@ def word_height(w: Word) -> HeightSet:
 # Relation instances
 
 
-@dataclass(frozen=True)
-class _RelationFamily:
-    rel_id: str
-    nparams: int
-    takes_exponent: bool
-    v_only: bool
-    condition: Callable[..., bool]               # (indices) -> bool
-    build: Callable[..., tuple[Word, Word]]      # (indices, exponent) -> (lhs, rhs)
+_VBV = (GroupId.V, GroupId.BV)
 
-
-RELATION_FAMILIES: dict[str, _RelationFamily] = {
-    f.rel_id: f
+# ``presentations.FAMILIES`` lists these same records with the other rows.
+RELATION_FAMILIES: dict[str, FamilySpec] = {
+    f.fam_id: f
     for f in [
-        _RelationFamily("vv-shift", 2, False, False, lambda q, m: m < q,
-                        lambda q, m, e: ((vgen(q), vgen(m)), (vgen(m), vgen(q + 1)))),
-        _RelationFamily("pv-shift", 2, False, False, lambda q, m: m < q,
-                        lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q + 1)))),
-        _RelationFamily("pv-split", 1, True, False, lambda m: True,
-                        lambda m, e: ((pi(m, e), vgen(m)), (vgen(m + 1), pi(m, e), pi(m + 1, e)))),
-        _RelationFamily("pv-far", 2, False, False, lambda q, m: m > q + 1,
-                        lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q)))),
-        _RelationFamily("pbv-shift", 2, False, False, lambda q, m: m < q,
-                        lambda q, m, e: ((pibar(q), vgen(m)), (vgen(m), pibar(q + 1)))),
-        _RelationFamily("pbv-absorb", 1, True, False, lambda m: True,
-                        lambda m, e: ((pibar(m, e), vgen(m)), (pi(m, e), pibar(m + 1, e)))),
-        _RelationFamily("pp-far", 2, False, False, lambda q, m: q >= m + 2,
-                        lambda q, m, e: ((pi(q), pi(m)), (pi(m), pi(q)))),
-        _RelationFamily("pp-braid", 1, False, False, lambda m: True,
-                        lambda m, e: ((pi(m), pi(m + 1), pi(m)), (pi(m + 1), pi(m), pi(m + 1)))),
-        _RelationFamily("pbp-far", 2, False, False, lambda q, m: q >= m + 2,
-                        lambda q, m, e: ((pibar(q), pi(m)), (pi(m), pibar(q)))),
-        _RelationFamily("pb-braid", 1, False, False, lambda m: True,
-                        lambda m, e: ((pi(m), pibar(m + 1), pi(m)), (pibar(m + 1), pi(m), pibar(m + 1)))),
-        _RelationFamily("p-invol", 1, False, True, lambda m: True,
-                        lambda m, e: ((pi(m), pi(m)), ())),
-        _RelationFamily("pb-invol", 1, False, True, lambda m: True,
-                        lambda m, e: ((pibar(m), pibar(m)), ())),
-        _RelationFamily("pv-split-up", 1, True, False, lambda m: True,
-                        lambda m, e: ((pi(m, e), vgen(m + 1)), (vgen(m), pi(m + 1, e), pi(m, e)))),
+        FamilySpec("vv-shift", _VBV, 2, lambda q, m: m < q,
+                   lambda q, m, e: ((vgen(q), vgen(m)), (vgen(m), vgen(q + 1)))),
+        FamilySpec("pv-shift", _VBV, 2, lambda q, m: m < q,
+                   lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q + 1)))),
+        FamilySpec("pv-split", _VBV, 1, _TRUE,
+                   lambda m, e: ((pi(m, e), vgen(m)), (vgen(m + 1), pi(m, e), pi(m + 1, e))),
+                   signed=_VBV),
+        FamilySpec("pv-far", _VBV, 2, lambda q, m: m > q + 1,
+                   lambda q, m, e: ((pi(q), vgen(m)), (vgen(m), pi(q)))),
+        FamilySpec("pbv-shift", _VBV, 2, lambda q, m: m < q,
+                   lambda q, m, e: ((pibar(q), vgen(m)), (vgen(m), pibar(q + 1)))),
+        FamilySpec("pbv-absorb", _VBV, 1, _TRUE,
+                   lambda m, e: ((pibar(m, e), vgen(m)), (pi(m, e), pibar(m + 1, e))),
+                   signed=_VBV),
+        FamilySpec("pp-far", _VBV, 2, lambda q, m: q >= m + 2,
+                   lambda q, m, e: ((pi(q), pi(m)), (pi(m), pi(q)))),
+        FamilySpec("pp-braid", _VBV, 1, _TRUE,
+                   lambda m, e: ((pi(m), pi(m + 1), pi(m)), (pi(m + 1), pi(m), pi(m + 1)))),
+        FamilySpec("pbp-far", _VBV, 2, lambda q, m: q >= m + 2,
+                   lambda q, m, e: ((pibar(q), pi(m)), (pi(m), pibar(q)))),
+        FamilySpec("pb-braid", _VBV, 1, _TRUE,
+                   lambda m, e: ((pi(m), pibar(m + 1), pi(m)), (pibar(m + 1), pi(m), pibar(m + 1)))),
+        FamilySpec("p-invol", (GroupId.V,), 1, _TRUE, lambda m, e: ((pi(m), pi(m)), ())),
+        FamilySpec("pb-invol", (GroupId.V,), 1, _TRUE, lambda m, e: ((pibar(m), pibar(m)), ())),
+        FamilySpec("pv-split-up", _VBV, 1, _TRUE,
+                   lambda m, e: ((pi(m, e), vgen(m + 1)), (vgen(m), pi(m + 1, e), pi(m, e))),
+                   signed=_VBV),
     ]
 }
 
 
-def relation_sides(rel_id: str, indices: tuple[int, ...], exponent: int = 1) -> tuple[Word, Word]:
-    """The two sides of one relation instance."""
+def _family(rel_id: str) -> FamilySpec:
     fam = RELATION_FAMILIES.get(rel_id)
     if fam is None:
         raise ValueError(f"unknown relation family {rel_id!r}")
-    if len(indices) != fam.nparams:
-        raise ValueError(f"{rel_id} takes {fam.nparams} indices, got {indices}")
-    if not fam.condition(*indices):
-        raise ValueError(f"{rel_id}{indices}: side condition violated")
-    if exponent not in (1, -1) or (exponent == -1 and not fam.takes_exponent):
-        raise ValueError(f"{rel_id}: bad exponent {exponent}")
-    return fam.build(*indices, exponent)
+    return fam
+
+
+def relation_sides(rel_id: str, indices: tuple[int, ...], exponent: int = 1) -> tuple[Word, Word]:
+    """The two sides of one relation instance."""
+    return _family(rel_id).sides(indices, exponent)
 
 
 def apply_relation(
@@ -238,12 +233,10 @@ def apply_relation(
     mode: BVMode = BVMode.V,
 ) -> Word:
     """Replace one occurrence of a relation side at a given position."""
-    fam = RELATION_FAMILIES.get(rel_id)
-    if fam is None:
-        raise ValueError(f"unknown relation family {rel_id!r}")
+    fam = _family(rel_id)
     if fam.v_only and mode is BVMode.BV:
         raise ValueError(f"{rel_id} is not a relation of BV")
-    lhs, rhs = relation_sides(rel_id, indices, exponent)
+    lhs, rhs = fam.sides(indices, exponent)
     if direction == "backward":
         lhs, rhs = rhs, lhs
     if w[position:position + len(lhs)] != lhs:
@@ -733,7 +726,8 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
 
     if all(g.family is Family.PI for g in first.M):
         height = word_height(first.M)
-        k = max(l_height_bound(first.L), l_height_bound(invert(first.R)), height.value)
+        k = max(_height_bound(g.index for g in first.L),
+                _height_bound(g.index for g in reversed(first.R)), height.value)
         return LMRForm(first.L, first.M, first.R, height, k)
 
     left, right = _encode(first.L), _encode(first.R)

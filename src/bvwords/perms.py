@@ -19,7 +19,6 @@ from typing import Iterable
 from .words import Family, Word, check_alphabet
 
 _SIGMA = frozenset({Family.SIGMA})
-_PI = frozenset({Family.PI})
 
 
 class Permutation:
@@ -137,7 +136,6 @@ def from_adjacent_transpositions(indices: Iterable[int]) -> Permutation:
 
 
 def from_sigma_word(w: Word) -> Permutation:
-    """Image of a word of all ``s`` or all ``p`` letters; exponents are irrelevant."""
-    families = _PI if w and w[0].family is Family.PI else _SIGMA
-    check_alphabet(w, families, "from_sigma_word")
+    """Image of a word of ``s`` letters; exponents are irrelevant."""
+    check_alphabet(w, _SIGMA, "from_sigma_word")
     return from_adjacent_transpositions(g.index for g in w)

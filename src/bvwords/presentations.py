@@ -10,9 +10,10 @@ Seven groups are covered, each with its own decision procedure:
     SINF   finitely supported permutations, s letters (perms)
     BINF   the infinite-strand braid group, s letters (braid)
 
-``FAMILIES`` lists every defining relation family together with the
-groups it holds in; ``instantiate_family`` grounds a family at all
-parameter values up to a bound.  ``finite_presentation_instances``
+``FAMILIES`` lists every defining relation family, one ``FamilySpec``
+each, with the groups it holds in; the v/p/pb rows are the records of
+``bv_lmr.RELATION_FAMILIES``.  ``instantiate_family`` grounds a family
+at all parameter values up to a bound.  ``finite_presentation_instances``
 produces the relators of the finite presentations: each group of the
 hat pair is generated by {l0, s0, s1} (with l1 := s0 l0 s1' s0' and the
 higher letters conjugates by powers of l0), and V and BV are generated
@@ -36,15 +37,18 @@ from typing import Callable, Iterable
 
 from . import bv_lmr
 from .braid import is_trivial_braid
-from .bv_lmr import BVMode, is_trivial_bv
+from .bv_lmr import _VBV, BVMode, is_trivial_bv
 from .hatgroups import GroupMode, is_trivial_hat
 from .limits import Budget, StepLimitExceeded
 from .perms import from_sigma_word
 from .thompson_f import is_trivial_f
 from .words import (
+    _TRUE,
     AlphabetError,
     Family,
+    FamilySpec,
     Gen,
+    GroupId,
     Word,
     expand_bv_generators,
     free_reduce,
@@ -55,19 +59,6 @@ from .words import (
     sig,
     vgen,
 )
-
-
-class GroupId(Enum):
-    F = "F"
-    VHAT = "Vhat"
-    BVHAT = "BVhat"
-    V = "V"
-    BV = "BV"
-    SINF = "Sinf"
-    BINF = "Binf"
-
-    def __repr__(self) -> str:
-        return f"GroupId.{self.name}"
 
 
 @dataclass(frozen=True)
@@ -87,37 +78,8 @@ class RelationInstance:
 # The relation families
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    fam_id: str
-    groups: tuple[GroupId, ...]
-    nparams: int
-    condition: Callable[..., bool]
-    build: Callable[..., tuple[Word, Word]]  # (*indices, exponent)
-    signed: tuple[GroupId, ...] = ()  # groups where the exponent runs over +-1
-
-    def exponents(self, group: GroupId) -> tuple[int, ...]:
-        return (1, -1) if group in self.signed else (1,)
-
-
-def _bv_family(fam_id: str) -> FamilySpec:
-    # the v/p/pb rule table lives in bv_lmr; reuse it as the single source
-    spec = bv_lmr.RELATION_FAMILIES[fam_id]
-    groups = (GroupId.V,) if spec.v_only else (GroupId.V, GroupId.BV)
-    return FamilySpec(
-        fam_id=fam_id,
-        groups=groups,
-        nparams=spec.nparams,
-        condition=spec.condition,
-        build=lambda *args, _f=fam_id: bv_lmr.relation_sides(_f, args[:-1], args[-1]),
-        signed=groups if spec.takes_exponent else (),
-    )
-
-
-_TRUE = lambda *indices: True
 _HATS = (GroupId.VHAT, GroupId.BVHAT)
 _PERM_GROUPS = (GroupId.VHAT, GroupId.BVHAT, GroupId.SINF, GroupId.BINF)
-_VBV = (GroupId.V, GroupId.BV)
 
 FAMILIES: dict[str, FamilySpec] = {
     f.fam_id: f
@@ -145,19 +107,9 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec("sl-far", _HATS, 2, lambda q, m: m > q + 1,
                    lambda q, m, e: ((sig(q, e), lam(m)), (lam(m), sig(q, e))),
                    signed=(GroupId.BVHAT,)),
-        _bv_family("vv-shift"),
-        _bv_family("pv-shift"),
-        _bv_family("pv-split"),
-        _bv_family("pv-far"),
-        _bv_family("pbv-shift"),
-        _bv_family("pbv-absorb"),
-        _bv_family("pp-far"),
-        _bv_family("pp-braid"),
-        _bv_family("pbp-far"),
-        _bv_family("pb-braid"),
-        _bv_family("pv-split-up"),
-        _bv_family("p-invol"),
-        _bv_family("pb-invol"),
+        *(bv_lmr.RELATION_FAMILIES[f] for f in (
+            "vv-shift", "pv-shift", "pv-split", "pv-far", "pbv-shift", "pbv-absorb", "pp-far",
+            "pp-braid", "pbp-far", "pb-braid", "pv-split-up", "p-invol", "pb-invol")),
         FamilySpec("def-p", _VBV, 1, _TRUE,
                    lambda n, e: ((pi(n),), (pibar(n), vgen(n), pibar(n + 1, -1)))),
         FamilySpec("def-p-inv", _VBV, 1, _TRUE,

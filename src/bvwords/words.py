@@ -16,6 +16,9 @@ token  meaning
 A word is a plain tuple of ``Gen`` letters, so concatenation is ``+``
 and the empty word is ``()``.  All functions here are pure.
 
+``GroupId`` names the seven groups; ``FamilySpec`` is the record of the
+one relation table, whose v/p/pb rows ``bv_lmr`` writes.
+
 Indices are ordinary Python ints and may grow without bound during
 rewriting; nothing in this package assumes a fixed alphabet width.
 """
@@ -23,8 +26,9 @@ rewriting; nothing in this package assumes a fixed alphabet width.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class Family(Enum):
@@ -68,6 +72,55 @@ EMPTY: Word = ()
 
 class AlphabetError(ValueError):
     """A word contains letters outside the alphabet an operation accepts."""
+
+
+class GroupId(Enum):
+    F = "F"
+    VHAT = "Vhat"
+    BVHAT = "BVhat"
+    V = "V"
+    BV = "BV"
+    SINF = "Sinf"
+    BINF = "Binf"
+
+    def __repr__(self) -> str:
+        return f"GroupId.{self.name}"
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One defining relation family and the groups it holds in."""
+
+    fam_id: str
+    groups: tuple[GroupId, ...]
+    nparams: int
+    condition: Callable[..., bool]           # (*indices) -> bool
+    build: Callable[..., tuple[Word, Word]]  # (*indices, exponent) -> (lhs, rhs)
+    signed: tuple[GroupId, ...] = ()  # groups where the exponent runs over +-1
+
+    @property
+    def v_only(self) -> bool:
+        return self.groups == (GroupId.V,)
+
+    @property
+    def takes_exponent(self) -> bool:
+        return bool(self.signed)
+
+    def exponents(self, group: GroupId) -> tuple[int, ...]:
+        return (1, -1) if group in self.signed else (1,)
+
+    def sides(self, indices: tuple[int, ...], exponent: int = 1) -> tuple[Word, Word]:
+        """The two sides of one instance, its indices and exponent checked."""
+        if len(indices) != self.nparams:
+            raise ValueError(f"{self.fam_id} takes {self.nparams} indices, got {indices}")
+        if not self.condition(*indices):
+            raise ValueError(f"{self.fam_id}{indices}: side condition violated")
+        if exponent not in (1, -1) or (exponent == -1 and not self.takes_exponent):
+            raise ValueError(f"{self.fam_id}: bad exponent {exponent}")
+        return self.build(*indices, exponent)
+
+
+_TRUE = lambda *indices: True  # the side condition of a family with none
 
 
 def _make(family: Family, index: int, exponent: int) -> Gen:

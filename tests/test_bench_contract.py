@@ -4,6 +4,7 @@ tier-1 suite, rather than only when the benchmark is next run."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -48,3 +49,25 @@ def test_equal_sample_confirmed(bench, capsys):
     workloads, _ = bench
     assert workloads._check_equal_sample(1, 6) == 0
     assert "6/6 confirmed" in capsys.readouterr().out
+
+
+# sha256 of every verify and equal query for seeds 1..10: the inputs
+# follow the order of ``presentations.FAMILIES`` (the seeded shuffle) and
+# of ``bv_lmr.RELATION_FAMILIES`` (the relator draw), so reordering either
+# table changes the benchmark's inputs and fails here
+BENCH_INPUTS_SHA256 = "1276f6992ed903949f779a86324a1ef4c76d824e6ace13c6c6b30d70c70c4ed6"
+
+
+def bench_inputs_digest(workloads) -> str:
+    digest = hashlib.sha256()
+    for seed in range(1, 11):
+        for queries in (workloads.verify_queries, workloads.equal_queries):
+            for q in queries(seed):
+                words = " / ".join(" ".join(g.token() for g in w) for w in q.words)
+                digest.update(f"{q.label}|{words}|{q.expected}\n".encode())
+    return digest.hexdigest()
+
+
+def test_bench_inputs_are_pinned(bench):
+    workloads, _ = bench
+    assert bench_inputs_digest(workloads) == BENCH_INPUTS_SHA256

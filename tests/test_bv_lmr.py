@@ -32,7 +32,7 @@ from bvwords.bv_lmr import (
 )
 from bvwords.hatgroups import GroupMode, equal_hat, is_trivial_hat
 from bvwords.limits import Budget, StepLimitExceeded
-from bvwords.perms import from_sigma_word
+from bvwords.perms import from_adjacent_transpositions
 from bvwords.words import (
     AlphabetError,
     Family,
@@ -175,10 +175,10 @@ def test_relation_table_sound_via_hat():
             if not fam.condition(*idx):
                 continue
             for e in (1, -1) if fam.takes_exponent else (1,):
-                lhs, rhs = relation_sides(fam.rel_id, idx, e)
+                lhs, rhs = relation_sides(fam.fam_id, idx, e)
                 relator = expand_bv_generators(lhs + invert(rhs))
                 mode = GroupMode.VHAT if fam.v_only else GroupMode.BVHAT
-                assert is_trivial_hat(relator, mode), (fam.rel_id, idx, e)
+                assert is_trivial_hat(relator, mode), (fam.fam_id, idx, e)
 
 
 def test_pi_action_examples():
@@ -197,7 +197,7 @@ def test_pi_action_tracks_permutation():
     for _ in range(150):
         w = random_pi_word(rng, 4, 6)
         m = rng.randint(0, 6)
-        perm = from_sigma_word(w)
+        perm = from_adjacent_transpositions(g.index for g in w)
         _, j = pi_action_right(w, m)
         assert j == perm.apply(m)
         _, k = pi_action_letters(w, m)

@@ -158,6 +158,14 @@ def test_parse_error_exit(capsys):
     assert code == 2 and "not in alphabet" in err
 
 
+def test_sinf_rejects_p_letters(capsys):
+    # Sinf is written over s letters only
+    for word in ("p0 p0", "p1"):
+        code, out, err = run(capsys, "trivial", "--group", "Sinf", word)
+        assert code == 2 and out == ""
+        assert "not in alphabet s" in err
+
+
 def test_step_cap_exit(capsys):
     code, _, err = run(capsys, "normalize", "--group", "BVhat",
                        "s0 l0 s0 l0 s0 l0", "--max-steps", "1")

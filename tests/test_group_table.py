@@ -138,3 +138,14 @@ def test_malformed_letters_are_rejected(group, name, index, exponent):
         for w in ((bad,), (Gen(family, 1), bad), (bad, Gen(family, 1, -1))):
             with pytest.raises(AlphabetError):
                 decide(group, name, w)
+
+
+@pytest.mark.parametrize("group,name,family", [
+    (g, name, f) for g in GroupId for name, _ in DECIDERS[g] for f in Family if f not in ALPHABETS[g]])
+def test_foreign_letters_are_rejected(group, name, family):
+    # every decider checks its group's alphabet before rewriting, so a
+    # letter of another family fails alone, doubled, or among good letters
+    bad, good = Gen(family, 0), Gen(ALPHABETS[group][0], 1)
+    for w in ((bad,), (bad, bad), (good, bad), (bad, good.inverse())):
+        with pytest.raises(AlphabetError):
+            decide(group, name, w)

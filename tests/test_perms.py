@@ -58,10 +58,10 @@ def test_sigma_word_ignores_exponents():
     assert from_sigma_word((sig(3, -1),)) == from_sigma_word((sig(3),))
 
 
-def test_sigma_word_accepts_p_letters_but_not_mixed():
-    assert from_sigma_word((pi(1),)) == Permutation.transposition(1, 2)
-    with pytest.raises(AlphabetError):
-        from_sigma_word((sig(0), pi(1)))
+def test_sigma_word_rejects_p_letters():
+    for w in ((pi(1),), (pi(0), pi(0)), (sig(0), pi(1)), (pi(1), sig(0))):
+        with pytest.raises(AlphabetError):
+            from_sigma_word(w)
 
 
 def test_inverse():

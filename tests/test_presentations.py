@@ -2,7 +2,7 @@
 
 import pytest
 
-from bvwords.bv_lmr import BVMode, equal_bv, is_trivial_bv
+from bvwords.bv_lmr import RELATION_FAMILIES, BVMode, equal_bv, is_trivial_bv
 from bvwords.hatgroups import GroupMode, equal_hat
 from bvwords.presentations import (
     FAMILIES,
@@ -23,6 +23,15 @@ from bvwords.words import AlphabetError, lam, pi, pibar, sig, vgen
 
 def tags(instances, group):
     return {i.source.split("(")[1].rstrip(")") for i in instances if i.group is group}
+
+
+def test_one_relation_table():
+    # the v/p/pb rows of FAMILIES are bv_lmr's records, not copies of them
+    assert len(FAMILIES) == 24 and len(RELATION_FAMILIES) == 13
+    for fam_id, spec in RELATION_FAMILIES.items():
+        assert FAMILIES[fam_id] is spec
+        assert spec.groups in ((GroupId.V,), (GroupId.V, GroupId.BV))
+        assert spec.signed in ((), spec.groups)
 
 
 def test_instantiate_family_side_conditions():
