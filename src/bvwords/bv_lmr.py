@@ -44,8 +44,10 @@ in p coordinates.
 
 From the first form on, the route works on int-coded letters
 ``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
-repair and every raise, where the syllables hold codes too.  Letters are
-decoded once, when ``to_third_form`` returns.
+repair and every raise, where the syllables hold codes too.  The middle
+is split into syllables once and joined once: a raise cables one strand,
+so it does not depend on where the cuts fall.  Letters are decoded once,
+when ``to_third_form`` returns.
 """
 
 from __future__ import annotations
@@ -545,31 +547,27 @@ def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
     return out
 
 
-def raise_m(codes: Sequence[int], side: Literal["left", "right"]) -> tuple[list[int], list[int]]:
-    """Raise the height of a coded middle word by one, spilling one v code.
+def raise_m(
+    syllables: Sequence[Monosyllable], side: Literal["left", "right"]
+) -> tuple[list[Monosyllable], list[int]] | tuple[list[int], list[Monosyllable]]:
+    """Raise a middle of one height, given as its syllables, by one.
 
     side="right":  M ~ first + second, second an inverse v code (len <= 1)
     side="left":   M ~ first + second, first a positive v code (len <= 1)
 
-    A middle without pb letters has a tail height set, which already
-    contains every larger height, so it is returned unchanged.
+    The left raise is the right one on the inverted list, inverted back.
+    A raise cables one strand of the middle's braid, so its letters do
+    not depend on where the middle is cut into syllables.
     """
     if side not in ("left", "right"):
         raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
-    if any(x & 6 not in (2, 4) for x in codes):
-        raise AlphabetError(f"raise_m: a code outside the p/pb letters in {codes!r}")
-    if not any(x & 4 for x in codes):
-        return ([], list(codes)) if side == "left" else (list(codes), [])
-    if side == "left":
-        codes = _invert_codes(codes)
-    syllables = split_monosyllables(codes)
-    if len({s.core >> 3 for s in syllables}) > 1:
-        raise ValueError("raise_m: middle word must have nonempty height")
-    raised, spill = raise_word_heights(syllables)
-    out, emitted = _concat_syllables(raised), [] if spill is None else [spill]
+    if len({s.core >> 3 for s in syllables}) != 1:
+        raise ValueError("raise_m: the middle must be syllables of one height")
     if side == "right":
-        return out, emitted
-    return _invert_codes(emitted), _invert_codes(out)
+        raised, spill = raise_word_heights(syllables)
+        return raised, [] if spill is None else [spill]
+    raised, spill = raise_word_heights([s.inverse() for s in reversed(syllables)])
+    return [] if spill is None else [spill ^ 1], [s.inverse() for s in reversed(raised)]
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +716,9 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     The middle's height set contains k, and both L and the inverse of R
     have height bound at most k, so the middle translates into a braid
     word on the strands below k while L and R read as monoid letters.
-    Height repair, equalization and raising run on the int coding; the
-    three parts are decoded once, on return.
+    Height repair, equalization and raising run on the int coding.  The
+    repaired middle is split into syllables once, equalized and raised as
+    that list, and joined once; the three parts are decoded on return.
     """
     budget = budget if budget is not None else Budget()
     first = to_first_form(w, budget)
@@ -737,7 +736,6 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     lspill, syllables, rspill = _equalize_heights(split_monosyllables(middle), budget)
     left += lspill
     right[:0] = rspill
-    middle = _concat_syllables(syllables)
     h = syllables[0].single_height()
 
     while True:
@@ -748,14 +746,14 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
             break
         budget.spend("to_third_form")
         if k1 <= h < k2 or (k1 > h and k2 > h):
-            emitted, middle = raise_m(middle, "left")
+            emitted, syllables = raise_m(syllables, "left")
             left += emitted
         else:
-            middle, emitted = raise_m(middle, "right")
+            syllables, emitted = raise_m(syllables, "right")
             right[:0] = emitted
         h += 1
 
-    m_word = _decode(middle)
+    m_word = _decode(_concat_syllables(syllables))
     height = word_height(m_word)
     if not height.contains(h):
         raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")
@@ -786,7 +784,6 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     permutation, for V) and the outer v letters, read as monoid letters,
     are trivial in F.
     """
-    check_alphabet(w, _BV_ALPHABET, "is_trivial_bv")
     budget = budget if budget is not None else Budget()
     form = to_third_form(w, budget)
     sigma = m_to_sigma(form.M, form.k)

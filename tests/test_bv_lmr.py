@@ -44,7 +44,7 @@ from bvwords.words import (
     sig,
     vgen,
 )
-from test_rewrite_equivalence import opi_commute
+from test_rewrite_equivalence import opi_commute, raise_m_joined
 
 BV_FAMILIES = (Family.V, Family.PI, Family.PIBAR)
 
@@ -91,8 +91,7 @@ def raise_word_heights_letters(syllables):
 
 
 def raise_m_letters(m_word, side):
-    first, second = raise_m(codes(m_word), side)
-    return _decode(first), _decode(second)
+    return tuple(map(_decode, raise_m_joined(split_monosyllables(codes(m_word)), side)))
 
 
 def opi_commute_left(m, k, e):
@@ -403,8 +402,12 @@ def test_raising_cables_one_strand(syl):
 
 
 def test_raise_m():
-    assert raise_m_letters((pi(0),), "left") == ((), (pi(0),))
-    assert raise_m_letters((pi(0),), "right") == ((pi(0),), ())
+    # a middle with no pb letter has no syllables to raise
+    for side in ("left", "right"):
+        with pytest.raises(ValueError):
+            raise_m_letters((pi(0),), side)
+        with pytest.raises(ValueError):
+            raise_m([], side)
     assert raise_m_letters((pibar(1),), "right") == ((pi(1), pibar(2)), (vgen(1, -1),))
     assert raise_m_letters((pibar(1),), "left") == ((vgen(1),), (pibar(2), pi(1)))
     with pytest.raises(ValueError):

@@ -23,14 +23,18 @@ from hypothesis import strategies as st
 from bvwords.braid import handle_reduce
 from bvwords.bv_lmr import (
     HeightSet,
+    Monosyllable,
+    _concat_syllables,
     _decode,
     _encode,
     _equalize_heights,
     _flush_v_letters,
+    _invert_codes,
     _repair_syllable_heights,
     letter_height,
     mono_raise,
     pi_action,
+    raise_m,
     raise_word_heights,
     split_monosyllables,
     to_first_form,
@@ -633,6 +637,38 @@ def _ref_equalize_heights(syllables, budget):
     return left_spill, syllables, right_spill
 
 
+# ``raise_m`` as it ran on code lists: every call scanned the codes, split
+# them into syllables (the inverted codes for a left raise) and joined the
+# raised syllables again.
+
+
+def _ref_raise_m(codes: Sequence[int], side: Literal["left", "right"]) -> tuple[list[int], list[int]]:
+    """Raise the height of a coded middle word by one, spilling one v code.
+
+    side="right":  M ~ first + second, second an inverse v code (len <= 1)
+    side="left":   M ~ first + second, first a positive v code (len <= 1)
+
+    A middle without pb letters has a tail height set, which already
+    contains every larger height, so it is returned unchanged.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
+    if any(x & 6 not in (2, 4) for x in codes):
+        raise AlphabetError(f"raise_m: a code outside the p/pb letters in {codes!r}")
+    if not any(x & 4 for x in codes):
+        return ([], list(codes)) if side == "left" else (list(codes), [])
+    if side == "left":
+        codes = _invert_codes(codes)
+    syllables = split_monosyllables(codes)
+    if len({s.core >> 3 for s in syllables}) > 1:
+        raise ValueError("raise_m: middle word must have nonempty height")
+    raised, spill = raise_word_heights(syllables)
+    out, emitted = _concat_syllables(raised), [] if spill is None else [spill]
+    if side == "right":
+        return out, emitted
+    return _invert_codes(emitted), _invert_codes(out)
+
+
 # ---------------------------------------------------------------------------
 # Equivalence
 
@@ -837,3 +873,37 @@ def test_raise_word_heights_matches_letter_chain(w, times):
                 prefix, new, suffix = mono_raise(syl, op, m=m)
                 ref_prefix, ref_new, ref_suffix = _ref_mono_raise(ref_syl, op, m=m)
                 assert (_decode(prefix), new.word(), _decode(suffix)) == (ref_prefix, ref_new.word(), ref_suffix)
+
+
+def raise_m_joined(syllables, side):
+    """``raise_m`` with the raised syllables joined into one code list."""
+    first, second = raise_m(syllables, side)
+    if side == "left":
+        return first, _concat_syllables(second)
+    return _concat_syllables(first), second
+
+
+@SETTINGS
+@given(letters(BV, max_index=4, max_size=16), st.data())
+def test_raise_m_matches_code_list_raise(w, data):
+    # a middle of one height, as ``to_third_form`` hands it to ``raise_m``
+    middle = _repaired_middle(w)
+    if middle is None:
+        return
+    _, syllables, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP))
+    codes = _concat_syllables(syllables)
+    # the same letters cut elsewhere: part of one syllable's ``pre`` moved
+    # into the previous syllable's ``post``
+    regrouped = list(syllables)
+    cuts = [i for i in range(1, len(syllables)) if syllables[i].pre]
+    if cuts:
+        i = data.draw(st.sampled_from(cuts))
+        c = data.draw(st.integers(1, len(syllables[i].pre)))
+        prev, syl = syllables[i - 1], syllables[i]
+        regrouped[i - 1] = Monosyllable(prev.pre, prev.core, prev.post + syl.pre[:c])
+        regrouped[i] = Monosyllable(syl.pre[c:], syl.core, syl.post)
+    assert _concat_syllables(regrouped) == codes
+    for side in ("left", "right"):
+        expected = _ref_raise_m(codes, side)
+        assert raise_m_joined(syllables, side) == expected
+        assert raise_m_joined(regrouped, side) == expected
