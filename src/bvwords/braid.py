@@ -20,12 +20,23 @@ So iterated reduction of the leftmost-closing handle decides triviality.
 Every reduction sequence terminates, but the step count is capped anyway
 and overruns raise rather than guess.
 
-After a handle at ``(open, close)`` is reduced, the search for the next
-one resumes at ``open`` instead of at the start of the word.  It finds the
-same handle as a full rescan: whether a handle closes at position ``c``
-depends only on the letters up to ``c``, the letters before ``open`` did
-not change, and none of them closed a handle before the reduction (the
-reduced handle closed leftmost).
+The search scans the word once from the left and keeps, for every index
+``k``, ``last[k]``: the latest scanned position holding index ``k``.  A
+letter at index ``k`` closes a handle exactly when ``last[k]`` is later
+than ``last[k-1]`` and holds the opposite exponent, the test the walk
+back to the nearest letter of index ``k`` or ``k-1`` would make; a
+farther opener would contain that letter in its interior.  Scanning a
+position ``p`` records in ``prev[p]`` the value ``last`` had for its index
+before, so the scan can be rolled back.
+
+When a handle at ``(open, close)`` is found it is the leftmost-closing
+one, since every earlier position was a failed candidate.  ``last`` is
+rolled back over positions ``close-1`` down to ``open`` through ``prev``,
+which leaves it as it stood before ``open`` was scanned; the handle is
+reduced and the scan resumes at ``open``.  This finds the same handle as a
+full rescan: whether a handle closes at position ``c`` depends only on the
+letters up to ``c``, the letters before ``open`` did not change, and none
+of them closed a handle before the reduction.
 
 Two shortcuts run first: a word whose exponents do not sum to zero, or
 whose strand permutation is not the identity, is certainly nontrivial.
@@ -44,55 +55,49 @@ def exponent_sum(w: Word) -> int:
     return sum(g.exponent for g in w)
 
 
-def _leftmost_handle(w: list[tuple[int, int]], start: int) -> tuple[int, int] | None:
-    """The handle with the leftmost closing letter, as (open, close) positions.
-
-    Only closing letters at ``start`` or later are tried; the caller
-    knows that no handle closes earlier.  For each closing candidate only
-    the nearest earlier letter of the same index matters: a farther opener
-    would contain it in its interior.
-    """
-    for close in range(max(start, 1), len(w)):
-        k, f = w[close]
-        for open_ in range(close - 1, -1, -1):
-            k2, e2 = w[open_]
-            if k2 == k:
-                if e2 == -f:
-                    return open_, close
-                break
-            if k2 == k - 1:
-                break
-    return None
-
-
-def _reduce_handle(w: list[tuple[int, int]], open_: int, close: int) -> None:
-    k, e = w[open_]
-    replacement: list[tuple[int, int]] = []
-    for idx, d in w[open_ + 1:close]:
-        if idx == k + 1:
-            replacement += [(k + 1, -e), (k, d), (k + 1, e)]
+def _reduce_handle(w: list[int], open_: int, close: int) -> None:
+    # on codes, adding 2 raises a letter's index by one and ^ 1 inverts it
+    raised = w[open_] + 2
+    replacement: list[int] = []
+    for y in w[open_ + 1:close]:
+        if y >> 1 == raised >> 1:
+            replacement += [raised ^ 1, y - 2, raised]
         else:
-            replacement.append((idx, d))
+            replacement.append(y)
     w[open_:close + 1] = replacement
 
 
 def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     """Fully handle-reduce a braid word; the result is handle free.
 
-    The search runs on a list of ``(index, exponent)`` pairs, built once
-    from the freely reduced word and read back into letters at the end.
+    The search runs on int-coded letters ``index << 1 | (exponent < 0)``,
+    built once from the freely reduced word and read back into letters at
+    the end; a letter's inverse is its code ``^ 1``.
     """
     check_alphabet(w, _BRAID_ALPHABET, "handle_reduce")
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
-    pairs = [(g.index, g.exponent) for g in free_reduce(w)]
-    start = 0
-    while True:
-        found = _leftmost_handle(pairs, start)
-        if found is None:
-            return tuple(Gen(Family.SIGMA, i, e) for i, e in pairs)
-        budget.spend("handle_reduce")
-        _reduce_handle(pairs, *found)
-        start = found[0]
+    codes = [g.index << 1 | (g.exponent < 0) for g in free_reduce(w)]
+    # ``check_alphabet`` admits indices >= 0 only, and reductions never
+    # raise one; ``last[-1]`` is never written, so it stands for index -1.
+    last = [-1] * (max(codes, default=0) // 2 + 2)
+    prev: list[int] = []
+    pos = 0
+    while pos < len(codes):
+        x = codes[pos]
+        k = x >> 1
+        at = last[k]
+        if at > last[k - 1] and codes[at] == x ^ 1:
+            budget.spend("handle_reduce")
+            for p in range(pos - 1, at - 1, -1):
+                last[codes[p] >> 1] = prev[p]
+            del prev[at:]
+            _reduce_handle(codes, at, pos)
+            pos = at
+        else:
+            prev.append(at)
+            last[k] = pos
+            pos += 1
+    return tuple([Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1)) for x in codes])
 
 
 def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:

@@ -276,7 +276,13 @@ def _encode(w: Word) -> list[int]:
 
 
 def _decode(codes: list[int]) -> Word:
-    return tuple([Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in codes])
+    """The letters of a code list.
+
+    Each distinct code's letter is built once, in a ``{code: Gen}`` table
+    that lives only for the call.
+    """
+    table = {x: Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in set(codes)}
+    return tuple(map(table.__getitem__, codes))
 
 
 def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: str) -> list[int]:
@@ -764,17 +770,15 @@ def m_to_sigma(m_word: Word, h: int) -> Word:
     """Translate a middle word of height h into a braid word of ``s`` letters.
 
     pb letters sit at index h - 1 and map to ``s_0``; p letters at index
-    i map to ``s_(h-1-i)``.  Exponents are kept.
+    i map to ``s_(h-1-i)``.  Exponents are kept.  Each distinct letter is
+    translated once, in a ``{letter: s letter}`` table that lives only for
+    the call.
     """
     if not word_height(m_word).contains(h):
         raise ValueError(f"m_to_sigma: {h} is not a height of the word")
-    out = []
-    for g in m_word:
-        if g.family is Family.PIBAR:
-            out.append(Gen(Family.SIGMA, 0, g.exponent))
-        else:
-            out.append(Gen(Family.SIGMA, h - 1 - g.index, g.exponent))
-    return tuple(out)
+    table = {g: Gen(Family.SIGMA, 0 if g.family is Family.PIBAR else h - 1 - g.index, g.exponent)
+             for g in set(m_word)}
+    return tuple(map(table.__getitem__, m_word))
 
 
 def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:

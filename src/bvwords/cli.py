@@ -159,9 +159,16 @@ def _cmd_lmr(args: argparse.Namespace) -> int:
 
 
 def _verdict(args: argparse.Namespace, w: Word, budget: Budget) -> bool:
-    """The verdict of the group's first decider."""
+    """The verdict of the group's first decider.
+
+    A letter outside the group's alphabet is reported with the group named
+    first, ahead of the library function that found it.
+    """
     _, decide = DECIDERS[GroupId(args.group)][0]
-    return decide(w, budget)
+    try:
+        return decide(w, budget)
+    except AlphabetError as e:
+        raise AlphabetError(f"group {args.group}: {e}") from e
 
 
 def _cmd_trivial(args: argparse.Namespace) -> int:

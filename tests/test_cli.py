@@ -166,6 +166,18 @@ def test_sinf_rejects_p_letters(capsys):
         assert "not in alphabet s" in err
 
 
+@pytest.mark.parametrize("group, word, message", [
+    ("V", "s0", "error: group V: to_first_form: letter s0 not in alphabet p/pb/v"),
+    ("BV", "p0 l1", "error: group BV: to_first_form: letter l1 not in alphabet p/pb/v"),
+    ("Sinf", "p0 p0", "error: group Sinf: from_sigma_word: letter p0 not in alphabet s"),
+])
+def test_alphabet_error_names_the_group(capsys, group, word, message):
+    code, out, err = run(capsys, "trivial", "--group", group, word)
+    assert (code, out, err) == (2, "", message + "\n")
+    code, out, err = run(capsys, "equal", "--group", group, word, "")
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_step_cap_exit(capsys):
     code, _, err = run(capsys, "normalize", "--group", "BVhat",
                        "s0 l0 s0 l0 s0 l0", "--max-steps", "1")

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from bvwords.braid import handle_reduce
 from bvwords.bv_lmr import (
+    _FAMILY,
     HeightSet,
     Monosyllable,
     _concat_syllables,
@@ -32,6 +33,7 @@ from bvwords.bv_lmr import (
     _invert_codes,
     _repair_syllable_heights,
     letter_height,
+    m_to_sigma,
     mono_raise,
     pi_action,
     raise_m,
@@ -266,6 +268,20 @@ def _ref_from_adjacent_transpositions(indices):
     for i in indices:
         result = compose(result, Permutation.transposition(i, i + 1))
     return result
+
+
+def _ref_decode(codes):
+    return tuple([Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in codes])
+
+
+def _ref_m_to_sigma(m_word, h):
+    out = []
+    for g in m_word:
+        if g.family is Family.PIBAR:
+            out.append(Gen(Family.SIGMA, 0, g.exponent))
+        else:
+            out.append(Gen(Family.SIGMA, h - 1 - g.index, g.exponent))
+    return tuple(out)
 
 
 def _ref_word_height(w):
@@ -682,6 +698,50 @@ BV = (Family.V, Family.PI, Family.PIBAR)
        .map(lambda b: tuple(sig(i, e) for i, e in b)))
 def test_handle_reduce_matches_full_rescan(b):
     assert outcome(handle_reduce, b) == outcome(_ref_handle_reduce, b)
+
+
+BRAID_TOP = 12
+
+
+def nested_braids(low=0, depth=3):
+    """Braid words over indices ``low..BRAID_TOP``, as lists of letters, made
+    of free letters and handles ``s_k^e u s_k^-e`` whose interior ``u`` is
+    drawn the same way over indices ``k+1`` and up."""
+    letter = st.builds(lambda i, e: [sig(i, e)], st.integers(low, BRAID_TOP), st.sampled_from((1, -1)))
+    if depth == 0 or low >= BRAID_TOP:
+        chunk = letter
+    else:
+        chunk = st.one_of(letter, st.integers(low, BRAID_TOP - 1).flatmap(
+            lambda k: st.builds(lambda e, u: [sig(k, e), *u, sig(k, -e)],
+                                st.sampled_from((1, -1)), nested_braids(k + 1, depth - 1))))
+    return st.lists(chunk, max_size=8).map(lambda chunks: [g for c in chunks for g in c])
+
+
+@SETTINGS
+@given(nested_braids().map(lambda b: tuple(b[:200])), st.one_of(st.integers(1, 60), st.just(CAP)))
+def test_handle_reduce_matches_full_rescan_on_nested_handles(b, cap):
+    assert capped_outcome(cap, handle_reduce, b) == capped_outcome(cap, _ref_handle_reduce, b)
+
+
+@SETTINGS
+@given(st.lists(st.builds(lambda i, kind: i << 3 | kind, st.integers(0, 20), st.integers(0, 5)),
+                max_size=60))
+def test_decode_table_matches_per_letter_decode(codes):
+    w = _decode(codes)
+    assert w == _ref_decode(codes)
+    assert all(type(g) is Gen for g in w)
+
+
+@SETTINGS
+@given(st.integers(1, 10).flatmap(lambda h: st.tuples(st.just(h), st.lists(st.one_of(
+    st.builds(pibar, st.just(h - 1), st.sampled_from((1, -1))),
+    st.builds(pi, st.integers(0, h - 2), st.sampled_from((1, -1))) if h >= 2 else st.nothing(),
+), max_size=60).map(tuple))))
+def test_m_to_sigma_table_matches_per_letter_loop(case):
+    h, w = case
+    sigma = m_to_sigma(w, h)
+    assert sigma == _ref_m_to_sigma(w, h)
+    assert all(type(g) is Gen for g in sigma)
 
 
 @SETTINGS

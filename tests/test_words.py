@@ -141,6 +141,15 @@ def test_expansion_homomorphism(w1, w2):
         free_reduce(expand_bv_generators(w1) + expand_bv_generators(w2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(BV_WORDS)
+def test_expansion_commutes_with_inversion(w):
+    # with the product rule above, the expansion is a group homomorphism
+    # from the free group on v/p/pb letters
+    assert expand_bv_generators(invert(w)) == invert(expand_bv_generators(w))
+    assert expand_bv_generators(w + invert(w)) == ()
+
+
 def test_random_word_bounds():
     rng = random.Random(0)
     for _ in range(100):
