@@ -103,9 +103,10 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
 def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
     """Decide whether a braid word represents the trivial braid."""
     check_alphabet(w, _BRAID_ALPHABET, "is_trivial_braid")
-    w = free_reduce(w)
     if not w:
         return True
+    # free reduction keeps the exponent sum and the permutation, and
+    # ``handle_reduce`` reduces the word itself
     if exponent_sum(w) != 0:
         return False
     if not from_adjacent_transpositions(g.index for g in w).is_identity():

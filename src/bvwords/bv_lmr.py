@@ -443,9 +443,6 @@ class Monosyllable:
     def word(self) -> Word:
         return _decode([*self.pre, self.core, *self.post])
 
-    def height(self) -> HeightSet:
-        return word_height(self.word())
-
     def single_height(self) -> int:
         top = self.core & ~7
         if max(self.pre, default=-1) >= top or max(self.post, default=-1) >= top:
@@ -474,14 +471,14 @@ def mono_raise(
     syl: Monosyllable,
     op: Literal["a", "d"],
     m: int | None = None,
-) -> tuple[tuple[int, ...], Monosyllable, tuple[int, ...]]:
+) -> tuple[Monosyllable, int | None]:
     """One height-raising move on a monosyllable of single height h.
 
-    op="a":  M        ~  M' v_j'          (returns ((), M', (v_j',)))
+    op="a":  M        ~  M' v_j'
     op="d":  v_m' M   ~  M'  or  M' v_j'  (0 <= m < h)
 
-    In both cases M' is again a monosyllable, of height {h + 1}, and any
-    emitted index j satisfies j < h; the emitted letter is a code.  The
+    Returns M' and the code of the spilled ``v_j'``, or None.  In both
+    cases M' is again a monosyllable, of height {h + 1}, and j < h.  The
     core moves are the two rearrangements of pbv-absorb,
 
         pb_(h-1)^e  =  p_(h-1)^e pb_h^e v_(h-1)'
@@ -492,11 +489,10 @@ def mono_raise(
     the strand at ``h - m`` on the left for op "d" and at 0 for op "a".
     It leaves on the right at ``h - j``, or at 0 when nothing spills.
 
-    The leftward moves are these on the inverse syllable.  Write
-    ``mirror(P, M', S) = (invert(S), M'.inverse(), invert(P))``; then
+    The leftward moves are these on the inverse syllable, inverted back:
 
-        M      ~  v_j M'            is  mirror(mono_raise(syl.inverse(), "a"))
-        M v_m  ~  M'  or  v_j M'    is  mirror(mono_raise(syl.inverse(), "d", m))
+        M      ~  v_j M'            from  mono_raise(syl.inverse(), "a")
+        M v_m  ~  M'  or  v_j M'    from  mono_raise(syl.inverse(), "d", m)
     """
     h = syl.single_height()
     if op == "d":
@@ -509,13 +505,13 @@ def mono_raise(
     core, p_core = syl.core + 8, syl.core - 2
     if op == "a":
         post, j = pi_action(syl.post, h - 1)
-        return (), Monosyllable(syl.pre + (p_core,), core, post), (j << 3 | 1,)
+        return Monosyllable(syl.pre + (p_core,), core, post), j << 3 | 1
     if op == "d":
         pre, k = pi_action(syl.pre, m)
         if k == h - 1:
-            return (), Monosyllable(pre, core, (p_core,) + syl.post), ()
+            return Monosyllable(pre, core, (p_core,) + syl.post), None
         post, j = pi_action(syl.post, k)
-        return (), Monosyllable(pre, core, post), (j << 3 | 1,)
+        return Monosyllable(pre, core, post), j << 3 | 1
     raise ValueError(f"mono_raise: unknown op {op!r}")
 
 
@@ -535,12 +531,8 @@ def raise_word_heights(syllables: Sequence[Monosyllable]) -> tuple[list[Monosyll
     out: list[Monosyllable] = []
     carry: int | None = None
     for syl in syllables:
-        if carry is None:
-            _, new, spill = mono_raise(syl, "a")
-        else:
-            _, new, spill = mono_raise(syl, "d", m=carry >> 3)
+        new, carry = mono_raise(syl, "a") if carry is None else mono_raise(syl, "d", m=carry >> 3)
         out.append(new)
-        carry = spill[0] if spill else None
     return out, carry
 
 
@@ -555,25 +547,25 @@ def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
 
 def raise_m(
     syllables: Sequence[Monosyllable], side: Literal["left", "right"]
-) -> tuple[list[Monosyllable], list[int]] | tuple[list[int], list[Monosyllable]]:
+) -> tuple[list[Monosyllable], int | None]:
     """Raise a middle of one height, given as its syllables, by one.
 
-    side="right":  M ~ first + second, second an inverse v code (len <= 1)
-    side="left":   M ~ first + second, first a positive v code (len <= 1)
+    side="right":  M ~ M' v_j'   or  M'
+    side="left":   M ~ v_j M'    or  M'
 
-    The left raise is the right one on the inverted list, inverted back.
-    A raise cables one strand of the middle's braid, so its letters do
-    not depend on where the middle is cut into syllables.
+    Returns the raised syllables and the spilled v code, or None.  The
+    left raise is the right one on the inverted list, inverted back.  A
+    raise cables one strand of the middle's braid, so its letters do not
+    depend on where the middle is cut into syllables.
     """
     if side not in ("left", "right"):
         raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
     if len({s.core >> 3 for s in syllables}) != 1:
         raise ValueError("raise_m: the middle must be syllables of one height")
     if side == "right":
-        raised, spill = raise_word_heights(syllables)
-        return raised, [] if spill is None else [spill]
+        return raise_word_heights(syllables)
     raised, spill = raise_word_heights([s.inverse() for s in reversed(syllables)])
-    return [] if spill is None else [spill ^ 1], [s.inverse() for s in reversed(raised)]
+    return [s.inverse() for s in reversed(raised)], None if spill is None else spill ^ 1
 
 
 # ---------------------------------------------------------------------------
@@ -664,51 +656,52 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
     return left_spill, codes, right_spill
 
 
+def _raise_suffixes(syllables: list[Monosyllable], heights: list[int], targets: list[int],
+                    budget: Budget) -> list[int]:
+    """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
+    right end down to 1, in place; return the spills in the order made.
+
+    Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
+    j is first raised at step j, which makes ``targets[j - 1] - heights[j]``
+    raises (``heights`` as given), each one step of ``equalize_heights``.
+    """
+    spills: list[int] = []
+    for j in range(len(syllables) - 1, 0, -1):
+        for _ in range(targets[j - 1] - heights[j]):
+            budget.spend("equalize_heights")
+            syllables[j:], spill = raise_word_heights(syllables[j:])
+            if spill is not None:
+                spills.append(spill)
+    return spills
+
+
 def _equalize_heights(
     syllables: list[Monosyllable],
     budget: Budget,
 ) -> tuple[list[int], list[Monosyllable], list[int]]:
-    """Bring all syllable heights to a common value.
+    """Bring all syllable heights to a common value: ``_raise_suffixes``
+    run twice.
 
-    Two sweeps.  The first makes the heights nondecreasing by raising
-    suffix blocks (always nondecreasing, by induction from the right),
-    spilling inverse v letters past the word's right end.  Raising
-    ``syllables[j:]`` leaves ``syllables[:j]`` alone, so each target, the
-    largest height left of j, is a prefix maximum of the heights as given.
-    The second sweep levels each prefix up to the next height: a leveled
-    prefix has constant heights, so its inversion is again nondecreasing
-    and the right-spilling raise applies, with the spill inverting back to
-    a positive v letter past the word's left end.  The second sweep keeps
-    the whole list inverted while it runs, so each syllable is inverted
-    twice in all rather than twice per raise.  Returns (left spill,
-    syllables, right spill), the spills as codes.
+    The first sweep, with the prefix maxima as targets, makes the heights
+    nondecreasing (suffix blocks stay so, by induction from the right),
+    spilling inverse v letters past the word's right end.  The second
+    levels each prefix up to the next height: a leveled prefix has
+    constant heights, so its inversion is again nondecreasing and the
+    right-spilling raise applies.  It runs on the inverted list, with that
+    list's own heights as targets, and each spill inverts back to a
+    positive v letter past the word's left end.  A syllable and its
+    inverse have the same height, so each sweep reads the heights once.
+    Returns (left spill, syllables, right spill), the spills as codes.
     """
-    right_spill: list[int] = []
-    targets = list(accumulate((s.single_height() for s in syllables), max))
-    for j in range(len(syllables) - 1, 0, -1):
-        while syllables[j].single_height() < targets[j - 1]:
-            budget.spend("equalize_heights")
-            raised, spill = raise_word_heights(syllables[j:])
-            syllables[j:] = raised
-            if spill is not None:
-                right_spill.append(spill)
+    heights = [s.single_height() for s in syllables]
+    right_spill = _raise_suffixes(syllables, heights, list(accumulate(heights, max)), budget)
     right_spill.reverse()
 
     left_spill: list[int] = []
-    n = len(syllables)
-    if syllables[0].single_height() < max(s.single_height() for s in syllables):
-        # A syllable and its inverse have the same height, so the sweep
-        # runs on the inverted list, where the prefix syllables[:j] is
-        # inv[n - j:], and inverts back once at the end.
+    heights = [s.single_height() for s in reversed(syllables)]
+    if heights[-1] < heights[0]:
         inv = [s.inverse() for s in reversed(syllables)]
-        for j in range(1, n):
-            target = inv[n - 1 - j].single_height()
-            while inv[-1].single_height() < target:
-                budget.spend("equalize_heights")
-                raised, spill = raise_word_heights(inv[n - j:])
-                inv[n - j:] = raised
-                if spill is not None:
-                    left_spill.append(spill ^ 1)
+        left_spill = [x ^ 1 for x in _raise_suffixes(inv, heights, heights, budget)]
         syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.single_height() for s in syllables}
     if len(heights) != 1:
@@ -751,12 +744,13 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
         if k1 <= h and k2 <= h:
             break
         budget.spend("to_third_form")
-        if k1 <= h < k2 or (k1 > h and k2 > h):
-            emitted, syllables = raise_m(syllables, "left")
-            left += emitted
-        else:
-            syllables, emitted = raise_m(syllables, "right")
-            right[:0] = emitted
+        # spill away from a part whose bound still exceeds h, R' first
+        syllables, spill = raise_m(syllables, "left" if k2 > h else "right")
+        if spill is not None:
+            if k2 > h:
+                left.append(spill)
+            else:
+                right.insert(0, spill)
         h += 1
 
     m_word = _decode(_concat_syllables(syllables))

@@ -25,7 +25,7 @@ import os
 import random
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bv_lmr import LMRForm, to_third_form
 from .hatgroups import GroupMode, canonicalize_hat
@@ -113,7 +113,7 @@ def _check_options(args: argparse.Namespace) -> None:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     if args.group == "F":
-        p, n = f_fraction(w, _budget(args))
+        p, n = _in_group(args.group, f_fraction, w, _budget(args))
         record = {
             "command": "normalize", "group": "F", "input": args.word,
             "positive": list(p.indices), "negative": list(n.indices),
@@ -122,7 +122,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         _emit(args, record, human)
         return EXIT_TRUE
     mode = GroupMode(args.group)
-    fr = canonicalize_hat(w, mode, _budget(args))
+    fr = _in_group(args.group, canonicalize_hat, w, mode, _budget(args))
     if mode is GroupMode.VHAT:
         beta_repr = repr(fr.beta)
     else:
@@ -158,17 +158,21 @@ def _cmd_lmr(args: argparse.Namespace) -> int:
     return EXIT_TRUE
 
 
-def _verdict(args: argparse.Namespace, w: Word, budget: Budget) -> bool:
-    """The verdict of the group's first decider.
+def _in_group(group: str, fn: Callable, *fn_args: object):
+    """``fn(*fn_args)``, run for a command of the given ``--group``.
 
     A letter outside the group's alphabet is reported with the group named
     first, ahead of the library function that found it.
     """
-    _, decide = DECIDERS[GroupId(args.group)][0]
     try:
-        return decide(w, budget)
+        return fn(*fn_args)
     except AlphabetError as e:
-        raise AlphabetError(f"group {args.group}: {e}") from e
+        raise AlphabetError(f"group {group}: {e}") from e
+
+
+def _verdict(args: argparse.Namespace, w: Word, budget: Budget) -> bool:
+    _, decide = DECIDERS[GroupId(args.group)][0]  # the group's first decider
+    return _in_group(args.group, decide, w, budget)
 
 
 def _cmd_trivial(args: argparse.Namespace) -> int:

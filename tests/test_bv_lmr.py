@@ -81,8 +81,9 @@ def pi_action_right(w, m):
 
 
 def mono_raise_letters(syl, op, m=None):
-    prefix, new, suffix = mono_raise(syl, op, m=m)
-    return _decode(prefix), new, _decode(suffix)
+    """``mono_raise`` with the spill as a word of zero or one letters."""
+    new, spill = mono_raise(syl, op, m=m)
+    return new, _decode([] if spill is None else [spill])
 
 
 def raise_word_heights_letters(syllables):
@@ -102,12 +103,14 @@ def opi_commute_left(m, k, e):
 
 
 def mono_raise_op(syl, op, m=None):
-    """Ops "b" and "c" are the mirrors of "a" and "d" on the inverse
-    syllable, with mirror(P, M, S) = (S', M.inverse(), P')."""
+    """A raise as (prefix, M', suffix).  Ops "a" and "d" spill on the
+    right; "b" and "c" are their mirrors on the inverse syllable, inverted
+    back, and spill on the left."""
     if op in ("a", "d"):
-        return mono_raise_letters(syl, op, m=m)
-    prefix, new, suffix = mono_raise_letters(syl.inverse(), {"b": "a", "c": "d"}[op], m=m)
-    return invert(suffix), new.inverse(), invert(prefix)
+        new, spill = mono_raise_letters(syl, op, m=m)
+        return (), new, spill
+    new, spill = mono_raise_letters(syl.inverse(), {"b": "a", "c": "d"}[op], m=m)
+    return invert(spill), new.inverse(), ()
 
 
 def random_single_height_syllable(rng):
@@ -267,11 +270,11 @@ def test_monosyllable_structure():
     with pytest.raises(AlphabetError):
         syllable((pibar(0),), pibar(1), ())
     syl = syllable((pi(0),), pibar(2), (pi(1, -1),))
-    assert syl.height() == HeightSet.singleton(3)
+    assert word_height(syl.word()) == HeightSet.singleton(3)
     assert syl.single_height() == 3
     assert syl.inverse().word() == invert(syl.word())
     gap = syllable((pi(2),), pibar(2), ())
-    assert gap.height() == HeightSet.empty()
+    assert word_height(gap.word()) == HeightSet.empty()
     with pytest.raises(ValueError):
         gap.single_height()
 
@@ -285,8 +288,8 @@ def test_split_monosyllables():
 
 def test_mono_raise_examples():
     base = syllable((), pibar(0), ())
-    prefix, new, suffix = mono_raise_letters(base, "a")
-    assert prefix == () and suffix == (vgen(0, -1),)
+    new, spill = mono_raise_letters(base, "a")
+    assert spill == (vgen(0, -1),)
     assert new == syllable((pi(0),), pibar(1), ())
     prefix, new, suffix = mono_raise_op(base, "c", m=0)
     assert prefix == () and suffix == ()
@@ -392,7 +395,7 @@ def test_raising_cables_one_strand(syl):
     h = syl.single_height()
     braid = m_to_sigma(syl.word(), h)
     for op, m in [("a", None)] + [("d", m) for m in range(h)]:
-        _, new, spill = mono_raise_letters(syl, op, m=m)
+        new, spill = mono_raise_letters(syl, op, m=m)
         top = 0 if m is None else h - m
         end = strand_end(braid, top)
         if op == "a":

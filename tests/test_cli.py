@@ -170,12 +170,18 @@ def test_sinf_rejects_p_letters(capsys):
     ("V", "s0", "error: group V: to_first_form: letter s0 not in alphabet p/pb/v"),
     ("BV", "p0 l1", "error: group BV: to_first_form: letter l1 not in alphabet p/pb/v"),
     ("Sinf", "p0 p0", "error: group Sinf: from_sigma_word: letter p0 not in alphabet s"),
+    ("F", "s0", "error: group F: f_fraction: letter s0 not in alphabet l"),
+    ("Vhat", "l0 v1", "error: group Vhat: canonicalize_hat: letter v1 not in alphabet l/s"),
+    ("BVhat", "p0", "error: group BVhat: canonicalize_hat: letter p0 not in alphabet l/s"),
 ])
 def test_alphabet_error_names_the_group(capsys, group, word, message):
     code, out, err = run(capsys, "trivial", "--group", group, word)
     assert (code, out, err) == (2, "", message + "\n")
     code, out, err = run(capsys, "equal", "--group", group, word, "")
     assert (code, out, err) == (2, "", message + "\n")
+    if group in ("F", "Vhat", "BVhat"):
+        code, out, err = run(capsys, "normalize", "--group", group, word)
+        assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_step_cap_exit(capsys):

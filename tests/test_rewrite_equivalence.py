@@ -930,17 +930,18 @@ def test_raise_word_heights_matches_letter_chain(w, times):
         for syl, ref_syl in zip(coded, ref):
             h = syl.single_height()
             for op, m in [("a", None)] + [("d", m) for m in range(h)]:
-                prefix, new, suffix = mono_raise(syl, op, m=m)
+                new, spill = mono_raise(syl, op, m=m)
                 ref_prefix, ref_new, ref_suffix = _ref_mono_raise(ref_syl, op, m=m)
-                assert (_decode(prefix), new.word(), _decode(suffix)) == (ref_prefix, ref_new.word(), ref_suffix)
+                spilled = _decode([] if spill is None else [spill])
+                assert ((), new.word(), spilled) == (ref_prefix, ref_new.word(), ref_suffix)
 
 
 def raise_m_joined(syllables, side):
-    """``raise_m`` with the raised syllables joined into one code list."""
-    first, second = raise_m(syllables, side)
-    if side == "left":
-        return first, _concat_syllables(second)
-    return _concat_syllables(first), second
+    """``raise_m`` as the code lists ``first + second`` of ``_ref_raise_m``:
+    the raised syllables joined, with the spill (if any) on its side."""
+    raised, spill = raise_m(syllables, side)
+    joined, emitted = _concat_syllables(raised), [] if spill is None else [spill]
+    return (emitted, joined) if side == "left" else (joined, emitted)
 
 
 @SETTINGS
