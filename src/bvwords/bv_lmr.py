@@ -44,10 +44,16 @@ in p coordinates.
 
 From the first form on, the route works on int-coded letters
 ``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
-repair and every raise, where the syllables hold codes too.  The middle
-is split into syllables once and joined once: a raise cables one strand,
-so it does not depend on where the cuts fall.  Letters are decoded once,
-when ``to_third_form`` returns.
+repair and every raise.  The repaired middle is split into syllables
+once: a raise cables one strand, so it does not depend on where the cuts
+fall.  BV and ``to_third_form`` (so ``bvwords lmr``) hold each syllable
+as a ``Monosyllable`` of codes, join them once and decode the letters
+once, when ``to_third_form`` returns.  V needs only the strand
+permutation of the middle, so ``is_trivial_bv`` holds V's syllables as
+a height and two flank permutations (``_PermSyllable``), and a raise
+cables a list of h positions instead of a word.  Equalization and the
+final raises are shared by the two holdings: they take the syllable
+raise as an argument.
 """
 
 from __future__ import annotations
@@ -55,11 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .braid import is_trivial_braid
 from .limits import Budget
-from .perms import from_sigma_word
+from .perms import from_adjacent_transpositions
 from .thompson_f import is_trivial_f
 from .words import (
     _TRUE,
@@ -279,8 +285,11 @@ def _decode(codes: list[int]) -> Word:
     """The letters of a code list.
 
     Each distinct code's letter is built once, in a ``{code: Gen}`` table
-    that lives only for the call.
+    that lives only for the call; an empty list, as L and R often are,
+    builds none.
     """
+    if not codes:
+        return ()
     table = {x: Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in set(codes)}
     return tuple(map(table.__getitem__, codes))
 
@@ -562,10 +571,121 @@ def raise_m(
         raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
     if len({s.core >> 3 for s in syllables}) != 1:
         raise ValueError("raise_m: the middle must be syllables of one height")
+    return _raise_side(syllables, side, raise_word_heights)
+
+
+def _raise_side(syllables: Sequence, side: str, raise_heights: Callable) -> tuple[list, int | None]:
+    """``raise_m``'s raise for either holding of the syllables, given the
+    right-spilling ``raise_heights``."""
     if side == "right":
-        return raise_word_heights(syllables)
-    raised, spill = raise_word_heights([s.inverse() for s in reversed(syllables)])
+        return raise_heights(syllables)
+    raised, spill = raise_heights([s.inverse() for s in reversed(syllables)])
     return [s.inverse() for s in reversed(raised)], None if spill is None else spill ^ 1
+
+
+# ---------------------------------------------------------------------------
+# Strand permutations: the syllables of the V route
+#
+# A flank of height h is held as its permutation of the p positions
+# 0..h-1, a one-line list ``f`` with ``f[y]`` where position y ends up,
+# the letters applied left to right (``p_i`` swaps positions i and i + 1).
+# The core ``pb_(h-1)`` swaps positions h - 1 and h.
+
+
+def _flank_perm(codes: Sequence[int], h: int) -> list[int]:
+    """The permutation of a p word on the positions 0..h-1."""
+    line = list(range(h))
+    for x in reversed(codes):    # each letter acts after those left of it
+        i = x >> 3
+        line[i], line[i + 1] = line[i + 1], line[i]
+    return line
+
+
+def _perm_inverse(f: list[int]) -> list[int]:
+    inv = [0] * len(f)
+    for y, z in enumerate(f):
+        inv[z] = y
+    return inv
+
+
+def _cable(f: list[int], m: int) -> tuple[list[int], int]:
+    """Double the strand that enters a flank at position m.
+
+    Returns the cabled flank, one position longer, and ``c = f[m]``, where
+    the strand leaves: ``pi_action`` makes this map on the flank's letters
+    and returns the same c.
+    """
+    c = f[m]
+    g = [y + (y >= c) for y in f]
+    g[m:m + 1] = c, c + 1
+    return g, c
+
+
+class _PermSyllable(NamedTuple):
+    """A monosyllable of height h held as its flank permutations.
+
+    It has the two methods of a ``Monosyllable`` that equalization reads.
+    """
+
+    h: int
+    pre: list[int]
+    post: list[int]
+
+    @classmethod
+    def of(cls, syl: Monosyllable) -> "_PermSyllable":
+        h = syl.single_height()
+        return cls(h, _flank_perm(syl.pre, h), _flank_perm(syl.post, h))
+
+    def single_height(self) -> int:
+        return self.h
+
+    def inverse(self) -> "_PermSyllable":
+        return _PermSyllable(self.h, _perm_inverse(self.post), _perm_inverse(self.pre))
+
+
+def _cable_raise(syllables: Sequence[_PermSyllable]) -> tuple[list[_PermSyllable], int | None]:
+    """``raise_word_heights`` on flank permutations, each raise in O(h).
+
+    Op "a" cables ``post`` at h - 1 and appends the core's old swap
+    (h - 1, h) to ``pre``; op "d" cables ``pre`` at the carried index,
+    and then either prepends that swap to ``post``, when the strand leaves
+    at h - 1, or cables ``post`` where it leaves.  Spills are v codes, as
+    from ``raise_word_heights``.
+    """
+    heights = [s.h for s in syllables]
+    if heights != sorted(heights):
+        raise ValueError(f"_cable_raise: heights must be nondecreasing, got {heights}")
+    out: list[_PermSyllable] = []
+    carry: int | None = None
+    for h, pre, post in syllables:
+        if carry is None:
+            pre = [h if y == h - 1 else y for y in pre] + [h - 1]
+            post, j = _cable(post, h - 1)
+        else:
+            pre, k = _cable(pre, carry >> 3)
+            if k == h - 1:
+                post, j = post[:h - 1] + [h, post[h - 1]], None
+            else:
+                post, j = _cable(post, k)
+        carry = None if j is None else j << 3 | 1
+        out.append(_PermSyllable(h + 1, pre, post))
+    return out, carry
+
+
+def _perm_syllables(codes: list[int]) -> list[_PermSyllable]:
+    return [_PermSyllable.of(s) for s in split_monosyllables(codes)]
+
+
+def _middle_is_identity(syllables: Sequence[_PermSyllable], k: int) -> bool:
+    """Whether the syllables of height k, read left to right, fix every
+    position 0..k."""
+    line = list(range(k + 1))
+    for _, pre, post in syllables:
+        post = post + [k]
+        post[k - 1], post[k] = k, post[k - 1]    # the core's swap, then post
+        pre = pre + [k]
+        line = [post[pre[y]] for y in line]
+    return line == list(range(k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -656,31 +776,34 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
     return left_spill, codes, right_spill
 
 
-def _raise_suffixes(syllables: list[Monosyllable], heights: list[int], targets: list[int],
-                    budget: Budget) -> list[int]:
+def _raise_suffixes(syllables: list, heights: list[int], targets: list[int],
+                    budget: Budget, raise_heights: Callable) -> list[int]:
     """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
     right end down to 1, in place; return the spills in the order made.
 
     Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
     j is first raised at step j, which makes ``targets[j - 1] - heights[j]``
-    raises (``heights`` as given), each one step of ``equalize_heights``.
+    raises (``heights`` as given), each one step of ``equalize_heights``
+    and one call of ``raise_heights``.
     """
     spills: list[int] = []
     for j in range(len(syllables) - 1, 0, -1):
         for _ in range(targets[j - 1] - heights[j]):
             budget.spend("equalize_heights")
-            syllables[j:], spill = raise_word_heights(syllables[j:])
+            syllables[j:], spill = raise_heights(syllables[j:])
             if spill is not None:
                 spills.append(spill)
     return spills
 
 
 def _equalize_heights(
-    syllables: list[Monosyllable],
+    syllables: list,
     budget: Budget,
-) -> tuple[list[int], list[Monosyllable], list[int]]:
+    raise_heights: Callable,
+) -> tuple[list[int], list, list[int]]:
     """Bring all syllable heights to a common value: ``_raise_suffixes``
-    run twice.
+    run twice, raising with ``raise_heights`` (``raise_word_heights`` on
+    ``Monosyllable`` lists, ``_cable_raise`` on ``_PermSyllable`` ones).
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
@@ -694,14 +817,15 @@ def _equalize_heights(
     Returns (left spill, syllables, right spill), the spills as codes.
     """
     heights = [s.single_height() for s in syllables]
-    right_spill = _raise_suffixes(syllables, heights, list(accumulate(heights, max)), budget)
+    right_spill = _raise_suffixes(syllables, heights, list(accumulate(heights, max)), budget,
+                                  raise_heights)
     right_spill.reverse()
 
     left_spill: list[int] = []
     heights = [s.single_height() for s in reversed(syllables)]
     if heights[-1] < heights[0]:
         inv = [s.inverse() for s in reversed(syllables)]
-        left_spill = [x ^ 1 for x in _raise_suffixes(inv, heights, heights, budget)]
+        left_spill = [x ^ 1 for x in _raise_suffixes(inv, heights, heights, budget, raise_heights)]
         syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.single_height() for s in syllables}
     if len(heights) != 1:
@@ -728,11 +852,38 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
                 _height_bound(g.index for g in reversed(first.R)), height.value)
         return LMRForm(first.L, first.M, first.R, height, k)
 
+    # the raises are looked up by name at each call, so a wrapper bound to
+    # the module name sees them all
+    left, syllables, right, h = _raise_to_third_form(
+        first, budget, split_monosyllables,
+        lambda s: raise_word_heights(s), lambda s, side: raise_m(s, side))
+    m_word = _decode(_concat_syllables(syllables))
+    height = word_height(m_word)
+    if not height.contains(h):
+        raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")
+    return LMRForm(_decode(left), m_word, _decode(right), height, h)
+
+
+def _raise_to_third_form(
+    first: LMRForm,
+    budget: Budget,
+    split: Callable[[list[int]], list],
+    raise_heights: Callable,
+    raise_middle: Callable,
+) -> tuple[list[int], list, list[int], int]:
+    """The part of ``to_third_form`` after the first form, for a middle
+    with a pb letter, in either holding of the syllables.
+
+    ``split`` cuts the repaired middle's codes into syllables,
+    ``raise_heights`` is ``raise_word_heights`` for them and
+    ``raise_middle`` is ``raise_m``.  Returns L's and R's codes, the
+    syllables and their common height k.
+    """
     left, right = _encode(first.L), _encode(first.R)
     lspill, middle, rspill = _repair_syllable_heights(_encode(first.M), budget)
     left += lspill
     right[:0] = rspill
-    lspill, syllables, rspill = _equalize_heights(split_monosyllables(middle), budget)
+    lspill, syllables, rspill = _equalize_heights(split(middle), budget, raise_heights)
     left += lspill
     right[:0] = rspill
     h = syllables[0].single_height()
@@ -745,19 +896,14 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
             break
         budget.spend("to_third_form")
         # spill away from a part whose bound still exceeds h, R' first
-        syllables, spill = raise_m(syllables, "left" if k2 > h else "right")
+        syllables, spill = raise_middle(syllables, "left" if k2 > h else "right")
         if spill is not None:
             if k2 > h:
                 left.append(spill)
             else:
                 right.insert(0, spill)
         h += 1
-
-    m_word = _decode(_concat_syllables(syllables))
-    height = word_height(m_word)
-    if not height.contains(h):
-        raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")
-    return LMRForm(_decode(left), m_word, _decode(right), height, h)
+    return left, syllables, right, h
 
 
 def m_to_sigma(m_word: Word, h: int) -> Word:
@@ -778,21 +924,34 @@ def m_to_sigma(m_word: Word, h: int) -> Word:
 def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     """Decide the word problem of V or BV.
 
-    Trivial iff the middle's braid translation is trivial (its strand
-    permutation, for V) and the outer v letters, read as monoid letters,
-    are trivial in F.
+    Trivial iff the middle of the third form is trivial and the outer v
+    letters, read as monoid letters, are trivial in F; all phases, the F
+    check too, spend from one budget.  BV translates the middle of
+    ``to_third_form`` into a braid word and reduces it.  V needs only the
+    middle's strand permutation: it makes the same raises, with the same
+    steps and spills, on flank permutations, and checks that their product
+    fixes every strand.
     """
     budget = budget if budget is not None else Budget()
-    form = to_third_form(w, budget)
-    sigma = m_to_sigma(form.M, form.k)
     if mode is BVMode.BV:
-        if not is_trivial_braid(sigma, budget):
+        form = to_third_form(w, budget)
+        if not is_trivial_braid(m_to_sigma(form.M, form.k), budget):
             return False
+        outer = form.L + form.R
     else:
-        if not from_sigma_word(sigma).is_identity():
-            return False
-    outer = tuple(Gen(Family.LAMBDA, g.index, g.exponent) for g in form.L + form.R)
-    return is_trivial_f(outer)
+        first = to_first_form(w, budget)
+        if all(g.family is Family.PI for g in first.M):
+            if not from_adjacent_transpositions(g.index for g in first.M).is_identity():
+                return False
+            outer = first.L + first.R
+        else:
+            left, syllables, right, k = _raise_to_third_form(
+                first, budget, _perm_syllables, _cable_raise,
+                lambda s, side: _raise_side(s, side, _cable_raise))
+            if not _middle_is_identity(syllables, k):
+                return False
+            outer = _decode(left + right)
+    return is_trivial_f(tuple(Gen(Family.LAMBDA, g.index, g.exponent) for g in outer), budget)
 
 
 def equal_bv(w1: Word, w2: Word, mode: BVMode, budget: Budget | None = None) -> bool:

@@ -44,7 +44,7 @@ from bvwords.words import (
     sig,
     vgen,
 )
-from test_rewrite_equivalence import opi_commute, raise_m_joined
+from test_rewrite_equivalence import _ref_is_trivial_v, opi_commute, raise_m_joined
 
 BV_FAMILIES = (Family.V, Family.PI, Family.PIBAR)
 
@@ -527,3 +527,21 @@ def test_budget_propagation():
         to_third_form(w, Budget(limit=1))
     with pytest.raises(StepLimitExceeded):
         is_trivial_bv(w, BVMode.BV, Budget(limit=1))
+    # V decides on strand permutations: at every cap below its total it
+    # stops where the word path does, in the same phase; the second word
+    # spends in all four phases of the LMR route
+    phases = set()
+    for w in (w, (vgen(4), pibar(4), vgen(0), pi(3, -1), pi(2, -1), pibar(2))):
+        budget = Budget()
+        verdict = _ref_is_trivial_v(w, budget)
+        total = budget.used
+        for cap in range(1, total):
+            with pytest.raises(StepLimitExceeded) as ref:
+                _ref_is_trivial_v(w, Budget(cap))
+            with pytest.raises(StepLimitExceeded) as got:
+                is_trivial_bv(w, BVMode.V, Budget(cap))
+            assert got.value.operation == ref.value.operation
+            phases.add(got.value.operation)
+        budget = Budget(total)
+        assert is_trivial_bv(w, BVMode.V, budget) == verdict and budget.used == total
+    assert phases == {"to_first_form", "repair_heights", "equalize_heights", "to_third_form"}

@@ -23,15 +23,22 @@ from hypothesis import strategies as st
 from bvwords.braid import handle_reduce
 from bvwords.bv_lmr import (
     _FAMILY,
+    BVMode,
     HeightSet,
     Monosyllable,
+    _cable,
+    _cable_raise,
     _concat_syllables,
     _decode,
     _encode,
     _equalize_heights,
+    _flank_perm,
     _flush_v_letters,
     _invert_codes,
+    _PermSyllable,
+    _raise_side,
     _repair_syllable_heights,
+    is_trivial_bv,
     letter_height,
     m_to_sigma,
     mono_raise,
@@ -40,12 +47,14 @@ from bvwords.bv_lmr import (
     raise_word_heights,
     split_monosyllables,
     to_first_form,
+    to_third_form,
     word_height,
 )
 from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
-from bvwords.thompson_f import f_fraction, normalize_monoid
+from bvwords.presentations import FAMILIES, GroupId, finite_presentation_instances, instantiate_family
+from bvwords.thompson_f import f_fraction, is_trivial_f, normalize_monoid
 from bvwords.words import (
     AlphabetError,
     Family,
@@ -282,6 +291,15 @@ def _ref_m_to_sigma(m_word, h):
         else:
             out.append(Gen(Family.SIGMA, h - 1 - g.index, g.exponent))
     return tuple(out)
+
+
+def _ref_is_trivial_v(w, budget):
+    """V's verdict by the word path: the public third form, its middle as
+    a braid word, that word's permutation image, and the outer F check."""
+    form = to_third_form(w, budget)
+    if not from_sigma_word(m_to_sigma(form.M, form.k)).is_identity():
+        return False
+    return is_trivial_f(tuple(lam(g.index, g.exponent) for g in form.L + form.R), budget)
 
 
 def _ref_word_height(w):
@@ -903,7 +921,7 @@ def test_equalize_heights_matches_full_inversion(w, cap):
         return
 
     def coded(budget):
-        left, syllables, right = _equalize_heights(split_monosyllables(_encode(middle)), budget)
+        left, syllables, right = _equalize_heights(split_monosyllables(_encode(middle)), budget, raise_word_heights)
         return _decode(left), [s.word() for s in syllables], _decode(right)
 
     def ref(budget):
@@ -951,7 +969,7 @@ def test_raise_m_matches_code_list_raise(w, data):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    _, syllables, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP))
+    _, syllables, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP), raise_word_heights)
     codes = _concat_syllables(syllables)
     # the same letters cut elsewhere: part of one syllable's ``pre`` moved
     # into the previous syllable's ``post``
@@ -968,3 +986,79 @@ def test_raise_m_matches_code_list_raise(w, data):
         expected = _ref_raise_m(codes, side)
         assert raise_m_joined(syllables, side) == expected
         assert raise_m_joined(regrouped, side) == expected
+
+
+def p_flanks(low=2, high=12):
+    """(h, p codes of indices below h - 1, an entry position m < h)."""
+    return st.integers(low, high).flatmap(lambda h: st.tuples(
+        st.just(h),
+        st.lists(st.builds(lambda i, neg: i << 3 | 2 | neg, st.integers(0, h - 2), st.integers(0, 1)),
+                 max_size=30),
+        st.integers(0, h - 1)))
+
+
+@SETTINGS
+@given(p_flanks())
+def test_pi_action_cables_the_flank_permutation(case):
+    # the letters ``pi_action`` writes have, as a permutation, the list
+    # cabling of the input's permutation, and the strand leaves where it says
+    h, codes, m = case
+    out, k = pi_action(codes, m)
+    assert (_flank_perm(out, h + 1), k) == _cable(_flank_perm(codes, h), m)
+
+
+def _perm_syllables_of(syllables):
+    return [_PermSyllable.of(s) for s in syllables]
+
+
+@SETTINGS
+@given(letters(BV, max_index=4, max_size=16), st.integers(1, 4))
+def test_cable_raise_matches_raise_word_heights(w, times):
+    # the permutation raise against the letter raise it stands for, on a
+    # nondecreasing run and on a leveled middle raised to either side
+    middle = _repaired_middle(w)
+    if middle is None:
+        return
+    coded = sorted(split_monosyllables(_encode(middle)), key=lambda s: s.core >> 3)
+    perms = _perm_syllables_of(coded)
+    for _ in range(times):
+        coded, spill = raise_word_heights(coded)
+        perms, perm_spill = _cable_raise(perms)
+        assert (perms, perm_spill) == (_perm_syllables_of(coded), spill)
+    _, level, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP), raise_word_heights)
+    for side in ("left", "right"):
+        raised, spill = raise_m(level, side)
+        assert _raise_side(_perm_syllables_of(level), side, _cable_raise) == (_perm_syllables_of(raised), spill)
+
+
+def v_outcomes(cap, w):
+    """The capped outcome of V's permutation path and of the word path."""
+    return (capped_outcome(cap, lambda b: is_trivial_bv(w, BVMode.V, b)),
+            capped_outcome(cap, lambda b: _ref_is_trivial_v(w, b)))
+
+
+@SETTINGS
+@given(letters(BV, max_size=24), st.one_of(st.integers(1, 60), st.just(CAP)))
+def test_v_permutation_path_matches_word_path(w, cap):
+    got, ref = v_outcomes(cap, w)
+    assert got == ref
+
+
+def test_v_permutation_path_matches_word_path_on_verify_instances():
+    instances = [i for f in FAMILIES for i in instantiate_family(f, 8)] + finite_presentation_instances()
+    relators = [i.relator() for i in instances if i.group is GroupId.V]
+    assert len(relators) == 369
+    for w in relators:
+        got, ref = v_outcomes(CAP, w)
+        assert got == ref and got[0] is True
+
+
+@SETTINGS
+@given(letters(BV, max_size=24))
+def test_outer_f_check_makes_no_pushes(w):
+    # L is a positive v word and R an inverse one, so L + R read as l
+    # letters is already a fraction P N': the F check spends no step
+    form = to_third_form(w)
+    budget = Budget(CAP)
+    f_fraction(tuple(lam(g.index, g.exponent) for g in form.L + form.R), budget)
+    assert budget.used == 0
