@@ -38,15 +38,31 @@ full rescan: whether a handle closes at position ``c`` depends only on the
 letters up to ``c``, the letters before ``open`` did not change, and none
 of them closed a handle before the reduction.
 
+Most handles *commute*: their interior holds no letter of index ``k+1``
+either, which ``last[k+1] < open`` tells at once, and reducing one only
+deletes its two bounding letters.  Those are cancelled in place: both are
+marked deleted, ``last[k]`` takes the value ``prev[open]`` it held before
+``open`` was scanned, and the scan goes on at ``close + 1`` with no
+rollback.  It may skip the interior because the interior holds no letter
+of index ``k-1``, ``k`` or ``k+1``: whether an interior letter of index
+``j`` closes a handle depends only on the earlier letters of index ``j``
+and ``j-1``, and the deleted opener is neither, so no interior letter
+closes one now that failed before.  ``last`` then stands as a scan of the
+word without the pair would leave it, so the sequence of leftmost-closing
+handles is the full rescan's.  A deleted letter keeps its place in the
+list until a later splice over it or the final readout drops it; a
+rollback over it writes only a spare slot of ``last``.
+
 Two shortcuts run first: a word whose exponents do not sum to zero, or
-whose strand permutation is not the identity, is certainly nontrivial.
+whose freely reduced strand permutation is not the identity, is certainly
+nontrivial.
 """
 
 from __future__ import annotations
 
 from .limits import DEFAULT_BRAID_STEPS, Budget
 from .perms import from_adjacent_transpositions
-from .words import Family, Gen, Word, check_alphabet, free_reduce, invert
+from .words import Family, Gen, Word, check_alphabet, invert
 
 _BRAID_ALPHABET = frozenset({Family.SIGMA})
 
@@ -55,14 +71,39 @@ def exponent_sum(w: Word) -> int:
     return sum(g.exponent for g in w)
 
 
+# A deleted letter's code.  Its index, -2, names the spare slot
+# ``last[-2]``, so a rollback over it writes nothing that is read.
+_DELETED = -4
+
+
+def _free_codes(w: Word) -> list[int]:
+    """The freely reduced word as codes ``index << 1 | (exponent < 0)``;
+    a letter's inverse is its code ``^ 1``."""
+    codes: list[int] = []
+    for g in w:
+        x = g.index << 1 | (g.exponent < 0)
+        if codes and codes[-1] == x ^ 1:
+            codes.pop()
+        else:
+            codes.append(x)
+    return codes
+
+
+def _decode(codes: list[int]) -> Word:
+    """The ``s`` letters of the live codes; deleted ones are dropped."""
+    table = {x: Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1)) for x in set(codes) if x >= 0}
+    return tuple([table[x] for x in codes if x >= 0])
+
+
 def _reduce_handle(w: list[int], open_: int, close: int) -> None:
-    # on codes, adding 2 raises a letter's index by one and ^ 1 inverts it
+    # on codes, adding 2 raises a letter's index by one and ^ 1 inverts it;
+    # deleted letters inside the handle are dropped with it
     raised = w[open_] + 2
     replacement: list[int] = []
     for y in w[open_ + 1:close]:
         if y >> 1 == raised >> 1:
             replacement += [raised ^ 1, y - 2, raised]
-        else:
+        elif y >= 0:
             replacement.append(y)
     w[open_:close + 1] = replacement
 
@@ -70,48 +111,65 @@ def _reduce_handle(w: list[int], open_: int, close: int) -> None:
 def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     """Fully handle-reduce a braid word; the result is handle free.
 
-    The search runs on int-coded letters ``index << 1 | (exponent < 0)``,
-    built once from the freely reduced word and read back into letters at
-    the end; a letter's inverse is its code ``^ 1``.
+    The word is freely reduced once, on its int codes (``_free_codes``),
+    and scanned from the left.  A commuting handle is cancelled in place:
+    its two letters are marked deleted and the scan goes on past it.  Any
+    other handle is spliced by ``_reduce_handle``, which also drops the
+    deleted letters inside it, and the scan resumes at its opener.  The
+    readout drops the deleted letters left over.
     """
     check_alphabet(w, _BRAID_ALPHABET, "handle_reduce")
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
-    codes = [g.index << 1 | (g.exponent < 0) for g in free_reduce(w)]
+    codes = _free_codes(w)
     # ``check_alphabet`` admits indices >= 0 only, and reductions never
-    # raise one; ``last[-1]`` is never written, so it stands for index -1.
-    last = [-1] * (max(codes, default=0) // 2 + 2)
+    # raise one.  ``last`` has a slot per index up to the largest plus one,
+    # which stays -1 for the commuting test at the top index; then the
+    # spare slot ``last[-2]`` of deleted letters, and ``last[-1]``, never
+    # written, which stands for index -1.
+    last = [-1] * (max(codes, default=0) // 2 + 4)
     prev: list[int] = []
-    pos = 0
-    while pos < len(codes):
+    pos, end = 0, len(codes)
+    while pos < end:
         x = codes[pos]
         k = x >> 1
         at = last[k]
         if at > last[k - 1] and codes[at] == x ^ 1:
             budget.spend("handle_reduce")
+            if last[k + 1] < at:    # commuting: cancel the pair in place
+                codes[at] = codes[pos] = _DELETED
+                last[k] = prev[at]
+                prev.append(-1)     # keeps prev[p] at position p
+                pos += 1
+                continue
             for p in range(pos - 1, at - 1, -1):
                 last[codes[p] >> 1] = prev[p]
             del prev[at:]
             _reduce_handle(codes, at, pos)
-            pos = at
+            pos, end = at, len(codes)
         else:
             prev.append(at)
             last[k] = pos
             pos += 1
-    return tuple([Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1)) for x in codes])
+    return _decode(codes)
 
 
 def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
-    """Decide whether a braid word represents the trivial braid."""
+    """Decide whether a braid word represents the trivial braid.
+
+    The exponent sum is read off the word as given.  The word is then
+    freely reduced once: an empty reduction is trivial, and the
+    permutation shortcut reads the reduced codes.  ``handle_reduce`` gets
+    the reduced word, in which its own free reduction cancels nothing.
+    """
     check_alphabet(w, _BRAID_ALPHABET, "is_trivial_braid")
-    if not w:
-        return True
-    # free reduction keeps the exponent sum and the permutation, and
-    # ``handle_reduce`` reduces the word itself
     if exponent_sum(w) != 0:
         return False
-    if not from_adjacent_transpositions(g.index for g in w).is_identity():
+    codes = _free_codes(w)
+    if not codes:
+        return True
+    if not from_adjacent_transpositions([x >> 1 for x in codes]).is_identity():
         return False
-    return len(handle_reduce(w, budget)) == 0
+    return len(handle_reduce(_decode(codes), budget)) == 0
 
 
 def equal_braid(w1: Word, w2: Word, budget: Budget | None = None) -> bool:

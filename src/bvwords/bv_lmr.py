@@ -436,6 +436,11 @@ class Monosyllable:
     ``core`` is the pb code.  Its height set is {core index + 1} when every
     p index lies below the core's and empty otherwise; ``single_height``
     tells the two apart with one ``max`` per flank.
+
+    The constructor checks the kind of every code.  ``inverse`` and
+    ``mono_raise`` build their results through ``_syllable``, which skips
+    that check: they only flip or raise codes of a checked syllable, and
+    ``pi_action`` checks every flank code it reads.
     """
 
     pre: tuple[int, ...]
@@ -459,7 +464,17 @@ class Monosyllable:
         return (self.core >> 3) + 1
 
     def inverse(self) -> "Monosyllable":
-        return Monosyllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
+        return _syllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
+
+
+def _syllable(pre: tuple[int, ...], core: int, post: tuple[int, ...]) -> Monosyllable:
+    """``Monosyllable(pre, core, post)`` without the per-code kind check,
+    for codes derived from a checked syllable."""
+    syl = object.__new__(Monosyllable)
+    object.__setattr__(syl, "pre", pre)
+    object.__setattr__(syl, "core", core)
+    object.__setattr__(syl, "post", post)
+    return syl
 
 
 def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
@@ -514,13 +529,13 @@ def mono_raise(
     core, p_core = syl.core + 8, syl.core - 2
     if op == "a":
         post, j = pi_action(syl.post, h - 1)
-        return Monosyllable(syl.pre + (p_core,), core, post), j << 3 | 1
+        return _syllable(syl.pre + (p_core,), core, post), j << 3 | 1
     if op == "d":
         pre, k = pi_action(syl.pre, m)
         if k == h - 1:
-            return Monosyllable(pre, core, (p_core,) + syl.post), None
+            return _syllable(pre, core, (p_core,) + syl.post), None
         post, j = pi_action(syl.post, k)
-        return Monosyllable(pre, core, post), j << 3 | 1
+        return _syllable(pre, core, post), j << 3 | 1
     raise ValueError(f"mono_raise: unknown op {op!r}")
 
 

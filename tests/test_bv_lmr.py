@@ -318,6 +318,37 @@ def test_mono_raise_preserves_element():
             assert hat_same(lhs, prefix + new.word() + suffix)
 
 
+def single_height_syllables():
+    """Syllables of a single height 1..8, their flanks of p codes below
+    the core's index."""
+    def of_height(h):
+        flank = st.lists(st.builds(lambda i, neg: i << 3 | 2 | neg, st.integers(0, h - 2), st.integers(0, 1)),
+                         max_size=12).map(tuple) if h >= 2 else st.just(())
+        return st.builds(lambda pre, neg, post: Monosyllable(pre, (h - 1) << 3 | 4 | neg, post),
+                         flank, st.integers(0, 1), flank)
+    return st.integers(1, 8).flatmap(of_height)
+
+
+def rebuilt(syl):
+    return Monosyllable(syl.pre, syl.core, syl.post)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_height_syllables(), st.data())
+def test_raised_and_inverted_syllables_pass_the_checked_constructor(syl, data):
+    # ``mono_raise`` and ``inverse`` build syllables without the per-code
+    # check; each must still be one the checked constructor accepts
+    h = syl.single_height()
+    inverse = syl.inverse()
+    assert inverse == rebuilt(inverse)
+    assert type(inverse.pre) is tuple and type(inverse.post) is tuple
+    m = data.draw(st.integers(0, h - 1))
+    for new, _ in (mono_raise(syl, "a"), mono_raise(syl, "d", m), mono_raise(inverse, "d", m)):
+        assert new == rebuilt(new)
+        assert type(new.pre) is tuple and type(new.post) is tuple
+        assert new.single_height() == h + 1
+
+
 def test_raise_word_heights():
     raised, carry = raise_word_heights_letters([syllable((), pibar(0), ())])
     assert raised == [syllable((pi(0),), pibar(1), ())] and carry == vgen(0, -1)

@@ -6,14 +6,19 @@ in the tokens ``bvwords lmr`` prints.  The figures were recorded before
 height raising moved to the int coding, so a change to repair,
 equalization or raising cannot silently change the third form.
 ``finite-v#12/bv-p`` has the largest middle, 15,944 letters.
+
+The braids of the two BV relators that load handle reduction most are
+pinned through it as well: the steps it spends, and an empty result.
 """
 
 import hashlib
 
 import pytest
 
-from bvwords.bv_lmr import to_third_form
+from bvwords.braid import handle_reduce
+from bvwords.bv_lmr import m_to_sigma, to_third_form
 from bvwords.cli import format_word
+from bvwords.limits import Budget
 from bvwords.presentations import GroupId, finite_presentation_instances
 
 PINNED = [
@@ -146,3 +151,16 @@ def test_third_form_is_pinned(source, group, n_l, n_m, n_r, k, digest):
     text = " | ".join(format_word(part) for part in (form.L, form.M, form.R))
     assert (len(form.L), len(form.M), len(form.R), form.k) == (n_l, n_m, n_r, k)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("source, steps", [
+    # every handle of this braid commutes: it holds no letter of index k+1
+    ("finite-bv#12/bv-p", 1798),
+    # about a quarter of these commute; the rest conjugate interior letters
+    ("finite-bv#24/bv-p", 4504),
+])
+def test_handle_reduce_steps_are_pinned(source, steps):
+    form = to_third_form(RELATORS[source, GroupId.BV])
+    budget = Budget()
+    assert handle_reduce(m_to_sigma(form.M, form.k), budget) == ()
+    assert budget.used == steps

@@ -110,6 +110,7 @@ def test_verify_rejects_nonpositive_step_cap():
 @pytest.mark.parametrize("source, group, steps", [
     ("finite-bv#12/bv-p", GroupId.BV, 2904),
     ("finite-v#12/bv-p", GroupId.V, 1037),
+    ("finite-bv#24/bv-p", GroupId.BV, 5009),
 ])
 def test_finite_relator_step_counts_pinned(source, group, steps):
     # the exact rewrite steps of the two routes on the heaviest relators:

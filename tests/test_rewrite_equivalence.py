@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bvwords.braid import handle_reduce
+from bvwords.braid import exponent_sum, handle_reduce, is_trivial_braid
 from bvwords.bv_lmr import (
     _FAMILY,
     BVMode,
@@ -739,6 +739,72 @@ def nested_braids(low=0, depth=3):
 @given(nested_braids().map(lambda b: tuple(b[:200])), st.one_of(st.integers(1, 60), st.just(CAP)))
 def test_handle_reduce_matches_full_rescan_on_nested_handles(b, cap):
     assert capped_outcome(cap, handle_reduce, b) == capped_outcome(cap, _ref_handle_reduce, b)
+
+
+def commuting_braids(low=0, depth=3):
+    """Like ``nested_braids``, but each handle's interior is drawn over
+    indices ``k+2`` and up, which makes a commuting handle (no letter of
+    index ``k+1`` inside), three times in four, and otherwise over ``k+1``
+    and up, so the two kinds nest inside each other and mix."""
+    if low > BRAID_TOP:
+        return st.just([])
+    letter = st.builds(lambda i, e: [sig(i, e)], st.integers(low, BRAID_TOP), st.sampled_from((1, -1)))
+    if depth == 0 or low == BRAID_TOP:
+        chunk = letter
+    else:
+        chunk = st.one_of(letter, st.tuples(st.integers(low, BRAID_TOP - 1), st.sampled_from((2, 2, 2, 1))).flatmap(
+            lambda kd: st.builds(lambda e, u: [sig(kd[0], e), *u, sig(kd[0], -e)],
+                                 st.sampled_from((1, -1)), commuting_braids(kd[0] + kd[1], depth - 1))))
+    return st.lists(chunk, max_size=8).map(lambda chunks: [g for c in chunks for g in c])
+
+
+# the commuting handle s3 s5 s3' lies inside the later handle s1 ... s1',
+# whose rollback passes over the two deleted letters; both lie inside the
+# index-0 handle s0 ... s0', which the scan must still find
+COMMUTING_INSIDE_ROLLBACK = (sig(0), sig(3), sig(1), sig(2), sig(3), sig(5), sig(3, -1), sig(1, -1), sig(0, -1))
+
+
+@SETTINGS
+@given(commuting_braids().map(lambda b: tuple(b[:200])), st.one_of(st.integers(1, 60), st.just(CAP)))
+@example(COMMUTING_INSIDE_ROLLBACK, CAP)
+def test_handle_reduce_matches_full_rescan_on_commuting_handles(b, cap):
+    assert capped_outcome(cap, handle_reduce, b) == capped_outcome(cap, _ref_handle_reduce, b)
+
+
+def _ref_is_trivial_braid(b, budget):
+    """The braid decider as the chain of its public steps: the exponent
+    sum, the permutation of the letter-level free reduction, and handle
+    reduction of the word as given."""
+    if exponent_sum(b) != 0:
+        return False
+    if not from_sigma_word(free_reduce(b)).is_identity():
+        return False
+    return handle_reduce(b, budget) == ()
+
+
+def conjugated_relators():
+    """Trivial braids that free reduction alone does not empty: a braid
+    relator, conjugated by a random word."""
+    relator = st.integers(0, BRAID_TOP - 1).map(
+        lambda i: (sig(i), sig(i + 1), sig(i), sig(i + 1, -1), sig(i, -1), sig(i + 1, -1)))
+    return st.builds(lambda u, r: tuple(u) + r + invert(tuple(u)), commuting_braids(), relator)
+
+
+@SETTINGS
+@given(st.one_of(nested_braids().map(tuple), commuting_braids().map(tuple), conjugated_relators(),
+                 letters((Family.SIGMA,), max_index=3, max_size=40)),
+       st.one_of(st.integers(1, 60), st.just(CAP)))
+def test_is_trivial_braid_matches_reference_chain(b, cap):
+    assert capped_outcome(cap, is_trivial_braid, b) == capped_outcome(cap, _ref_is_trivial_braid, b)
+
+
+@SETTINGS
+@given(letters((Family.SIGMA,), max_index=BRAID_TOP, max_size=100))
+def test_braid_times_its_inverse_is_trivial_without_steps(b):
+    # free reduction empties the word, so no handle is reduced
+    budget = Budget(CAP)
+    assert is_trivial_braid(b + invert(b), budget)
+    assert budget.used == 0
 
 
 @SETTINGS
