@@ -37,7 +37,7 @@ left.  For the second phase, each push replaces one ``s`` letter by one
 or two whose positive-l-to-the-right counts are strictly smaller, a
 well-founded multiset descent.
 
-Both phases are single passes (``thompson_f.collect_fraction``) that
+Both phases are single passes (``thompson_f._collect_codes``) that
 make the same rewrites, in the same order, as rewriting the rightmost
 (first phase) or leftmost (second phase) site of the whole word each
 time.  The first phase is rightmost-first, so it is a right-to-left
@@ -52,6 +52,14 @@ Each ``s`` letter's push is a function of its own index and the ``l``
 index it meets, so the new block is the concatenation of the per-letter
 results.  One step is spent per single-letter push, as the rules above
 count them; each carried letter's pushes are charged together.
+
+``canonicalize_hat`` builds no letter that it does not return.  One
+pass over the input checks its alphabet and reads it, freely reduced,
+into the int codes of ``thompson_f._collect_codes``; the folds run on
+those codes.  The two l-parts become ``FNormal`` index tuples and
+a Vhat middle becomes its ``Permutation`` straight from the codes.  Only
+a BVhat middle is decoded back into ``s`` letters, each distinct letter
+built once in a table that lives for the call.
 """
 
 from __future__ import annotations
@@ -61,13 +69,12 @@ from enum import Enum
 
 from .braid import is_trivial_braid
 from .limits import Budget
-from .perms import Permutation, from_sigma_word
-from .thompson_f import FNormal, collect_fraction, normalize_monoid
+from .perms import Permutation, from_adjacent_transpositions
+from .thompson_f import FNormal, _collect_codes, _normal_indices, _reduced_codes
 from .words import (
     Family,
+    Gen,
     Word,
-    check_alphabet,
-    free_reduce,
     invert,
     lam,  # for the canonicalize_hat doctest
     sig,
@@ -126,13 +133,18 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
     >>> canonicalize_hat((sig(0), lam(0)), GroupMode.BVHAT).to_word()
     (l1, s0, s1)
     """
-    check_alphabet(w, _HAT_ALPHABET, "canonicalize_hat")
+    codes = _reduced_codes(w, _HAT_ALPHABET, "canonicalize_hat")
     budget = budget if budget is not None else Budget()
-    positive, middle, negative = collect_fraction(free_reduce(w), budget, "canonicalize_hat")
+    positive, middle, negative = _collect_codes(codes, budget, "canonicalize_hat")
+    if mode is GroupMode.VHAT:
+        beta: Word | Permutation = from_adjacent_transpositions([y >> 2 for y in middle])
+    else:
+        letters = {y: Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in set(middle)}
+        beta = tuple(map(letters.__getitem__, middle))
     return HatFraction(
-        f_part=normalize_monoid(positive),
-        beta=from_sigma_word(middle) if mode is GroupMode.VHAT else middle,
-        g_part=normalize_monoid(negative),
+        f_part=FNormal(_normal_indices(positive)),
+        beta=beta,
+        g_part=FNormal(_normal_indices(negative)),
         mode=mode,
     )
 

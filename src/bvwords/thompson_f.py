@@ -26,12 +26,15 @@ from .words import (
     Gen,
     Word,
     check_alphabet,
-    free_reduce,
     invert,
     lam,
 )
 
 _LAMBDA_ONLY = frozenset({Family.LAMBDA})
+
+# ``_KIND[family] - exponent`` is the kind of an l/s letter's code
+# ``index << 2 | kind`` (see ``_collect_codes``)
+_KIND = {Family.LAMBDA: 1, Family.SIGMA: 2}
 
 
 @dataclass(frozen=True)
@@ -63,14 +66,18 @@ def normalize_monoid(w: Word) -> FNormal:
     check_alphabet(w, _LAMBDA_ONLY, "normalize_monoid")
     if any(g.exponent < 0 for g in w):
         raise AlphabetError("normalize_monoid: word must be positive")
+    return FNormal(_normal_indices([g.index for g in w]))
+
+
+def _normal_indices(indices: list[int]) -> tuple[int, ...]:
+    """``normalize_monoid`` on the index list of a positive word."""
     out: list[int] = []
-    for g in w:
-        i = g.index
+    for i in indices:
         pos = len(out)
         while pos > 0 and out[pos - 1] > i:
             pos -= 1
         out[pos:] = [i] + [x + 1 for x in out[pos:]]
-    return FNormal(tuple(out))
+    return tuple(out)
 
 
 def collect_fraction(
@@ -113,18 +120,55 @@ def collect_fraction(
 
     >>> collect_fraction((lam(2, -1), lam(0)), Budget(), "f_fraction")
     ((l0,), (), (l3,))
+
+    The folds run in ``_collect_codes``, on int codes: each letter is
+    read once into ``index << 2 | kind``, kind 0 for ``l``, 2 for ``l'``,
+    1 for ``s`` and 3 for ``s'``, and letters are built again only for
+    the three returned parts.
     """
-    # Letters are ints ``index << 2 | kind`` with kind 0 for l, 1 for s
-    # and 3 for s', so adding 4 raises the index and keeps the kind.
+    numerator, block, denominator = _collect_codes(
+        [g.index << 2 | (_KIND[g.family] - g.exponent) for g in w], budget, op)
+    return (
+        tuple(Gen(Family.LAMBDA, i) for i in numerator),
+        tuple(Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in block),
+        tuple(Gen(Family.LAMBDA, i) for i in denominator),
+    )
+
+
+def _reduced_codes(w: Word, families: frozenset[Family], what: str) -> list[int]:
+    """The codes of ``free_reduce(w)``, with the alphabet of ``w`` checked
+    as ``check_alphabet(w, families, what)`` checks it, in one pass."""
+    codes: list[int] = []
+    for g in w:
+        family, i, e = g
+        if family not in families or e not in (1, -1) or i < 0:
+            check_alphabet((g,), families, what)
+        x = i << 2 | (_KIND[family] - e)
+        if codes and codes[-1] == x ^ 2:
+            codes.pop()
+        else:
+            codes.append(x)
+    return codes
+
+
+def _collect_codes(
+    codes: list[int], budget: Budget, op: str,
+) -> tuple[list[int], list[int], list[int]]:
+    """``collect_fraction`` on a freely reduced word of codes.
+
+    A letter's code is ``index << 2 | kind``, with kind 0 for ``l``, 2
+    for ``l'``, 1 for ``s`` and 3 for ``s'``.  So ``x ^ 2`` is the
+    inverse letter, ``x + 4`` raises the index and keeps the kind, and
+    ``x & 3`` is nonzero exactly on ``s`` letters.  Returns the indices
+    of ``P``, the codes of ``beta`` and the indices of ``N``.
+    """
     run: list[int] = []           # positive letters right of the reader, right to left
     denominator: list[int] = []   # N, read off the inverse block right to left
-    for family, m, e in reversed(w):
-        if family is not Family.LAMBDA:
-            run.append(m << 2 | (2 - e))
+    for x in reversed(codes):
+        if x & 3 != 2:
+            run.append(x)
             continue
-        if e > 0:
-            run.append(m << 2)
-            continue
+        m = x >> 2
         out: list[int] = []
         pushes = 0
         while run:
@@ -178,18 +222,14 @@ def collect_fraction(
             passed.reverse()
             block = passed
         numerator.append(m)
-    return (
-        tuple(Gen(Family.LAMBDA, i) for i in numerator),
-        tuple(Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in block),
-        tuple(Gen(Family.LAMBDA, i) for i in denominator),
-    )
+    return numerator, block, denominator
 
 
 def f_fraction(w: Word, budget: Budget | None = None) -> tuple[FNormal, FNormal]:
     """Split an arbitrary word over ``l`` letters into a fraction (P, N).
 
     The element of F represented by ``w`` equals ``P * N**-1``.  Inverse
-    letters are pushed to the right end by ``collect_fraction``, which
+    letters are pushed to the right end by ``_collect_codes``, which
     spends one step of ``budget`` per push under ``"f_fraction"``.  Each
     push moves one inverse past one positive letter, so the total number
     of (inverse, positive-to-its-right) pairs strictly decreases.
@@ -198,10 +238,11 @@ def f_fraction(w: Word, budget: Budget | None = None) -> tuple[FNormal, FNormal]
     >>> (p.indices, n.indices)
     ((0,), (3,))
     """
-    check_alphabet(w, _LAMBDA_ONLY, "f_fraction")
+    codes = _reduced_codes(w, _LAMBDA_ONLY, "f_fraction")
     budget = budget if budget is not None else Budget()
-    positive, _, negative = collect_fraction(free_reduce(w), budget, "f_fraction")
-    return normalize_monoid(positive), normalize_monoid(negative)
+    positive, _, negative = _collect_codes(codes, budget, "f_fraction")
+    return (normalize_monoid(tuple(Gen(Family.LAMBDA, i) for i in positive)),
+            normalize_monoid(tuple(Gen(Family.LAMBDA, i) for i in negative)))
 
 
 def is_trivial_f(w: Word, budget: Budget | None = None) -> bool:

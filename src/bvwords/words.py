@@ -191,13 +191,15 @@ _BV_ALPHABET = frozenset({Family.V, Family.PI, Family.PIBAR})
 
 
 _L0, _L0_INV = Gen(Family.LAMBDA, 0, 1), Gen(Family.LAMBDA, 0, -1)
-# family -> (a, b, c, c') for the expansion l0^(n+a) c l0'^(n+b) of the
+# the core letters of the expansion; core ``c ^ 1`` is the inverse of ``c``
+_CORES = (
+    Gen(Family.LAMBDA, 1, 1), Gen(Family.LAMBDA, 1, -1),
+    Gen(Family.SIGMA, 1, 1), Gen(Family.SIGMA, 1, -1),
+    Gen(Family.SIGMA, 0, 1), Gen(Family.SIGMA, 0, -1),
+)
+# family -> (a, b, c) for the expansion l0^(n+a) c l0'^(n+b) of the
 # letter of index n; its inverse expands to l0^(n+b) c' l0'^(n+a)
-_EXPANSION = {
-    Family.V: (1, 2, Gen(Family.LAMBDA, 1, 1), Gen(Family.LAMBDA, 1, -1)),
-    Family.PI: (2, 2, Gen(Family.SIGMA, 1, 1), Gen(Family.SIGMA, 1, -1)),
-    Family.PIBAR: (1, 1, Gen(Family.SIGMA, 0, 1), Gen(Family.SIGMA, 0, -1)),
-}
+_EXPANSION = {Family.V: (1, 2, 0), Family.PI: (2, 2, 2), Family.PIBAR: (1, 1, 4)}
 
 
 def expand_bv_generators(w: Word) -> Word:
@@ -210,17 +212,41 @@ def expand_bv_generators(w: Word) -> Word:
     (l0, l1, l0', l0')
     >>> expand_bv_generators((pibar(0),))
     (l0, s0, l0')
+
+    The expansion is reduced as it is built, in run-length form: a stack
+    of (net power of ``l0`` before it, core) pairs and the net power of
+    ``l0`` after the last core.  In the full expansion a core is never
+    ``l0`` or ``l0'``, so the only cancellations are of ``l0`` against
+    ``l0'``, which merging a power into the running one makes, and of a
+    core against its inverse, which meet exactly when the net power
+    between them is 0.  The stack is therefore always a freely reduced
+    word, and since free reduction ends in the same word whatever order
+    it cancels in, the result is ``free_reduce`` of the full expansion.
+    Popping a cancelled core restores the power before it as the running
+    one, so cancellations cascade back through earlier cores.
     """
     check_alphabet(w, _BV_ALPHABET, "expand_bv_generators")
+    stack: list[tuple[int, int]] = []
+    power = 0
+    for family, n, e in w:
+        a, b, core = _EXPANSION[family]
+        if e < 0:
+            a, b, core = b, a, core ^ 1
+        power += n + a
+        if not power and stack and stack[-1][1] == core ^ 1:
+            power = stack.pop()[0]
+        else:
+            stack.append((power, core))
+            power = 0
+        power -= n + b
     out: list[Gen] = []
-    for g in w:
-        a, b, core, core_inv = _EXPANSION[g.family]
-        if g.exponent < 0:
-            a, b, core = b, a, core_inv
-        out += [_L0] * (g.index + a)
-        out.append(core)
-        out += [_L0_INV] * (g.index + b)
-    return free_reduce(out)
+    for before, core in stack:
+        out += [_L0] * before
+        out += [_L0_INV] * -before
+        out.append(_CORES[core])
+    out += [_L0] * power
+    out += [_L0_INV] * -power
+    return tuple(out)
 
 
 def random_word(

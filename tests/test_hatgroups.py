@@ -12,7 +12,19 @@ from bvwords.hatgroups import GroupMode, canonicalize_hat, equal_hat, is_trivial
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, from_sigma_word
 from bvwords.thompson_f import FNormal, normalize_monoid
-from bvwords.words import Family, free_reduce, invert, lam, random_word, sig
+from bvwords.words import (
+    AlphabetError,
+    Family,
+    Gen,
+    check_alphabet,
+    free_reduce,
+    invert,
+    lam,
+    pi,
+    random_word,
+    sig,
+    vgen,
+)
 from test_rewrite_equivalence import push_lambda_inverse_right, push_sigma_past_lambda
 
 BOTH = (GroupMode.VHAT, GroupMode.BVHAT)
@@ -241,3 +253,25 @@ def test_mismatched_middle_raises_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", _MISMATCHED_BETA],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# Letters the one-pass alphabet check must reject: two of the wrong
+# family and two malformed ones
+BAD_HAT_LETTERS = (vgen(1), pi(0), Gen(Family.LAMBDA, 0, 2), Gen(Family.SIGMA, -1, 1))
+
+
+@pytest.mark.parametrize("bad", BAD_HAT_LETTERS, ids=repr)
+@pytest.mark.parametrize("w", [
+    lambda bad: (lam(0), lam(0, -1), bad, sig(1), lam(2)),
+    lambda bad: (sig(1), lam(0), lam(0, -1), lam(2), bad),
+], ids=["after a cancelled pair", "at the end"])
+@pytest.mark.parametrize("mode", BOTH)
+def test_alphabet_error_matches_check_alphabet(bad, w, mode):
+    # the check runs while the word is free-reduced, so a letter right
+    # after a cancelling l0 l0' must be met as it would be in a first pass
+    w = w(bad)
+    with pytest.raises(AlphabetError) as expected:
+        check_alphabet(w, frozenset(LS), "canonicalize_hat")
+    with pytest.raises(AlphabetError) as got:
+        canonicalize_hat(w, mode)
+    assert str(got.value) == str(expected.value)

@@ -54,13 +54,21 @@ from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
 from bvwords.presentations import FAMILIES, GroupId, finite_presentation_instances, instantiate_family
-from bvwords.thompson_f import f_fraction, is_trivial_f, normalize_monoid
+from bvwords.thompson_f import (
+    _collect_codes,
+    _reduced_codes,
+    collect_fraction,
+    f_fraction,
+    is_trivial_f,
+    normalize_monoid,
+)
 from bvwords.words import (
     AlphabetError,
     Family,
     Gen,
     Word,
     check_alphabet,
+    expand_bv_generators,
     free_reduce,
     invert,
     lam,
@@ -251,6 +259,32 @@ def _ref_f_fraction(w):
             letters_[site:site + 2] = [lam(q), lam(m + 1, -1)]
     cut = next((i for i, g in enumerate(letters_) if g.exponent < 0), len(letters_))
     return normalize_monoid(tuple(letters_[:cut])), normalize_monoid(invert(tuple(letters_[cut:])))
+
+
+# family -> (a, b, core): the letter of index n expands to
+# l0^(n+a) core l0'^(n+b), and its inverse to l0^(n+b) core' l0'^(n+a)
+_REF_EXPANSION = {Family.V: (1, 2, lam(1)), Family.PI: (2, 2, sig(1)), Family.PIBAR: (1, 1, sig(0))}
+
+
+def _ref_expand_bv_generators(w):
+    """``expand_bv_generators`` as it was first written: every letter's
+    full expansion, then ``free_reduce`` over the whole word."""
+    check_alphabet(w, frozenset(_REF_EXPANSION), "expand_bv_generators")
+    out = []
+    for g in w:
+        a, b, core = _REF_EXPANSION[g.family]
+        if g.exponent < 0:
+            a, b, core = b, a, core.inverse()
+        out += [lam(0)] * (g.index + a)
+        out.append(core)
+        out += [lam(0, -1)] * (g.index + b)
+    return free_reduce(out)
+
+
+def _codes(w):
+    """An l/s word as the codes ``index << 2 | kind`` of ``_collect_codes``."""
+    kind = {(Family.LAMBDA, 1): 0, (Family.LAMBDA, -1): 2, (Family.SIGMA, 1): 1, (Family.SIGMA, -1): 3}
+    return [g.index << 2 | kind[g.family, g.exponent] for g in w]
 
 
 def _ref_pi_action_right(w, m):
@@ -851,6 +885,75 @@ def test_canonicalize_hat_matches_full_rescan_at_small_caps(w, mode, cap):
 @example(CANCEL_THEN_SITE_BEFORE)
 def test_f_fraction_matches_full_rescan(w):
     assert f_fraction(w) == _ref_f_fraction(w)
+
+
+def bv_words_with_cancelling_tails():
+    """v/p/pb words, half of them ``w + invert(w[k:])``, whose tail cancels
+    the cores of ``w[k:]`` one after another."""
+    return st.one_of(
+        letters(BV),
+        letters(BV, max_size=12).flatmap(
+            lambda w: st.integers(0, len(w)).map(lambda k: w + invert(w[k:]))),
+    )
+
+
+# p0' cancels p0 only after pb2' and v1' have cancelled the two cores
+# between them; the powers of l0 around the cascade then merge
+CASCADE = (vgen(3), pi(0), pibar(2), vgen(1), vgen(1, -1), pibar(2, -1), pi(0, -1), pi(1))
+
+
+@SETTINGS
+@given(bv_words_with_cancelling_tails())
+@example((vgen(2), pi(1), pi(1, -1), vgen(2, -1)))
+@example((pibar(0), vgen(0), vgen(0, -1), pibar(0, -1)))
+@example(CASCADE)
+def test_expand_bv_generators_matches_per_letter_expansion(w):
+    expanded = expand_bv_generators(w)
+    assert expanded == _ref_expand_bv_generators(w)
+    assert all(type(g) is Gen for g in expanded)
+
+
+@pytest.mark.parametrize("w, expected", [
+    ((vgen(2), pi(1), pi(1, -1), vgen(2, -1)), ()),
+    ((pibar(0), vgen(0), vgen(0, -1), pibar(0, -1)), ()),
+    (CASCADE, (lam(0),) * 4 + (lam(1),) + (lam(0, -1),) * 2 + (sig(1),) + (lam(0, -1),) * 3),
+])
+def test_expand_bv_generators_cancels_cores(w, expected):
+    # the last case is the expansion of v3 p1: the cascade leaves l0'^5 l0^3
+    # between their cores, which merge to l0'^2
+    assert expand_bv_generators(w) == _ref_expand_bv_generators(w) == expected
+
+
+@SETTINGS
+@given(letters(HAT, max_index=4))
+def test_reduced_codes_encode_free_reduce(w):
+    assert _reduced_codes(w, frozenset(HAT), "canonicalize_hat") == _codes(free_reduce(w))
+
+
+@SETTINGS
+@given(letters(HAT, max_index=4), st.integers(1, 60))
+@example(CANCEL_THEN_SITE_BEFORE, 3)
+def test_collect_fraction_decodes_collect_codes(w, cap):
+    w = free_reduce(w)
+
+    def decoded(budget):
+        positive, middle, negative = _collect_codes(_codes(w), budget, "canonicalize_hat")
+        assert all(y & 1 for y in middle)
+        return (tuple(lam(i) for i in positive),
+                tuple(sig(y >> 2, 2 - (y & 3)) for y in middle),
+                tuple(lam(i) for i in negative))
+
+    assert capped_outcome(cap, lambda budget: collect_fraction(w, budget, "canonicalize_hat")) == \
+        capped_outcome(cap, decoded)
+    assert outcome(lambda budget: collect_fraction(w, budget, "canonicalize_hat")) == outcome(decoded)
+
+
+@SETTINGS
+@given(letters(HAT, max_index=4))
+def test_bvhat_middle_is_a_word_of_s_letters(w):
+    beta = canonicalize_hat(w, GroupMode.BVHAT, Budget(CAP)).beta
+    assert all(type(g) is Gen and g.family is Family.SIGMA for g in beta)
+    assert beta == _ref_canonicalize_hat(w, GroupMode.BVHAT, Budget(CAP)).beta
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -3,11 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvwords.cli import parse_word
 from bvwords.limits import Budget, StepLimitExceeded
-from bvwords.thompson_f import FNormal, equal_f, f_fraction, is_trivial_f, normalize_monoid
-from bvwords.words import AlphabetError, Family, invert, lam, random_word
+from bvwords.thompson_f import (
+    FNormal,
+    _normal_indices,
+    equal_f,
+    f_fraction,
+    is_trivial_f,
+    normalize_monoid,
+)
+from bvwords.words import AlphabetError, Family, Gen, check_alphabet, invert, lam, random_word, sig
 
 
 def _random_order_normalize(indices, rng):
@@ -143,3 +152,25 @@ def test_f_fraction_spends_one_step_per_push():
     with pytest.raises(StepLimitExceeded) as info:
         f_fraction(w, Budget(1))
     assert info.value.operation == "f_fraction"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=14))
+def test_normal_indices_match_normalize_monoid(indices):
+    expected = _random_order_normalize(indices, random.Random(0))
+    assert _normal_indices(list(indices)) == expected
+    assert normalize_monoid(tuple(lam(i) for i in indices)).indices == expected
+
+
+@pytest.mark.parametrize("bad", (sig(0), Gen(Family.LAMBDA, 0, 2), Gen(Family.LAMBDA, -1, 1)), ids=repr)
+@pytest.mark.parametrize("w", [
+    lambda bad: (lam(0), lam(0, -1), bad, lam(1)),
+    lambda bad: (lam(1), lam(0), lam(0, -1), bad),
+], ids=["after a cancelled pair", "at the end"])
+def test_f_fraction_alphabet_error_matches_check_alphabet(bad, w):
+    w = w(bad)
+    with pytest.raises(AlphabetError) as expected:
+        check_alphabet(w, frozenset({Family.LAMBDA}), "f_fraction")
+    with pytest.raises(AlphabetError) as got:
+        f_fraction(w)
+    assert str(got.value) == str(expected.value)
