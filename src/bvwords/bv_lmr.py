@@ -49,11 +49,12 @@ once: a raise cables one strand, so it does not depend on where the cuts
 fall.  BV and ``to_third_form`` (so ``bvwords lmr``) hold each syllable
 as a ``Monosyllable`` of codes, join them once and decode the letters
 once, when ``to_third_form`` returns.  V needs only the strand
-permutation of the middle, so ``is_trivial_bv`` holds V's syllables as
-a height and two flank permutations (``_PermSyllable``), and a raise
-cables a list of h positions instead of a word.  Equalization and the
-final raises are shared by the two holdings: they take the syllable
-raise as an argument.
+permutation of the middle, so ``is_trivial_bv`` holds each of V's
+syllables as a height h and one permutation of the positions 0..h
+(``_PermSyllable``), cut from the codes without a ``Monosyllable``, and
+a raise cables one strand of that list instead of a word.  Equalization
+and the final raises are shared by the two holdings: they take the
+syllable raise as an argument.
 """
 
 from __future__ import annotations
@@ -240,10 +241,15 @@ def apply_relation(
     exponent: int = 1,
     mode: BVMode = BVMode.V,
 ) -> Word:
-    """Replace one occurrence of a relation side at a given position."""
+    """Replace one occurrence of a relation side at a given position,
+    ``0 <= position <= len(w)``."""
     fam = _family(rel_id)
     if fam.v_only and mode is BVMode.BV:
         raise ValueError(f"{rel_id} is not a relation of BV")
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if not 0 <= position <= len(w):
+        raise ValueError(f"{rel_id}{indices}: position {position} is outside 0..{len(w)}")
     lhs, rhs = fam.sides(indices, exponent)
     if direction == "backward":
         lhs, rhs = rhs, lhs
@@ -601,14 +607,14 @@ def _raise_side(syllables: Sequence, side: str, raise_heights: Callable) -> tupl
 # ---------------------------------------------------------------------------
 # Strand permutations: the syllables of the V route
 #
-# A flank of height h is held as its permutation of the p positions
-# 0..h-1, a one-line list ``f`` with ``f[y]`` where position y ends up,
-# the letters applied left to right (``p_i`` swaps positions i and i + 1).
-# The core ``pb_(h-1)`` swaps positions h - 1 and h.
+# A syllable of height h is held as its ``line``: the permutation of the
+# positions 0..h made by its letters applied left to right, with
+# ``line[y]`` where position y ends up.  ``p_i`` swaps positions i and
+# i + 1, and the core ``pb_(h-1)`` swaps h - 1 and h.
 
 
 def _flank_perm(codes: Sequence[int], h: int) -> list[int]:
-    """The permutation of a p word on the positions 0..h-1."""
+    """The permutation of a p/pb word on the positions 0..h-1."""
     line = list(range(h))
     for x in reversed(codes):    # each letter acts after those left of it
         i = x >> 3
@@ -624,11 +630,11 @@ def _perm_inverse(f: list[int]) -> list[int]:
 
 
 def _cable(f: list[int], m: int) -> tuple[list[int], int]:
-    """Double the strand that enters a flank at position m.
+    """Double the strand that enters a permutation at position m.
 
-    Returns the cabled flank, one position longer, and ``c = f[m]``, where
-    the strand leaves: ``pi_action`` makes this map on the flank's letters
-    and returns the same c.
+    Returns the cabled permutation, one position longer, and ``c = f[m]``,
+    where the strand leaves: ``pi_action`` makes this map on a p word's
+    letters and returns the same c.
     """
     c = f[m]
     g = [y + (y >= c) for y in f]
@@ -637,69 +643,68 @@ def _cable(f: list[int], m: int) -> tuple[list[int], int]:
 
 
 class _PermSyllable(NamedTuple):
-    """A monosyllable of height h held as its flank permutations.
+    """A monosyllable of height h held as its line, a permutation of 0..h.
 
     It has the two methods of a ``Monosyllable`` that equalization reads.
     """
 
     h: int
-    pre: list[int]
-    post: list[int]
-
-    @classmethod
-    def of(cls, syl: Monosyllable) -> "_PermSyllable":
-        h = syl.single_height()
-        return cls(h, _flank_perm(syl.pre, h), _flank_perm(syl.post, h))
+    line: list[int]
 
     def single_height(self) -> int:
         return self.h
 
     def inverse(self) -> "_PermSyllable":
-        return _PermSyllable(self.h, _perm_inverse(self.post), _perm_inverse(self.pre))
+        return _PermSyllable(self.h, _perm_inverse(self.line))
 
 
 def _cable_raise(syllables: Sequence[_PermSyllable]) -> tuple[list[_PermSyllable], int | None]:
-    """``raise_word_heights`` on flank permutations, each raise in O(h).
+    """``raise_word_heights`` on lines, each raise in O(h).
 
-    Op "a" cables ``post`` at h - 1 and appends the core's old swap
-    (h - 1, h) to ``pre``; op "d" cables ``pre`` at the carried index,
-    and then either prepends that swap to ``post``, when the strand leaves
-    at h - 1, or cables ``post`` where it leaves.  Spills are v codes, as
-    from ``raise_word_heights``.
+    Each raise cables one strand: it enters the first syllable at h (op
+    "a", braid position 0) and each later one at the carried index (op
+    "d").  Where it leaves, c, is the spill ``v_c'``, unless c is h: then
+    it leaves at braid position 0 and nothing spills.  Spills are v codes,
+    as from ``raise_word_heights``.
     """
     heights = [s.h for s in syllables]
     if heights != sorted(heights):
         raise ValueError(f"_cable_raise: heights must be nondecreasing, got {heights}")
     out: list[_PermSyllable] = []
     carry: int | None = None
-    for h, pre, post in syllables:
-        if carry is None:
-            pre = [h if y == h - 1 else y for y in pre] + [h - 1]
-            post, j = _cable(post, h - 1)
-        else:
-            pre, k = _cable(pre, carry >> 3)
-            if k == h - 1:
-                post, j = post[:h - 1] + [h, post[h - 1]], None
-            else:
-                post, j = _cable(post, k)
-        carry = None if j is None else j << 3 | 1
-        out.append(_PermSyllable(h + 1, pre, post))
+    for h, line in syllables:
+        line, c = _cable(line, h if carry is None else carry >> 3)
+        carry = None if c == h else c << 3 | 1
+        out.append(_PermSyllable(h + 1, line))
     return out, carry
 
 
-def _perm_syllables(codes: list[int]) -> list[_PermSyllable]:
-    return [_PermSyllable.of(s) for s in split_monosyllables(codes)]
+def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
+    """Cut a coded p/pb word just after each pb letter (trailing p goes
+    last), as ``split_monosyllables`` does, and hold each piece as its
+    line; each piece must have a single height."""
+    cores = [i for i, x in enumerate(codes) if x & 4]
+    if not cores:
+        raise ValueError("_perm_syllables: word has no pb letter")
+    out = []
+    start = 0
+    for pos in cores:
+        end = pos + 1 if pos != cores[-1] else len(codes)
+        top = codes[pos] & ~7
+        if max(codes[start:pos], default=-1) >= top or max(codes[pos + 1:end], default=-1) >= top:
+            raise ValueError(f"_perm_syllables: syllable has no single height: {_decode(codes[start:end])!r}")
+        h = (top >> 3) + 1
+        out.append(_PermSyllable(h, _flank_perm(codes[start:end], h + 1)))
+        start = end
+    return out
 
 
 def _middle_is_identity(syllables: Sequence[_PermSyllable], k: int) -> bool:
     """Whether the syllables of height k, read left to right, fix every
     position 0..k."""
     line = list(range(k + 1))
-    for _, pre, post in syllables:
-        post = post + [k]
-        post[k - 1], post[k] = k, post[k - 1]    # the core's swap, then post
-        pre = pre + [k]
-        line = [post[pre[y]] for y in line]
+    for _, f in syllables:
+        line = [f[y] for y in line]
     return line == list(range(k + 1))
 
 
@@ -818,7 +823,8 @@ def _equalize_heights(
 ) -> tuple[list[int], list, list[int]]:
     """Bring all syllable heights to a common value: ``_raise_suffixes``
     run twice, raising with ``raise_heights`` (``raise_word_heights`` on
-    ``Monosyllable`` lists, ``_cable_raise`` on ``_PermSyllable`` ones).
+    ``Monosyllable`` lists, ``_cable_raise`` on ``_PermSyllable`` lines,
+    whose ``inverse`` is one permutation inverse).
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
@@ -944,8 +950,8 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     check too, spend from one budget.  BV translates the middle of
     ``to_third_form`` into a braid word and reduces it.  V needs only the
     middle's strand permutation: it makes the same raises, with the same
-    steps and spills, on flank permutations, and checks that their product
-    fixes every strand.
+    steps and spills, on one permutation per syllable, and checks that
+    their product fixes every strand.
     """
     budget = budget if budget is not None else Budget()
     if mode is BVMode.BV:

@@ -80,61 +80,6 @@ def _normal_indices(indices: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def collect_fraction(
-    w: Word, budget: Budget, op: str,
-) -> tuple[Word, Word, Word]:
-    """Collect a freely reduced word over l/s letters into the shape
-    ``P * beta * N**-1``: ``P`` and ``N`` positive ``l`` words, ``beta``
-    a word of ``s`` letters.  Returns ``(P, beta, N)``.
-
-    The first phase moves every inverse ``l`` letter to the right end,
-    rightmost inverse first, one letter at a time:
-
-        l_m' l_q    ->  l_(q+1) l_m'            (m < q)
-        l_m' l_q    ->  l_q l_(m+1)'            (q < m)
-        l_m' l_m    ->  (cancel)
-        l_m' s_q^e  ->  s_(q+1)^e l_m'          (m < q)
-        l_(m+1)' s_m^e -> s_m^e s_(m+1)^e l_m'
-        l_m' s_m^e  ->  s_(m+1)^e s_m^e l_(m+1)'
-        l_m' s_q^e  ->  s_q^e l_m'              (m > q + 1)
-
-    The second phase moves the ``s`` letters right past the positive ``l``
-    letters, leftmost site first:
-
-        s_q^e l_m   ->  l_m s_(q+1)^e           (m < q)
-        s_m^e l_m   ->  l_(m+1) s_m^e s_(m+1)^e
-        s_m^e l_(m+1) -> l_m s_(m+1)^e s_m^e
-        s_q^e l_m   ->  l_m s_q^e               (m > q + 1)
-
-    Each phase is one pass, a right-to-left fold for the first and a
-    left-to-right fold for the second, and makes the same pushes in the
-    same order as rewriting the rightmost (first phase) or leftmost
-    (second phase) site of the whole word each time; the ``hatgroups``
-    module docstring says why.
-
-    Every single-letter push spends one step of ``budget`` under ``op``.
-    The pushes of one carried letter are charged in one ``spend``: after
-    the carry in the first phase, where cancellation decides their number,
-    and before it in the second.  Over words without ``s`` letters this is
-    the fraction ``(P, N)`` of Thompson's group F.
-
-    >>> collect_fraction((lam(2, -1), lam(0)), Budget(), "f_fraction")
-    ((l0,), (), (l3,))
-
-    The folds run in ``_collect_codes``, on int codes: each letter is
-    read once into ``index << 2 | kind``, kind 0 for ``l``, 2 for ``l'``,
-    1 for ``s`` and 3 for ``s'``, and letters are built again only for
-    the three returned parts.
-    """
-    numerator, block, denominator = _collect_codes(
-        [g.index << 2 | (_KIND[g.family] - g.exponent) for g in w], budget, op)
-    return (
-        tuple(Gen(Family.LAMBDA, i) for i in numerator),
-        tuple(Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in block),
-        tuple(Gen(Family.LAMBDA, i) for i in denominator),
-    )
-
-
 def _reduced_codes(w: Word, families: frozenset[Family], what: str) -> list[int]:
     """The codes of ``free_reduce(w)``, with the alphabet of ``w`` checked
     as ``check_alphabet(w, families, what)`` checks it, in one pass."""
@@ -154,13 +99,28 @@ def _reduced_codes(w: Word, families: frozenset[Family], what: str) -> list[int]
 def _collect_codes(
     codes: list[int], budget: Budget, op: str,
 ) -> tuple[list[int], list[int], list[int]]:
-    """``collect_fraction`` on a freely reduced word of codes.
+    """Collect a freely reduced word of l/s codes into the shape
+    ``P * beta * N**-1``: ``P`` and ``N`` positive ``l`` words, ``beta``
+    a word of ``s`` letters.  Returns the indices of ``P``, the codes of
+    ``beta`` and the indices of ``N``.
 
     A letter's code is ``index << 2 | kind``, with kind 0 for ``l``, 2
     for ``l'``, 1 for ``s`` and 3 for ``s'``.  So ``x ^ 2`` is the
     inverse letter, ``x + 4`` raises the index and keeps the kind, and
-    ``x & 3`` is nonzero exactly on ``s`` letters.  Returns the indices
-    of ``P``, the codes of ``beta`` and the indices of ``N``.
+    ``x & 3`` is nonzero exactly on ``s`` letters.
+
+    The first phase moves every inverse ``l`` letter to the right end,
+    rightmost inverse first; the second moves the ``s`` letters right past
+    the positive ``l`` letters, leftmost site first.  The ``hatgroups``
+    module docstring lists the rules and says why each phase is one fold
+    that makes the same pushes, in the same order, as rewriting the whole
+    word site by site.
+
+    Every single-letter push spends one step of ``budget`` under ``op``.
+    The pushes of one carried letter are charged in one ``spend``: after
+    the carry in the first phase, where cancellation decides their number,
+    and before it in the second.  Over words without ``s`` letters this is
+    the fraction ``(P, N)`` of Thompson's group F.
     """
     run: list[int] = []           # positive letters right of the reader, right to left
     denominator: list[int] = []   # N, read off the inverse block right to left

@@ -169,6 +169,20 @@ def test_apply_relation_examples():
         apply_relation((vgen(1), vgen(3)), "vv-shift", (2, 1), 0)
 
 
+def test_apply_relation_rejects_positions_and_directions_outside_its_range():
+    w = (vgen(0), pi(1))
+    assert apply_relation(w, "p-invol", (0,), 2, "backward") == w + (pi(0), pi(0))
+    for position in (100, -1):
+        with pytest.raises(ValueError, match="outside"):
+            apply_relation(w, "p-invol", (0,), position, "backward")
+    u = (vgen(0), pi(1), vgen(0), vgen(3))
+    assert apply_relation(u, "pv-shift", (1, 0), 1) == (vgen(0), vgen(0), pi(2), vgen(3))
+    with pytest.raises(ValueError, match="outside"):
+        apply_relation(u, "pv-shift", (1, 0), -3)
+    with pytest.raises(ValueError, match="direction"):
+        apply_relation(u, "pv-shift", (1, 0), 1, direction="back")
+
+
 def test_relation_table_sound_via_hat():
     # every family instance expands to a hat-trivial relator
     instances = {1: [(0,), (1,), (3,)], 2: [(2, 0), (3, 1), (4, 0), (2, 1), (5, 3)]}

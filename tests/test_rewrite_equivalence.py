@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bvwords import bv_lmr
 from bvwords.braid import exponent_sum, handle_reduce, is_trivial_braid
 from bvwords.bv_lmr import (
     _FAMILY,
@@ -36,6 +37,7 @@ from bvwords.bv_lmr import (
     _flush_v_letters,
     _invert_codes,
     _PermSyllable,
+    _perm_syllables,
     _raise_side,
     _repair_syllable_heights,
     is_trivial_bv,
@@ -57,7 +59,6 @@ from bvwords.presentations import FAMILIES, GroupId, finite_presentation_instanc
 from bvwords.thompson_f import (
     _collect_codes,
     _reduced_codes,
-    collect_fraction,
     f_fraction,
     is_trivial_f,
     normalize_monoid,
@@ -74,6 +75,7 @@ from bvwords.words import (
     lam,
     pi,
     pibar,
+    random_word,
     sig,
     vgen,
 )
@@ -931,24 +933,6 @@ def test_reduced_codes_encode_free_reduce(w):
 
 
 @SETTINGS
-@given(letters(HAT, max_index=4), st.integers(1, 60))
-@example(CANCEL_THEN_SITE_BEFORE, 3)
-def test_collect_fraction_decodes_collect_codes(w, cap):
-    w = free_reduce(w)
-
-    def decoded(budget):
-        positive, middle, negative = _collect_codes(_codes(w), budget, "canonicalize_hat")
-        assert all(y & 1 for y in middle)
-        return (tuple(lam(i) for i in positive),
-                tuple(sig(y >> 2, 2 - (y & 3)) for y in middle),
-                tuple(lam(i) for i in negative))
-
-    assert capped_outcome(cap, lambda budget: collect_fraction(w, budget, "canonicalize_hat")) == \
-        capped_outcome(cap, decoded)
-    assert outcome(lambda budget: collect_fraction(w, budget, "canonicalize_hat")) == outcome(decoded)
-
-
-@SETTINGS
 @given(letters(HAT, max_index=4))
 def test_bvhat_middle_is_a_word_of_s_letters(w):
     beta = canonicalize_hat(w, GroupMode.BVHAT, Budget(CAP)).beta
@@ -1177,7 +1161,9 @@ def test_pi_action_cables_the_flank_permutation(case):
 
 
 def _perm_syllables_of(syllables):
-    return [_PermSyllable.of(s) for s in syllables]
+    # each syllable's line: its letters' permutation of the positions 0..h
+    return [_PermSyllable(s.single_height(), _flank_perm([*s.pre, s.core, *s.post], s.single_height() + 1))
+            for s in syllables]
 
 
 @SETTINGS
@@ -1198,6 +1184,44 @@ def test_cable_raise_matches_raise_word_heights(w, times):
     for side in ("left", "right"):
         raised, spill = raise_m(level, side)
         assert _raise_side(_perm_syllables_of(level), side, _cable_raise) == (_perm_syllables_of(raised), spill)
+
+
+@SETTINGS
+@given(letters(BV, max_index=4, max_size=16))
+def test_perm_syllables_are_the_lines_of_split_monosyllables(w):
+    middle = _repaired_middle(w)
+    if middle is None:
+        return
+    codes = _encode(middle)
+    assert _perm_syllables(codes) == _perm_syllables_of(split_monosyllables(codes))
+
+
+@pytest.mark.parametrize("middle, message", [
+    ((pi(1), pibar(1)), "no single height"),
+    ((pi(0), pi(1)), "no pb letter"),
+])
+def test_perm_syllables_reject_a_middle_they_cannot_hold(middle, message):
+    with pytest.raises(ValueError, match=message):
+        _perm_syllables(_encode(middle))
+
+
+def test_v_path_builds_no_monosyllable(monkeypatch):
+    # V's verdicts and steps on the verify relators and on selftest's V
+    # words, with every way of making or raising a ``Monosyllable`` broken
+    instances = [i for f in FAMILIES for i in instantiate_family(f, 8)] + finite_presentation_instances()
+    words = [i.relator() for i in instances if i.group is GroupId.V]
+    assert len(words) == 369
+    rng = random.Random(0)
+    words += [random_word(rng, BV, 5, 10) for _ in range(500)]    # as ``selftest`` draws them
+    expected = [outcome(lambda b: _ref_is_trivial_v(w, b)) for w in words]
+
+    def no_monosyllable(*args, **kwargs):
+        raise AssertionError("the V path built or raised a Monosyllable")
+
+    for name in ("split_monosyllables", "mono_raise", "_syllable"):
+        monkeypatch.setattr(bv_lmr, name, no_monosyllable)
+    monkeypatch.setattr(Monosyllable, "__post_init__", no_monosyllable)
+    assert [outcome(lambda b: is_trivial_bv(w, BVMode.V, b)) for w in words] == expected
 
 
 def v_outcomes(cap, w):
