@@ -60,6 +60,8 @@ nontrivial.
 
 from __future__ import annotations
 
+import functools
+
 from .limits import DEFAULT_BRAID_STEPS, Budget
 from .perms import from_adjacent_transpositions
 from .words import Family, Gen, Word, check_alphabet, invert
@@ -89,10 +91,18 @@ def _free_codes(w: Word) -> list[int]:
     return codes
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _letter(x: int) -> Gen:
+    """The ``s`` letter of one live code.  The memo is bounded and holds
+    letters only, so a process that decides many words builds each letter
+    once."""
+    return Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1))
+
+
 def _decode(codes: list[int]) -> Word:
-    """The ``s`` letters of the live codes; deleted ones are dropped."""
-    table = {x: Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1)) for x in set(codes) if x >= 0}
-    return tuple([table[x] for x in codes if x >= 0])
+    """The ``s`` letters of the live codes, from the ``_letter`` memo;
+    deleted ones are dropped."""
+    return tuple(map(_letter, [x for x in codes if x >= 0]))
 
 
 def _reduce_handle(w: list[int], open_: int, close: int) -> None:

@@ -55,19 +55,27 @@ syllables as a height h and one permutation of the positions 0..h
 a raise cables one strand of that list instead of a word.  Equalization
 and the final raises are shared by the two holdings: they take the
 syllable raise as an argument.
+
+Codes turn back into letters only at the public boundaries, through one
+bounded memo per coding: ``_letter`` here for v/p/pb codes,
+``braid._letter`` for the ``s`` letters of ``m_to_sigma`` and
+``thompson_f._letter`` for the outer ``l`` letters of the F check.  The
+memos hold letters only, never forms or verdicts, so a process that
+decides many words builds each letter once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from .braid import is_trivial_braid
+from .braid import _letter as _s_letter, is_trivial_braid
 from .limits import Budget
 from .perms import from_adjacent_transpositions
-from .thompson_f import is_trivial_f
+from .thompson_f import _letter as _l_letter, is_trivial_f
 from .words import (
     _TRUE,
     AlphabetError,
@@ -287,17 +295,16 @@ def _encode(w: Word) -> list[int]:
     return [g.index << 3 | _KIND[g.family] | (g.exponent < 0) for g in w]
 
 
-def _decode(codes: list[int]) -> Word:
-    """The letters of a code list.
+@functools.lru_cache(maxsize=1 << 12)
+def _letter(x: int) -> Gen:
+    """The letter of one code.  The memo is bounded and holds letters only,
+    so a process that decides many words builds each letter once."""
+    return Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1))
 
-    Each distinct code's letter is built once, in a ``{code: Gen}`` table
-    that lives only for the call; an empty list, as L and R often are,
-    builds none.
-    """
-    if not codes:
-        return ()
-    table = {x: Gen(_FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in set(codes)}
-    return tuple(map(table.__getitem__, codes))
+
+def _decode(codes: Sequence[int]) -> Word:
+    """The letters of a code list, each one from the ``_letter`` memo."""
+    return tuple(map(_letter, codes))
 
 
 def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: str) -> list[int]:
@@ -374,13 +381,21 @@ def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
     """Sort a v/p/pb word into left-middle-right shape (heights unset).
 
     The inverse movers start right of the flushed positive letters and
-    move away, so only p/pb letters are left."""
+    move away, so only p/pb letters are left.  The middle is freely
+    reduced on its codes, where ``x ^ 1`` is the inverse letter, and each
+    part is decoded once."""
     check_alphabet(w, _BV_ALPHABET, "to_first_form")
     budget = budget if budget is not None else Budget()
     codes = _encode(free_reduce(w))
     left = _flush_v_letters(codes, 1, 0, budget, "to_first_form")
     right = _flush_v_letters(codes, -1, len(codes) - 1, budget, "to_first_form")
-    return LMRForm(L=_decode(left), M=free_reduce(_decode(codes)), R=_decode(right))
+    middle: list[int] = []
+    for x in codes:
+        if middle and middle[-1] == x ^ 1:
+            middle.pop()
+        else:
+            middle.append(x)
+    return LMRForm(L=_decode(left), M=_decode(middle), R=_decode(right))
 
 
 # ---------------------------------------------------------------------------
@@ -931,13 +946,13 @@ def m_to_sigma(m_word: Word, h: int) -> Word:
     """Translate a middle word of height h into a braid word of ``s`` letters.
 
     pb letters sit at index h - 1 and map to ``s_0``; p letters at index
-    i map to ``s_(h-1-i)``.  Exponents are kept.  Each distinct letter is
-    translated once, in a ``{letter: s letter}`` table that lives only for
-    the call.
+    i map to ``s_(h-1-i)``.  Exponents are kept.  The translation depends
+    on h, so each distinct letter is looked up once per call, in a
+    ``{letter: s letter}`` map whose values come from the ``braid`` memo.
     """
     if not word_height(m_word).contains(h):
         raise ValueError(f"m_to_sigma: {h} is not a height of the word")
-    table = {g: Gen(Family.SIGMA, 0 if g.family is Family.PIBAR else h - 1 - g.index, g.exponent)
+    table = {g: _s_letter((0 if g.family is Family.PIBAR else h - 1 - g.index) << 1 | (g.exponent < 0))
              for g in set(m_word)}
     return tuple(map(table.__getitem__, m_word))
 
@@ -971,8 +986,9 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
                 lambda s, side: _raise_side(s, side, _cable_raise))
             if not _middle_is_identity(syllables, k):
                 return False
-            outer = _decode(left + right)
-    return is_trivial_f(tuple(Gen(Family.LAMBDA, g.index, g.exponent) for g in outer), budget)
+            # the v code ``n << 3 | (e < 0)`` reads as the l code ``n << 2 | (e < 0) << 1``
+            return is_trivial_f(tuple([_l_letter(x >> 3 << 2 | (x & 1) << 1) for x in left + right]), budget)
+    return is_trivial_f(tuple([_l_letter(g.index << 2 | (g.exponent < 0) << 1) for g in outer]), budget)
 
 
 def equal_bv(w1: Word, w2: Word, mode: BVMode, budget: Budget | None = None) -> bool:

@@ -58,8 +58,9 @@ pass over the input checks its alphabet and reads it, freely reduced,
 into the int codes of ``thompson_f._collect_codes``; the folds run on
 those codes.  The two l-parts become ``FNormal`` index tuples and
 a Vhat middle becomes its ``Permutation`` straight from the codes.  Only
-a BVhat middle is decoded back into ``s`` letters, each distinct letter
-built once in a table that lives for the call.
+a BVhat middle is decoded back into ``s`` letters, through the bounded
+``thompson_f._letter`` memo, so a process that decides many words builds
+each letter once.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ from enum import Enum
 from .braid import is_trivial_braid
 from .limits import Budget
 from .perms import Permutation, from_adjacent_transpositions
-from .thompson_f import FNormal, _collect_codes, _normal_indices, _reduced_codes
+from .thompson_f import FNormal, _collect_codes, _letter, _normal_indices, _reduced_codes
 from .words import (
     Family,
-    Gen,
     Word,
     invert,
     lam,  # for the canonicalize_hat doctest
@@ -139,8 +139,7 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
     if mode is GroupMode.VHAT:
         beta: Word | Permutation = from_adjacent_transpositions([y >> 2 for y in middle])
     else:
-        letters = {y: Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in set(middle)}
-        beta = tuple(map(letters.__getitem__, middle))
+        beta = tuple(map(_letter, middle))
     return HatFraction(
         f_part=FNormal(_normal_indices(positive)),
         beta=beta,

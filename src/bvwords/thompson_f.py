@@ -17,6 +17,8 @@ the word problem.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .limits import Budget
@@ -33,8 +35,17 @@ from .words import (
 _LAMBDA_ONLY = frozenset({Family.LAMBDA})
 
 # ``_KIND[family] - exponent`` is the kind of an l/s letter's code
-# ``index << 2 | kind`` (see ``_collect_codes``)
+# ``index << 2 | kind`` (see ``_collect_codes``), and ``_FAMILY[kind & 1]``
+# its family
 _KIND = {Family.LAMBDA: 1, Family.SIGMA: 2}
+_FAMILY = (Family.LAMBDA, Family.SIGMA)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _letter(x: int) -> Gen:
+    """The l/s letter of one code.  The memo is bounded and holds letters
+    only, so a process that decides many words builds each letter once."""
+    return Gen(_FAMILY[x & 1], x >> 2, 1 - (x & 2))
 
 
 @dataclass(frozen=True)
@@ -70,13 +81,18 @@ def normalize_monoid(w: Word) -> FNormal:
 
 
 def _normal_indices(indices: list[int]) -> tuple[int, ...]:
-    """``normalize_monoid`` on the index list of a positive word."""
+    """``normalize_monoid`` on the index list of a positive word.
+
+    ``out`` stays nondecreasing, so a letter no smaller than the last is
+    appended, and any other one moves left past exactly the letters
+    larger than it, found by bisection."""
     out: list[int] = []
     for i in indices:
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > i:
-            pos -= 1
-        out[pos:] = [i] + [x + 1 for x in out[pos:]]
+        if out and out[-1] > i:
+            pos = bisect_right(out, i)
+            out[pos:] = [i] + [x + 1 for x in out[pos:]]
+        else:
+            out.append(i)
     return tuple(out)
 
 
@@ -201,8 +217,8 @@ def f_fraction(w: Word, budget: Budget | None = None) -> tuple[FNormal, FNormal]
     codes = _reduced_codes(w, _LAMBDA_ONLY, "f_fraction")
     budget = budget if budget is not None else Budget()
     positive, _, negative = _collect_codes(codes, budget, "f_fraction")
-    return (normalize_monoid(tuple(Gen(Family.LAMBDA, i) for i in positive)),
-            normalize_monoid(tuple(Gen(Family.LAMBDA, i) for i in negative)))
+    return (normalize_monoid(tuple([_letter(i << 2) for i in positive])),
+            normalize_monoid(tuple([_letter(i << 2) for i in negative])))
 
 
 def is_trivial_f(w: Word, budget: Budget | None = None) -> bool:

@@ -1,0 +1,102 @@
+"""The per-coding letter memos against the per-call tables they replaced.
+
+Each int coding (``bv_lmr``'s v/p/pb codes, ``braid``'s s codes and
+``thompson_f``'s l/s codes) turns codes back into letters through one
+bounded ``_letter`` memo.  The references below are the bodies that built
+a fresh ``{code: Gen}`` table on every call; on any code list the two give
+the same letters.  A list with more distinct codes than the memo holds
+makes it evict, and the letters must not change.
+"""
+
+from __future__ import annotations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bvwords import braid, bv_lmr, thompson_f
+from bvwords.presentations import verify_all
+from bvwords.words import Family, Gen
+
+MEMOS = (bv_lmr._letter, braid._letter, thompson_f._letter)
+SETTINGS = settings(max_examples=300, deadline=None)
+BIG = 10 ** 6
+# more distinct indices than any memo holds
+EVICTING = list(range(3 * bv_lmr._letter.cache_info().maxsize))
+
+
+def _ref_lmr_decode(codes):
+    if not codes:
+        return ()
+    table = {x: Gen(bv_lmr._FAMILY[x & 7], x >> 3, 1 - 2 * (x & 1)) for x in set(codes)}
+    return tuple(map(table.__getitem__, codes))
+
+
+def _ref_braid_decode(codes):
+    table = {x: Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1)) for x in set(codes) if x >= 0}
+    return tuple([table[x] for x in codes if x >= 0])
+
+
+def _ref_hat_middle(middle):
+    letters = {y: Gen(Family.SIGMA, y >> 2, 2 - (y & 3)) for y in set(middle)}
+    return tuple(map(letters.__getitem__, middle))
+
+
+def _ref_f_letters(indices):
+    return tuple(Gen(Family.LAMBDA, i) for i in indices)
+
+
+def _all_gen(w):
+    return all(type(g) is Gen for g in w)
+
+
+def test_every_memo_is_bounded():
+    for memo in MEMOS:
+        assert memo.cache_info().maxsize is not None
+        assert len(EVICTING) > memo.cache_info().maxsize
+
+
+@SETTINGS
+@given(st.lists(st.builds(lambda i, kind: i << 3 | kind, st.integers(0, BIG), st.integers(0, 5)),
+                max_size=60))
+@example([i << 3 | i % 6 for i in EVICTING])
+def test_lmr_decode_matches_per_call_table(codes):
+    w = bv_lmr._decode(codes)
+    assert w == _ref_lmr_decode(codes)
+    assert _all_gen(w)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.builds(lambda i, neg: i << 1 | neg, st.integers(0, BIG), st.integers(0, 1)),
+                          st.just(braid._DELETED)),
+                max_size=60))
+@example([i << 1 | i % 2 for i in EVICTING] + [braid._DELETED])
+def test_braid_decode_matches_per_call_table(codes):
+    w = braid._decode(codes)
+    assert w == _ref_braid_decode(codes)
+    assert _all_gen(w)
+
+
+@SETTINGS
+@given(st.lists(st.builds(lambda i, kind: i << 2 | kind, st.integers(0, BIG), st.sampled_from((1, 3))),
+                max_size=60),
+       st.lists(st.integers(0, BIG), max_size=60))
+@example([i << 2 | (1 + 2 * (i % 2)) for i in EVICTING], EVICTING)
+def test_hat_letters_match_per_call_tables(middle, indices):
+    """The BVhat middle's s letters and ``f_fraction``'s l letters."""
+    w = tuple(map(thompson_f._letter, middle))
+    assert w == _ref_hat_middle(middle)
+    letters = tuple([thompson_f._letter(i << 2) for i in indices])
+    assert letters == _ref_f_letters(indices)
+    assert _all_gen(w + letters)
+    # inverse l letters, which neither table built
+    assert [thompson_f._letter(i << 2 | 2) for i in indices] == [Gen(Family.LAMBDA, i, -1) for i in indices]
+
+
+def test_verify_all_is_the_same_from_cold_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+    cold = [r.line() for r in verify_all(8).results]
+    warm = [r.line() for r in verify_all(8).results]
+    assert cold == warm
+    for memo in MEMOS:
+        assert memo.cache_info().currsize > 0

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvwords.cli import parse_word
@@ -174,3 +174,23 @@ def test_f_fraction_alphabet_error_matches_check_alphabet(bad, w):
     with pytest.raises(AlphabetError) as got:
         f_fraction(w)
     assert str(got.value) == str(expected.value)
+
+
+def _ref_normal_indices(indices):
+    """``_normal_indices`` rebuilding the tail at every insertion."""
+    out = []
+    for i in indices:
+        pos = len(out)
+        while pos > 0 and out[pos - 1] > i:
+            pos -= 1
+        out[pos:] = [i] + [x + 1 for x in out[pos:]]
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 6), max_size=40))
+@example(list(range(30, 0, -1)))
+@example([5] * 12)
+@example([3, 3, 1, 1, 0, 0, 2, 2])
+def test_normal_indices_match_rebuild_every_insertion(indices):
+    assert _normal_indices(list(indices)) == _ref_normal_indices(indices)
