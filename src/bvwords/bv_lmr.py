@@ -52,9 +52,10 @@ once, when ``to_third_form`` returns.  V needs only the strand
 permutation of the middle, so ``is_trivial_bv`` holds each of V's
 syllables as a height h and one permutation of the positions 0..h
 (``_PermSyllable``), cut from the codes without a ``Monosyllable``, and
-a raise cables one strand of that list instead of a word.  Equalization
-and the final raises are shared by the two holdings: they take the
-syllable raise as an argument.
+a raise cables one strand of that list instead of a word.  Each holding
+raises itself (``raised``), so one ``raise_word_heights`` and one
+``raise_m`` serve both, and only the split into syllables is chosen per
+holding.
 
 Codes turn back into letters only at the public boundaries, through one
 bounded memo per coding: ``_letter`` here for v/p/pb codes,
@@ -77,6 +78,7 @@ from .limits import Budget
 from .perms import from_adjacent_transpositions
 from .thompson_f import _letter as _l_letter, is_trivial_f
 from .words import (
+    _BV_ALPHABET,
     _TRUE,
     AlphabetError,
     Family,
@@ -91,9 +93,6 @@ from .words import (
     pibar,
     vgen,
 )
-
-_BV_ALPHABET = frozenset({Family.V, Family.PI, Family.PIBAR})
-
 
 class BVMode(Enum):
     V = "V"
@@ -456,7 +455,8 @@ class Monosyllable:
     The fields are int codes: ``pre`` and ``post`` are tuples of p codes,
     ``core`` is the pb code.  Its height set is {core index + 1} when every
     p index lies below the core's and empty otherwise; ``single_height``
-    tells the two apart with one ``max`` per flank.
+    tells the two apart with one ``max`` per flank, and ``h`` reads the
+    core's height unchecked.
 
     The constructor checks the kind of every code.  ``inverse`` and
     ``mono_raise`` build their results through ``_syllable``, which skips
@@ -478,6 +478,10 @@ class Monosyllable:
     def word(self) -> Word:
         return _decode([*self.pre, self.core, *self.post])
 
+    @property
+    def h(self) -> int:
+        return (self.core >> 3) + 1
+
     def single_height(self) -> int:
         top = self.core & ~7
         if max(self.pre, default=-1) >= top or max(self.post, default=-1) >= top:
@@ -486,6 +490,10 @@ class Monosyllable:
 
     def inverse(self) -> "Monosyllable":
         return _syllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
+
+    def raised(self, m: int | None) -> tuple["Monosyllable", int | None]:
+        """``mono_raise`` op "a" when m is None, op "d" at m otherwise."""
+        return mono_raise(self, "a") if m is None else mono_raise(self, "d", m=m)
 
 
 def _syllable(pre: tuple[int, ...], core: int, post: tuple[int, ...]) -> Monosyllable:
@@ -560,8 +568,9 @@ def mono_raise(
     raise ValueError(f"mono_raise: unknown op {op!r}")
 
 
-def raise_word_heights(syllables: Sequence[Monosyllable]) -> tuple[list[Monosyllable], int | None]:
-    """Raise every height by one along a nondecreasing syllable sequence.
+def raise_word_heights(syllables: Sequence) -> tuple[list, int | None]:
+    """Raise every height by one along a nondecreasing syllable sequence,
+    of either holding, by each syllable's own ``raised``.
 
     The first syllable spills a trailing inverse v (op "a"); each later
     syllable absorbs the spill (op "d"), possibly re-emitting one.  The
@@ -570,13 +579,13 @@ def raise_word_heights(syllables: Sequence[Monosyllable]) -> tuple[list[Monosyll
     final spill, or None.  In the braid picture the whole word's braid has
     one strand doubled, entering on the left at position 0.
     """
-    cores = [s.core >> 3 for s in syllables]
-    if cores != sorted(cores):
-        raise ValueError(f"raise_word_heights: heights must be nondecreasing, got {[c + 1 for c in cores]}")
-    out: list[Monosyllable] = []
+    heights = [s.h for s in syllables]
+    if heights != sorted(heights):
+        raise ValueError(f"raise_word_heights: heights must be nondecreasing, got {heights}")
+    out = []
     carry: int | None = None
     for syl in syllables:
-        new, carry = mono_raise(syl, "a") if carry is None else mono_raise(syl, "d", m=carry >> 3)
+        new, carry = syl.raised(None if carry is None else carry >> 3)
         out.append(new)
     return out, carry
 
@@ -590,32 +599,25 @@ def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
     return out
 
 
-def raise_m(
-    syllables: Sequence[Monosyllable], side: Literal["left", "right"]
-) -> tuple[list[Monosyllable], int | None]:
-    """Raise a middle of one height, given as its syllables, by one.
+def raise_m(syllables: Sequence, side: Literal["left", "right"]) -> tuple[list, int | None]:
+    """Raise a middle of one height, given as its syllables of either
+    holding, by one.
 
     side="right":  M ~ M' v_j'   or  M'
     side="left":   M ~ v_j M'    or  M'
 
-    Returns the raised syllables and the spilled v code, or None.  The
-    left raise is the right one on the inverted list, inverted back.  A
-    raise cables one strand of the middle's braid, so its letters do not
-    depend on where the middle is cut into syllables.
+    Returns the raised syllables and the spilled v code, or None.  Both
+    sides are ``raise_word_heights``, the left one on the inverted list,
+    inverted back.  A raise cables one strand of the middle's braid, so
+    its letters do not depend on where the middle is cut into syllables.
     """
     if side not in ("left", "right"):
         raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
-    if len({s.core >> 3 for s in syllables}) != 1:
+    if len({s.h for s in syllables}) != 1:
         raise ValueError("raise_m: the middle must be syllables of one height")
-    return _raise_side(syllables, side, raise_word_heights)
-
-
-def _raise_side(syllables: Sequence, side: str, raise_heights: Callable) -> tuple[list, int | None]:
-    """``raise_m``'s raise for either holding of the syllables, given the
-    right-spilling ``raise_heights``."""
     if side == "right":
-        return raise_heights(syllables)
-    raised, spill = raise_heights([s.inverse() for s in reversed(syllables)])
+        return raise_word_heights(syllables)
+    raised, spill = raise_word_heights([s.inverse() for s in reversed(syllables)])
     return [s.inverse() for s in reversed(raised)], None if spill is None else spill ^ 1
 
 
@@ -660,7 +662,8 @@ def _cable(f: list[int], m: int) -> tuple[list[int], int]:
 class _PermSyllable(NamedTuple):
     """A monosyllable of height h held as its line, a permutation of 0..h.
 
-    It has the two methods of a ``Monosyllable`` that equalization reads.
+    It has the field ``h`` and the three methods of a ``Monosyllable``
+    that equalization and raising read.
     """
 
     h: int
@@ -672,26 +675,14 @@ class _PermSyllable(NamedTuple):
     def inverse(self) -> "_PermSyllable":
         return _PermSyllable(self.h, _perm_inverse(self.line))
 
-
-def _cable_raise(syllables: Sequence[_PermSyllable]) -> tuple[list[_PermSyllable], int | None]:
-    """``raise_word_heights`` on lines, each raise in O(h).
-
-    Each raise cables one strand: it enters the first syllable at h (op
-    "a", braid position 0) and each later one at the carried index (op
-    "d").  Where it leaves, c, is the spill ``v_c'``, unless c is h: then
-    it leaves at braid position 0 and nothing spills.  Spills are v codes,
-    as from ``raise_word_heights``.
-    """
-    heights = [s.h for s in syllables]
-    if heights != sorted(heights):
-        raise ValueError(f"_cable_raise: heights must be nondecreasing, got {heights}")
-    out: list[_PermSyllable] = []
-    carry: int | None = None
-    for h, line in syllables:
-        line, c = _cable(line, h if carry is None else carry >> 3)
-        carry = None if c == h else c << 3 | 1
-        out.append(_PermSyllable(h + 1, line))
-    return out, carry
+    def raised(self, m: int | None) -> tuple["_PermSyllable", int | None]:
+        """``Monosyllable.raised`` on the line, in O(h): cable the strand
+        that enters at m, or at h (braid position 0) for op "a".  Where it
+        leaves, c, is the spill ``v_c'``, unless c is h: then it leaves at
+        braid position 0 and nothing spills."""
+        h = self.h
+        line, c = _cable(self.line, h if m is None else m)
+        return _PermSyllable(h + 1, line), None if c == h else c << 3 | 1
 
 
 def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
@@ -811,35 +802,29 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
     return left_spill, codes, right_spill
 
 
-def _raise_suffixes(syllables: list, heights: list[int], targets: list[int],
-                    budget: Budget, raise_heights: Callable) -> list[int]:
+def _raise_suffixes(syllables: list, heights: list[int], targets: list[int], budget: Budget) -> list[int]:
     """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
     right end down to 1, in place; return the spills in the order made.
 
     Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
     j is first raised at step j, which makes ``targets[j - 1] - heights[j]``
     raises (``heights`` as given), each one step of ``equalize_heights``
-    and one call of ``raise_heights``.
+    and one call of ``raise_word_heights``.
     """
     spills: list[int] = []
     for j in range(len(syllables) - 1, 0, -1):
         for _ in range(targets[j - 1] - heights[j]):
             budget.spend("equalize_heights")
-            syllables[j:], spill = raise_heights(syllables[j:])
+            syllables[j:], spill = raise_word_heights(syllables[j:])
             if spill is not None:
                 spills.append(spill)
     return spills
 
 
-def _equalize_heights(
-    syllables: list,
-    budget: Budget,
-    raise_heights: Callable,
-) -> tuple[list[int], list, list[int]]:
+def _equalize_heights(syllables: list, budget: Budget) -> tuple[list[int], list, list[int]]:
     """Bring all syllable heights to a common value: ``_raise_suffixes``
-    run twice, raising with ``raise_heights`` (``raise_word_heights`` on
-    ``Monosyllable`` lists, ``_cable_raise`` on ``_PermSyllable`` lines,
-    whose ``inverse`` is one permutation inverse).
+    run twice, on ``Monosyllable`` words or ``_PermSyllable`` lines (whose
+    ``inverse`` is one permutation inverse).
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
@@ -853,15 +838,14 @@ def _equalize_heights(
     Returns (left spill, syllables, right spill), the spills as codes.
     """
     heights = [s.single_height() for s in syllables]
-    right_spill = _raise_suffixes(syllables, heights, list(accumulate(heights, max)), budget,
-                                  raise_heights)
+    right_spill = _raise_suffixes(syllables, heights, list(accumulate(heights, max)), budget)
     right_spill.reverse()
 
     left_spill: list[int] = []
     heights = [s.single_height() for s in reversed(syllables)]
     if heights[-1] < heights[0]:
         inv = [s.inverse() for s in reversed(syllables)]
-        left_spill = [x ^ 1 for x in _raise_suffixes(inv, heights, heights, budget, raise_heights)]
+        left_spill = [x ^ 1 for x in _raise_suffixes(inv, heights, heights, budget)]
         syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.single_height() for s in syllables}
     if len(heights) != 1:
@@ -888,11 +872,7 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
                 _height_bound(g.index for g in reversed(first.R)), height.value)
         return LMRForm(first.L, first.M, first.R, height, k)
 
-    # the raises are looked up by name at each call, so a wrapper bound to
-    # the module name sees them all
-    left, syllables, right, h = _raise_to_third_form(
-        first, budget, split_monosyllables,
-        lambda s: raise_word_heights(s), lambda s, side: raise_m(s, side))
+    left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables)
     m_word = _decode(_concat_syllables(syllables))
     height = word_height(m_word)
     if not height.contains(h):
@@ -901,25 +881,21 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
 
 
 def _raise_to_third_form(
-    first: LMRForm,
-    budget: Budget,
-    split: Callable[[list[int]], list],
-    raise_heights: Callable,
-    raise_middle: Callable,
+    first: LMRForm, budget: Budget, split: Callable[[list[int]], list]
 ) -> tuple[list[int], list, list[int], int]:
     """The part of ``to_third_form`` after the first form, for a middle
     with a pb letter, in either holding of the syllables.
 
-    ``split`` cuts the repaired middle's codes into syllables,
-    ``raise_heights`` is ``raise_word_heights`` for them and
-    ``raise_middle`` is ``raise_m``.  Returns L's and R's codes, the
-    syllables and their common height k.
+    ``split`` cuts the repaired middle's codes into syllables
+    (``split_monosyllables`` or ``_perm_syllables``); each syllable raises
+    itself, so equalization and ``raise_m`` are the same for both.
+    Returns L's and R's codes, the syllables and their common height k.
     """
     left, right = _encode(first.L), _encode(first.R)
     lspill, middle, rspill = _repair_syllable_heights(_encode(first.M), budget)
     left += lspill
     right[:0] = rspill
-    lspill, syllables, rspill = _equalize_heights(split(middle), budget, raise_heights)
+    lspill, syllables, rspill = _equalize_heights(split(middle), budget)
     left += lspill
     right[:0] = rspill
     h = syllables[0].single_height()
@@ -932,7 +908,7 @@ def _raise_to_third_form(
             break
         budget.spend("to_third_form")
         # spill away from a part whose bound still exceeds h, R' first
-        syllables, spill = raise_middle(syllables, "left" if k2 > h else "right")
+        syllables, spill = raise_m(syllables, "left" if k2 > h else "right")
         if spill is not None:
             if k2 > h:
                 left.append(spill)
@@ -981,9 +957,7 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
                 return False
             outer = first.L + first.R
         else:
-            left, syllables, right, k = _raise_to_third_form(
-                first, budget, _perm_syllables, _cable_raise,
-                lambda s, side: _raise_side(s, side, _cable_raise))
+            left, syllables, right, k = _raise_to_third_form(first, budget, _perm_syllables)
             if not _middle_is_identity(syllables, k):
                 return False
             # the v code ``n << 3 | (e < 0)`` reads as the l code ``n << 2 | (e < 0) << 1``

@@ -12,6 +12,8 @@ letter-level versions they replaced, which are kept here.
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
@@ -28,7 +30,6 @@ from bvwords.bv_lmr import (
     HeightSet,
     Monosyllable,
     _cable,
-    _cable_raise,
     _concat_syllables,
     _decode,
     _encode,
@@ -38,7 +39,6 @@ from bvwords.bv_lmr import (
     _invert_codes,
     _PermSyllable,
     _perm_syllables,
-    _raise_side,
     _repair_syllable_heights,
     is_trivial_bv,
     letter_height,
@@ -52,6 +52,7 @@ from bvwords.bv_lmr import (
     to_third_form,
     word_height,
 )
+from bvwords.cli import parse_word
 from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
@@ -1074,7 +1075,7 @@ def test_equalize_heights_matches_full_inversion(w, cap):
         return
 
     def coded(budget):
-        left, syllables, right = _equalize_heights(split_monosyllables(_encode(middle)), budget, raise_word_heights)
+        left, syllables, right = _equalize_heights(split_monosyllables(_encode(middle)), budget)
         return _decode(left), [s.word() for s in syllables], _decode(right)
 
     def ref(budget):
@@ -1122,7 +1123,7 @@ def test_raise_m_matches_code_list_raise(w, data):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    _, syllables, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP), raise_word_heights)
+    _, syllables, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP))
     codes = _concat_syllables(syllables)
     # the same letters cut elsewhere: part of one syllable's ``pre`` moved
     # into the previous syllable's ``post``
@@ -1168,9 +1169,10 @@ def _perm_syllables_of(syllables):
 
 @SETTINGS
 @given(letters(BV, max_index=4, max_size=16), st.integers(1, 4))
-def test_cable_raise_matches_raise_word_heights(w, times):
-    # the permutation raise against the letter raise it stands for, on a
-    # nondecreasing run and on a leveled middle raised to either side
+def test_raise_chain_matches_on_words_and_lines(w, times):
+    # one ``raise_word_heights`` and one ``raise_m`` on lines against the
+    # same on words, on a nondecreasing run and on a leveled middle raised
+    # to either side
     middle = _repaired_middle(w)
     if middle is None:
         return
@@ -1178,12 +1180,46 @@ def test_cable_raise_matches_raise_word_heights(w, times):
     perms = _perm_syllables_of(coded)
     for _ in range(times):
         coded, spill = raise_word_heights(coded)
-        perms, perm_spill = _cable_raise(perms)
+        perms, perm_spill = raise_word_heights(perms)
         assert (perms, perm_spill) == (_perm_syllables_of(coded), spill)
-    _, level, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP), raise_word_heights)
+    _, level, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP))
     for side in ("left", "right"):
         raised, spill = raise_m(level, side)
-        assert _raise_side(_perm_syllables_of(level), side, _cable_raise) == (_perm_syllables_of(raised), spill)
+        assert raise_m(_perm_syllables_of(level), side) == (_perm_syllables_of(raised), spill)
+
+
+# heights 3, 1 and 2: p0 pb2, pb0 and pb1' p0, as codes
+_MIXED = [Monosyllable((2,), 20, ()), Monosyllable((), 4, ()), Monosyllable((), 13, (2,))]
+
+
+@pytest.mark.parametrize("hold", [list, _perm_syllables_of], ids=["words", "lines"])
+def test_raise_chain_checks_hold_on_both_holdings(hold):
+    with pytest.raises(ValueError, match=re.escape(
+            "raise_word_heights: heights must be nondecreasing, got [3, 1, 2]")):
+        raise_word_heights(hold(_MIXED))
+    with pytest.raises(ValueError, match="raise_m: the middle must be syllables of one height"):
+        raise_m(hold(_MIXED[::-1]), "right")
+    with pytest.raises(ValueError, match="raise_m: side must be 'left' or 'right'"):
+        raise_m(hold(_MIXED[:1]), "up")
+
+
+def test_v_reaches_the_shared_raise_chain_by_module_name(monkeypatch):
+    # one height repair, one equalizing raise and four final raises, all
+    # looked up by their module names, where a tracer wraps them
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(bv_lmr, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("raise_word_heights", "raise_m"):
+        monkeypatch.setattr(bv_lmr, name, counted(name))
+    assert is_trivial_bv(parse_word("v3 pb0' p0 p0 pb0 v3'"), BVMode.V)
+    assert calls == {"raise_word_heights": 1 + 4, "raise_m": 4}
 
 
 @SETTINGS
