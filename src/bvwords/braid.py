@@ -60,11 +60,9 @@ nontrivial.
 
 from __future__ import annotations
 
-import functools
-
 from .limits import DEFAULT_BRAID_STEPS, Budget
 from .perms import from_adjacent_transpositions
-from .words import Family, Gen, Word, check_alphabet, invert
+from .words import _letter, Family, Word, check_alphabet, invert
 
 _BRAID_ALPHABET = frozenset({Family.SIGMA})
 
@@ -73,46 +71,43 @@ def exponent_sum(w: Word) -> int:
     return sum(g.exponent for g in w)
 
 
-# A deleted letter's code.  Its index, -2, names the spare slot
-# ``last[-2]``, so a rollback over it writes nothing that is read.
-_DELETED = -4
+# A deleted letter's code.  Its index, ``-8 >> 2 == -2``, names the spare
+# slot ``last[-2]``, so a rollback over it writes nothing that is read.
+_DELETED = -8
 
 
 def _free_codes(w: Word) -> list[int]:
-    """The freely reduced word as codes ``index << 1 | (exponent < 0)``;
-    a letter's inverse is its code ``^ 1``."""
+    """The freely reduced word as the l/s codes of ``words``: ``s_i`` is
+    ``i << 2 | 1``, ``s_i'`` is ``i << 2 | 3``, an inverse is ``^ 2``.
+
+    Unlike ``thompson_f._reduced_codes`` it checks no letter:
+    ``is_trivial_braid`` checks the alphabet before its exponent-sum
+    shortcut and reduces only the words that pass both, so there is no
+    check left to fold into the reduction."""
     codes: list[int] = []
     for g in w:
-        x = g.index << 1 | (g.exponent < 0)
-        if codes and codes[-1] == x ^ 1:
+        x = g.index << 2 | 2 - g.exponent
+        if codes and codes[-1] == x ^ 2:
             codes.pop()
         else:
             codes.append(x)
     return codes
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _letter(x: int) -> Gen:
-    """The ``s`` letter of one live code.  The memo is bounded and holds
-    letters only, so a process that decides many words builds each letter
-    once."""
-    return Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1))
-
-
 def _decode(codes: list[int]) -> Word:
-    """The ``s`` letters of the live codes, from the ``_letter`` memo;
-    deleted ones are dropped."""
+    """The ``s`` letters of the live codes, from the ``words._letter``
+    memo; deleted ones are dropped."""
     return tuple(map(_letter, [x for x in codes if x >= 0]))
 
 
 def _reduce_handle(w: list[int], open_: int, close: int) -> None:
-    # on codes, adding 2 raises a letter's index by one and ^ 1 inverts it;
+    # on codes, adding 4 raises a letter's index by one and ^ 2 inverts it;
     # deleted letters inside the handle are dropped with it
-    raised = w[open_] + 2
+    raised = w[open_] + 4
     replacement: list[int] = []
     for y in w[open_ + 1:close]:
-        if y >> 1 == raised >> 1:
-            replacement += [raised ^ 1, y - 2, raised]
+        if y >> 2 == raised >> 2:
+            replacement += [raised ^ 2, y - 4, raised]
         elif y >= 0:
             replacement.append(y)
     w[open_:close + 1] = replacement
@@ -136,14 +131,14 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     # which stays -1 for the commuting test at the top index; then the
     # spare slot ``last[-2]`` of deleted letters, and ``last[-1]``, never
     # written, which stands for index -1.
-    last = [-1] * (max(codes, default=0) // 2 + 4)
+    last = [-1] * (max(codes, default=0) // 4 + 4)
     prev: list[int] = []
     pos, end = 0, len(codes)
     while pos < end:
         x = codes[pos]
-        k = x >> 1
+        k = x >> 2
         at = last[k]
-        if at > last[k - 1] and codes[at] == x ^ 1:
+        if at > last[k - 1] and codes[at] == x ^ 2:
             budget.spend("handle_reduce")
             if last[k + 1] < at:    # commuting: cancel the pair in place
                 codes[at] = codes[pos] = _DELETED
@@ -152,7 +147,7 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
                 pos += 1
                 continue
             for p in range(pos - 1, at - 1, -1):
-                last[codes[p] >> 1] = prev[p]
+                last[codes[p] >> 2] = prev[p]
             del prev[at:]
             _reduce_handle(codes, at, pos)
             pos, end = at, len(codes)
@@ -177,7 +172,7 @@ def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
     codes = _free_codes(w)
     if not codes:
         return True
-    if not from_adjacent_transpositions([x >> 1 for x in codes]).is_identity():
+    if not from_adjacent_transpositions([x >> 2 for x in codes]).is_identity():
         return False
     return len(handle_reduce(_decode(codes), budget)) == 0
 

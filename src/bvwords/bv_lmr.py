@@ -57,12 +57,12 @@ raises itself (``raised``), so one ``raise_word_heights`` and one
 ``raise_m`` serve both, and only the split into syllables is chosen per
 holding.
 
-Codes turn back into letters only at the public boundaries, through one
-bounded memo per coding: ``_letter`` here for v/p/pb codes,
-``braid._letter`` for the ``s`` letters of ``m_to_sigma`` and
-``thompson_f._letter`` for the outer ``l`` letters of the F check.  The
-memos hold letters only, never forms or verdicts, so a process that
-decides many words builds each letter once.
+Codes turn back into letters only at the public boundaries, through two
+bounded memos: ``_letter`` here for v/p/pb codes, and ``words._letter``
+for the l/s codes of the outer ``l`` letters of the F check and of the
+``s`` letters of ``m_to_sigma``, which the hat route and handle reduction
+share.  The memos hold letters only, never forms or verdicts, so a
+process that decides many words builds each letter once.
 """
 
 from __future__ import annotations
@@ -73,13 +73,14 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from .braid import _letter as _s_letter, is_trivial_braid
+from .braid import is_trivial_braid
 from .limits import Budget
 from .perms import from_adjacent_transpositions
-from .thompson_f import _letter as _l_letter, is_trivial_f
+from .thompson_f import is_trivial_f
 from .words import (
     _BV_ALPHABET,
     _TRUE,
+    _letter as _ls_letter,
     AlphabetError,
     Family,
     FamilySpec,
@@ -286,6 +287,12 @@ class LMRForm:
 # The sweeps work on int-coded letters ``index << 3 | kind``, kind 0 ``v``,
 # 1 ``v'``, 2 ``p``, 3 ``p'``, 4 ``pb``, 5 ``pb'``: adding 8 raises the index,
 # and a ``pb`` letter less 2 is the ``p`` letter of its index and exponent.
+# The code stays apart from the l/s code of ``words`` on purpose: one 4-bit
+# code ``index << 4 | kind`` for all five families would push most codes
+# out of CPython's cache of small ints (those up to 256).  The third-form
+# middles of the 52 finite BV relators hold 47,844 letters; 3,648 of their
+# codes exceed 256 here, and 22,690 would with 4 bits, and free-reduction
+# and raise loops over those codes ran 25-29% slower.
 _KIND = {Family.V: 0, Family.PI: 2, Family.PIBAR: 4}
 _FAMILY = (Family.V, Family.V, Family.PI, Family.PI, Family.PIBAR, Family.PIBAR)
 
@@ -483,10 +490,7 @@ class Monosyllable:
         return (self.core >> 3) + 1
 
     def single_height(self) -> int:
-        top = self.core & ~7
-        if max(self.pre, default=-1) >= top or max(self.post, default=-1) >= top:
-            raise ValueError(f"monosyllable has no single height: {self.word()!r}")
-        return (self.core >> 3) + 1
+        return _single_height(self.pre, self.core, self.post, "monosyllable")
 
     def inverse(self) -> "Monosyllable":
         return _syllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
@@ -506,18 +510,30 @@ def _syllable(pre: tuple[int, ...], core: int, post: tuple[int, ...]) -> Monosyl
     return syl
 
 
-def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
-    """Cut a coded p/pb word just after each pb letter (trailing p goes last)."""
+def _single_height(pre: Sequence[int], core: int, post: Sequence[int], what: str) -> int:
+    """The core's height, its index + 1, once every flank index is checked
+    to lie below the core's."""
+    top = core & ~7
+    if max(pre, default=-1) >= top or max(post, default=-1) >= top:
+        raise ValueError(f"{what} has no single height: {_decode([*pre, core, *post])!r}")
+    return (core >> 3) + 1
+
+
+def _cut(codes: Sequence[int], what: str) -> list[tuple[Sequence[int], int, Sequence[int]]]:
+    """Cut a coded p/pb word just after each pb letter into (pre, core,
+    post) slices; a trailing p run is the last piece's post."""
     cores = [i for i, x in enumerate(codes) if x & 4]
     if not cores:
-        raise ValueError("split_monosyllables: word has no pb letter")
-    out = []
-    start = 0
-    for n, pos in enumerate(cores):
-        post = tuple(codes[pos + 1:]) if n == len(cores) - 1 else ()
-        out.append(Monosyllable(tuple(codes[start:pos]), codes[pos], post))
-        start = pos + 1
-    return out
+        raise ValueError(f"{what}: word has no pb letter")
+    ends = [pos + 1 for pos in cores[:-1]] + [len(codes)]
+    return [(codes[start:pos], codes[pos], codes[pos + 1:end])
+            for start, pos, end in zip([0] + ends, cores, ends)]
+
+
+def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
+    """Cut a coded p/pb word just after each pb letter (trailing p goes last)."""
+    pieces = _cut(codes, "split_monosyllables")
+    return [Monosyllable(tuple(pre), core, tuple(post)) for pre, core, post in pieces]
 
 
 def mono_raise(
@@ -686,22 +702,12 @@ class _PermSyllable(NamedTuple):
 
 
 def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
-    """Cut a coded p/pb word just after each pb letter (trailing p goes
-    last), as ``split_monosyllables`` does, and hold each piece as its
-    line; each piece must have a single height."""
-    cores = [i for i, x in enumerate(codes) if x & 4]
-    if not cores:
-        raise ValueError("_perm_syllables: word has no pb letter")
+    """Cut a coded p/pb word as ``split_monosyllables`` does and hold each
+    piece as its line; each piece must have a single height."""
     out = []
-    start = 0
-    for pos in cores:
-        end = pos + 1 if pos != cores[-1] else len(codes)
-        top = codes[pos] & ~7
-        if max(codes[start:pos], default=-1) >= top or max(codes[pos + 1:end], default=-1) >= top:
-            raise ValueError(f"_perm_syllables: syllable has no single height: {_decode(codes[start:end])!r}")
-        h = (top >> 3) + 1
-        out.append(_PermSyllable(h, _flank_perm(codes[start:end], h + 1)))
-        start = end
+    for pre, core, post in _cut(codes, "_perm_syllables"):
+        h = _single_height(pre, core, post, "_perm_syllables: syllable")
+        out.append(_PermSyllable(h, _flank_perm([*pre, core, *post], h + 1)))
     return out
 
 
@@ -924,11 +930,11 @@ def m_to_sigma(m_word: Word, h: int) -> Word:
     pb letters sit at index h - 1 and map to ``s_0``; p letters at index
     i map to ``s_(h-1-i)``.  Exponents are kept.  The translation depends
     on h, so each distinct letter is looked up once per call, in a
-    ``{letter: s letter}`` map whose values come from the ``braid`` memo.
+    ``{letter: s letter}`` map whose values come from ``words._letter``.
     """
     if not word_height(m_word).contains(h):
         raise ValueError(f"m_to_sigma: {h} is not a height of the word")
-    table = {g: _s_letter((0 if g.family is Family.PIBAR else h - 1 - g.index) << 1 | (g.exponent < 0))
+    table = {g: _ls_letter((0 if g.family is Family.PIBAR else h - 1 - g.index) << 2 | 2 - g.exponent)
              for g in set(m_word)}
     return tuple(map(table.__getitem__, m_word))
 
@@ -951,6 +957,8 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
             return False
         outer = form.L + form.R
     else:
+        if mode is not BVMode.V:
+            raise ValueError(f"is_trivial_bv: mode must be BVMode.V or BVMode.BV, got {mode!r}")
         first = to_first_form(w, budget)
         if all(g.family is Family.PI for g in first.M):
             if not from_adjacent_transpositions(g.index for g in first.M).is_identity():
@@ -961,8 +969,8 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
             if not _middle_is_identity(syllables, k):
                 return False
             # the v code ``n << 3 | (e < 0)`` reads as the l code ``n << 2 | (e < 0) << 1``
-            return is_trivial_f(tuple([_l_letter(x >> 3 << 2 | (x & 1) << 1) for x in left + right]), budget)
-    return is_trivial_f(tuple([_l_letter(g.index << 2 | (g.exponent < 0) << 1) for g in outer]), budget)
+            return is_trivial_f(tuple([_ls_letter(x >> 3 << 2 | (x & 1) << 1) for x in left + right]), budget)
+    return is_trivial_f(tuple([_ls_letter(g.index << 2 | (g.exponent < 0) << 1) for g in outer]), budget)
 
 
 def equal_bv(w1: Word, w2: Word, mode: BVMode, budget: Budget | None = None) -> bool:

@@ -55,12 +55,12 @@ count them; each carried letter's pushes are charged together.
 
 ``canonicalize_hat`` builds no letter that it does not return.  One
 pass over the input checks its alphabet and reads it, freely reduced,
-into the int codes of ``thompson_f._collect_codes``; the folds run on
-those codes.  The two l-parts become ``FNormal`` index tuples and
-a Vhat middle becomes its ``Permutation`` straight from the codes.  Only
-a BVhat middle is decoded back into ``s`` letters, through the bounded
-``thompson_f._letter`` memo, so a process that decides many words builds
-each letter once.
+into the l/s codes of ``words``; the folds run on those codes.  The two
+l-parts become ``FNormal`` index tuples and a Vhat middle becomes its
+``Permutation`` straight from the codes.  Only a BVhat middle is decoded
+back into ``s`` letters, through ``words._letter``, the bounded memo
+that handle reduction and ``bv_lmr.m_to_sigma`` share, so a process that
+decides many words builds each letter once.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ from enum import Enum
 from .braid import is_trivial_braid
 from .limits import Budget
 from .perms import Permutation, from_adjacent_transpositions
-from .thompson_f import FNormal, _collect_codes, _letter, _normal_indices, _reduced_codes
+from .thompson_f import FNormal, _collect_codes, _normal_indices, _reduced_codes
 from .words import (
+    _letter,
     Family,
     Word,
     invert,
@@ -138,8 +139,10 @@ def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> 
     positive, middle, negative = _collect_codes(codes, budget, "canonicalize_hat")
     if mode is GroupMode.VHAT:
         beta: Word | Permutation = from_adjacent_transpositions([y >> 2 for y in middle])
-    else:
+    elif mode is GroupMode.BVHAT:
         beta = tuple(map(_letter, middle))
+    else:
+        raise ValueError(f"canonicalize_hat: mode must be GroupMode.VHAT or GroupMode.BVHAT, got {mode!r}")
     return HatFraction(
         f_part=FNormal(_normal_indices(positive)),
         beta=beta,

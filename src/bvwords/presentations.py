@@ -31,6 +31,7 @@ false relations so a vacuously green verifier cannot go unnoticed.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -401,7 +402,13 @@ class Report:
 
     def summary(self) -> str:
         rows = [f"{fam}: {held}/{total}" for fam, (held, total) in sorted(self.family_counts().items())]
-        status = "all hold" if self.ok else f"{len(self.failures())} FAILED"
+        if not self.results:
+            status = "nothing checked"
+        elif self.ok:
+            status = "all hold"
+        else:    # a capped instance is undecided, not failed
+            n = Counter(r.verdict for r in self.results)
+            status = f"{n['holds']} hold, {n['fails']} FAILED, {n['resource-cap']} capped"
         return "\n".join(rows + [f"total: {len(self.results)} instances, {status}"])
 
 

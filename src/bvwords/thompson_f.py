@@ -17,15 +17,15 @@ the word problem.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .limits import Budget
 from .words import (
+    _KIND,
+    _letter,
     AlphabetError,
     Family,
-    Gen,
     Word,
     check_alphabet,
     invert,
@@ -33,20 +33,6 @@ from .words import (
 )
 
 _LAMBDA_ONLY = frozenset({Family.LAMBDA})
-
-# ``_KIND[family] - exponent`` is the kind of an l/s letter's code
-# ``index << 2 | kind`` (see ``_collect_codes``), and ``_FAMILY[kind & 1]``
-# its family
-_KIND = {Family.LAMBDA: 1, Family.SIGMA: 2}
-_FAMILY = (Family.LAMBDA, Family.SIGMA)
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _letter(x: int) -> Gen:
-    """The l/s letter of one code.  The memo is bounded and holds letters
-    only, so a process that decides many words builds each letter once."""
-    return Gen(_FAMILY[x & 1], x >> 2, 1 - (x & 2))
-
 
 @dataclass(frozen=True)
 class FNormal:
@@ -120,10 +106,10 @@ def _collect_codes(
     a word of ``s`` letters.  Returns the indices of ``P``, the codes of
     ``beta`` and the indices of ``N``.
 
-    A letter's code is ``index << 2 | kind``, with kind 0 for ``l``, 2
-    for ``l'``, 1 for ``s`` and 3 for ``s'``.  So ``x ^ 2`` is the
-    inverse letter, ``x + 4`` raises the index and keeps the kind, and
-    ``x & 3`` is nonzero exactly on ``s`` letters.
+    The codes are the l/s codes of ``words`` (kind 0 for ``l``, 2 for
+    ``l'``, 1 for ``s`` and 3 for ``s'``), which braid handle reduction
+    shares: ``x & 3`` is nonzero exactly on ``s`` letters, and ``x + 4``
+    raises the index and keeps the kind.
 
     The first phase moves every inverse ``l`` letter to the right end,
     rightmost inverse first; the second moves the ``s`` letters right past

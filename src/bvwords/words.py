@@ -25,6 +25,7 @@ rewriting; nothing in this package assumes a fixed alphabet width.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +67,22 @@ class Gen(NamedTuple):
 
 
 Word = tuple[Gen, ...]
+
+
+# The l/s code of a letter is ``index << 2 | kind``, with the kind
+# ``_KIND[family] - exponent`` (0 ``l``, 2 ``l'``, 1 ``s``, 3 ``s'``) and the
+# family ``_FAMILY[kind & 1]``: ``x ^ 2`` inverts, ``x + 4`` raises the index
+# and ``x >> 2`` reads it.  The hat folds and handle reduction run on it.
+_KIND = {Family.LAMBDA: 1, Family.SIGMA: 2}
+_FAMILY = (Family.LAMBDA, Family.SIGMA)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _letter(x: int) -> Gen:
+    """The l/s letter of one code.  The memo is bounded and holds letters
+    only, so a process that decides many words builds each letter once."""
+    return Gen(_FAMILY[x & 1], x >> 2, 1 - (x & 2))
+
 
 EMPTY: Word = ()
 

@@ -30,7 +30,7 @@ from bvwords.bv_lmr import (
     to_third_form,
     word_height,
 )
-from bvwords.hatgroups import GroupMode, equal_hat, is_trivial_hat
+from bvwords.hatgroups import GroupMode, canonicalize_hat, equal_hat, is_trivial_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import from_adjacent_transpositions
 from bvwords.words import (
@@ -590,3 +590,17 @@ def test_budget_propagation():
         budget = Budget(total)
         assert is_trivial_bv(w, BVMode.V, budget) == verdict and budget.used == total
     assert phases == {"to_first_form", "repair_heights", "equalize_heights", "to_third_form"}
+
+
+def test_deciders_reject_a_mode_that_is_not_a_member():
+    # a mode's value is not the mode: read as the other member, "BV" and
+    # "Vhat" would give the other group's verdict
+    with pytest.raises(ValueError, match="BVMode.V or BVMode.BV"):
+        is_trivial_bv((pi(0), pi(0)), "BV")
+    with pytest.raises(ValueError, match="GroupMode.VHAT or GroupMode.BVHAT"):
+        is_trivial_hat((sig(0), sig(0)), "Vhat")
+    with pytest.raises(ValueError, match="GroupMode.VHAT or GroupMode.BVHAT"):
+        canonicalize_hat((sig(0),), "Vhat")
+    assert is_trivial_bv((pi(0), pi(0)), BVMode.V) and not is_trivial_bv((pi(0), pi(0)), BVMode.BV)
+    assert is_trivial_hat((sig(0), sig(0)), GroupMode.VHAT)
+    assert not is_trivial_hat((sig(0), sig(0)), GroupMode.BVHAT)

@@ -248,3 +248,14 @@ def test_bad_options_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_verify_summary_counts_caps_apart_from_failures(capsys):
+    # every instance that does not hold here hit the step cap: none failed
+    code, out, _ = run(capsys, "verify", "--bound", "1", "--max-steps", "1")
+    assert code == 3
+    assert out.count("verdict=resource-cap") == 188 and out.count("verdict=holds") == 44
+    assert out.rstrip().endswith("total: 232 instances, 44 hold, 0 FAILED, 188 capped")
+    code, out, _ = run(capsys, "verify", "--bound", "0", "--family", "vv-shift")
+    assert code == 1
+    assert out == "total: 0 instances, nothing checked\n"

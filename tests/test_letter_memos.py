@@ -1,11 +1,12 @@
-"""The per-coding letter memos against the per-call tables they replaced.
+"""The letter memos against the per-call tables they replaced.
 
-Each int coding (``bv_lmr``'s v/p/pb codes, ``braid``'s s codes and
-``thompson_f``'s l/s codes) turns codes back into letters through one
-bounded ``_letter`` memo.  The references below are the bodies that built
-a fresh ``{code: Gen}`` table on every call; on any code list the two give
-the same letters.  A list with more distinct codes than the memo holds
-makes it evict, and the letters must not change.
+The package has two int codings, each turned back into letters through
+one bounded ``_letter`` memo: ``bv_lmr``'s v/p/pb codes, and the l/s
+codes of ``words``, which the hat folds, handle reduction and the LMR
+route's ``l`` and ``s`` letters share.  The references below are the
+bodies that built a fresh ``{code: Gen}`` table on every call; on any
+code list the two give the same letters.  A list with more distinct codes
+than the memo holds makes it evict, and the letters must not change.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bvwords import braid, bv_lmr, thompson_f
+from bvwords import braid, bv_lmr, hatgroups, thompson_f, words
 from bvwords.presentations import verify_all
 from bvwords.words import Family, Gen
 
-MEMOS = (bv_lmr._letter, braid._letter, thompson_f._letter)
+MEMOS = (bv_lmr._letter, words._letter)
 SETTINGS = settings(max_examples=300, deadline=None)
 BIG = 10 ** 6
 # more distinct indices than any memo holds
@@ -32,7 +33,7 @@ def _ref_lmr_decode(codes):
 
 
 def _ref_braid_decode(codes):
-    table = {x: Gen(Family.SIGMA, x >> 1, 1 - 2 * (x & 1)) for x in set(codes) if x >= 0}
+    table = {x: Gen(Family.SIGMA, x >> 2, 2 - (x & 3)) for x in set(codes) if x >= 0}
     return tuple([table[x] for x in codes if x >= 0])
 
 
@@ -66,10 +67,10 @@ def test_lmr_decode_matches_per_call_table(codes):
 
 
 @SETTINGS
-@given(st.lists(st.one_of(st.builds(lambda i, neg: i << 1 | neg, st.integers(0, BIG), st.integers(0, 1)),
+@given(st.lists(st.one_of(st.builds(lambda i, kind: i << 2 | kind, st.integers(0, BIG), st.sampled_from((1, 3))),
                           st.just(braid._DELETED)),
                 max_size=60))
-@example([i << 1 | i % 2 for i in EVICTING] + [braid._DELETED])
+@example([i << 2 | (1 + 2 * (i % 2)) for i in EVICTING] + [braid._DELETED])
 def test_braid_decode_matches_per_call_table(codes):
     w = braid._decode(codes)
     assert w == _ref_braid_decode(codes)
@@ -90,6 +91,10 @@ def test_hat_letters_match_per_call_tables(middle, indices):
     assert _all_gen(w + letters)
     # inverse l letters, which neither table built
     assert [thompson_f._letter(i << 2 | 2) for i in indices] == [Gen(Family.LAMBDA, i, -1) for i in indices]
+
+
+def test_every_l_s_letter_comes_from_one_memo():
+    assert braid._letter is thompson_f._letter is hatgroups._letter is bv_lmr._ls_letter is words._letter
 
 
 def test_verify_all_is_the_same_from_cold_memos():

@@ -8,7 +8,9 @@ from bvwords.presentations import (
     FAMILIES,
     GroupId,
     RelationInstance,
+    Report,
     Scheme,
+    VerifyResult,
     corrupt_instance,
     expand_finite_defs,
     finite_presentation_instances,
@@ -194,3 +196,9 @@ def test_nontriviality_facts():
         assert not equal_bv((vgen(1),), (vgen(2),), mode)
     assert is_trivial_bv((pi(0), pi(0)), BVMode.V)
     assert not is_trivial_bv((pi(0), pi(0)), BVMode.BV)
+
+
+def test_report_summary_names_each_verdict():
+    results = [VerifyResult("a", GroupId.V, verdict, 1) for verdict in ("holds", "fails", "resource-cap", "fails")]
+    assert Report(results).summary().endswith("total: 4 instances, 1 hold, 2 FAILED, 1 capped")
+    assert Report([]).summary() == "total: 0 instances, nothing checked"
