@@ -30,24 +30,28 @@ position ``p`` records in ``prev[p]`` the value ``last`` had for its index
 before, so the scan can be rolled back.
 
 When a handle at ``(open, close)`` is found it is the leftmost-closing
-one, since every earlier position was a failed candidate.  ``last`` is
-rolled back over positions ``close-1`` down to ``open`` through ``prev``,
-which leaves it as it stood before ``open`` was scanned; the handle is
-reduced and the scan resumes at ``open``.  This finds the same handle as a
-full rescan: whether a handle closes at position ``c`` depends only on the
-letters up to ``c``, the letters before ``open`` did not change, and none
-of them closed a handle before the reduction.
+one, since every earlier position was a failed candidate.  Its opener is
+marked deleted in place and ``last[k]`` takes the value ``prev[open]`` it
+held before ``open`` was scanned.  Let ``first`` be the first interior
+letter of index ``k+1``.  ``last`` is rolled back over positions
+``close-1`` down to ``first`` through ``prev``, which leaves it as it
+stood before ``first`` was scanned, with the opener gone; the interior
+from ``first`` on is reduced, the closer dropped, and the scan resumes at
+``first``.  This finds the same handles as a full rescan from ``open``:
+whether a handle closes at position ``c`` depends only on the letters up
+to ``c``, the letters before ``open`` did not change, and none of them
+closed a handle before the reduction.  The interior letters before
+``first`` did not change either, and they have indices outside
+``k-1..k+1``: whether a letter of index ``j`` closes a handle depends on
+the earlier letters of index ``j`` and ``j-1`` only, and the deleted
+opener is neither, so they fail as they did before.
 
 Most handles *commute*: their interior holds no letter of index ``k+1``
 either, which ``last[k+1] < open`` tells at once, and reducing one only
-deletes its two bounding letters.  Those are cancelled in place: both are
-marked deleted, ``last[k]`` takes the value ``prev[open]`` it held before
-``open`` was scanned, and the scan goes on at ``close + 1`` with no
-rollback.  It may skip the interior because the interior holds no letter
-of index ``k-1``, ``k`` or ``k+1``: whether an interior letter of index
-``j`` closes a handle depends only on the earlier letters of index ``j``
-and ``j-1``, and the deleted opener is neither, so no interior letter
-closes one now that failed before.  ``last`` then stands as a scan of the
+deletes its two bounding letters.  Those are cancelled in place: the
+closer is marked deleted as well, and the scan goes on at ``close + 1``
+with no rollback, since by the argument above no interior letter closes
+a handle now that failed before.  ``last`` then stands as a scan of the
 word without the pair would leave it, so the sequence of leftmost-closing
 handles is the full rescan's.  A deleted letter keeps its place in the
 list until a later splice over it or the final readout drops it; a
@@ -100,28 +104,30 @@ def _decode(codes: list[int]) -> Word:
     return tuple(map(_letter, [x for x in codes if x >= 0]))
 
 
-def _reduce_handle(w: list[int], open_: int, close: int) -> None:
-    # on codes, adding 4 raises a letter's index by one and ^ 2 inverts it;
-    # deleted letters inside the handle are dropped with it
-    raised = w[open_] + 4
+def _reduce_handle(w: list[int], opener: int, first: int, close: int) -> None:
+    # the interior from ``first`` on, conjugated by the opener's code, and
+    # the closer: on codes, adding 4 raises a letter's index by one and ^ 2
+    # inverts it; deleted letters there are dropped with the closer
+    raised = opener + 4
     replacement: list[int] = []
-    for y in w[open_ + 1:close]:
+    for y in w[first:close]:
         if y >> 2 == raised >> 2:
             replacement += [raised ^ 2, y - 4, raised]
         elif y >= 0:
             replacement.append(y)
-    w[open_:close + 1] = replacement
+    w[first:close + 1] = replacement
 
 
 def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     """Fully handle-reduce a braid word; the result is handle free.
 
     The word is freely reduced once, on its int codes (``_free_codes``),
-    and scanned from the left.  A commuting handle is cancelled in place:
-    its two letters are marked deleted and the scan goes on past it.  Any
-    other handle is spliced by ``_reduce_handle``, which also drops the
-    deleted letters inside it, and the scan resumes at its opener.  The
-    readout drops the deleted letters left over.
+    and scanned from the left.  A handle's opener is marked deleted in
+    place.  A commuting handle's closer is too, and the scan goes on past
+    it.  Any other handle is spliced by ``_reduce_handle`` from its first
+    interior letter of index k+1, which also drops the deleted letters
+    from there on, and the scan resumes at that letter.  The readout drops
+    the deleted letters left over.
     """
     check_alphabet(w, _BRAID_ALPHABET, "handle_reduce")
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
@@ -140,17 +146,22 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
         at = last[k]
         if at > last[k - 1] and codes[at] == x ^ 2:
             budget.spend("handle_reduce")
-            if last[k + 1] < at:    # commuting: cancel the pair in place
-                codes[at] = codes[pos] = _DELETED
-                last[k] = prev[at]
+            codes[at] = _DELETED
+            last[k] = prev[at]
+            first = last[k + 1]
+            if first < at:          # commuting: cancel the pair in place
+                codes[pos] = _DELETED
                 prev.append(-1)     # keeps prev[p] at position p
                 pos += 1
                 continue
-            for p in range(pos - 1, at - 1, -1):
+            # the interior letters of index k+1 are chained through prev
+            while prev[first] > at:
+                first = prev[first]
+            for p in range(pos - 1, first - 1, -1):
                 last[codes[p] >> 2] = prev[p]
-            del prev[at:]
-            _reduce_handle(codes, at, pos)
-            pos, end = at, len(codes)
+            del prev[first:]
+            _reduce_handle(codes, x ^ 2, first, pos)
+            pos, end = first, len(codes)
         else:
             prev.append(at)
             last[k] = pos

@@ -57,6 +57,17 @@ raises itself (``raised``), so one ``raise_word_heights`` and one
 ``raise_m`` serve both, and only the split into syllables is chosen per
 holding.
 
+BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
+the repaired middle.  Height repair leaves inverse p pairs behind
+(``p3' pb3`` repairs to ``p3' p3 pb4 v3'``), and every raise would copy
+and grow them.  Cabling never unreduces a flank: ``pi_action`` maps a
+freely reduced p word to a freely reduced one, and so does ``mono_raise``
+to each flank.  Free reduction keeps a flank's permutation, so the spills,
+heights and steps stay those of the unreduced flanks, and the join in
+``to_third_form`` cancels the pairs that meet across a syllable boundary.
+M is then the unreduced chain's middle with every maximal p run freely
+reduced, the same braid.
+
 Codes turn back into letters only at the public boundaries, through two
 bounded memos: ``_letter`` here for v/p/pb codes, and ``words._letter``
 for the l/s codes of the outer ``l`` letters of the F check and of the
@@ -252,6 +263,8 @@ def apply_relation(
     """Replace one occurrence of a relation side at a given position,
     ``0 <= position <= len(w)``."""
     fam = _family(rel_id)
+    if not isinstance(mode, BVMode):
+        raise ValueError(f"apply_relation: mode must be BVMode.V or BVMode.BV, got {mode!r}")
     if fam.v_only and mode is BVMode.BV:
         raise ValueError(f"{rel_id} is not a relation of BV")
     if direction not in ("forward", "backward"):
@@ -290,9 +303,10 @@ class LMRForm:
 # The code stays apart from the l/s code of ``words`` on purpose: one 4-bit
 # code ``index << 4 | kind`` for all five families would push most codes
 # out of CPython's cache of small ints (those up to 256).  The third-form
-# middles of the 52 finite BV relators hold 47,844 letters; 3,648 of their
-# codes exceed 256 here, and 22,690 would with 4 bits, and free-reduction
-# and raise loops over those codes ran 25-29% slower.
+# middles of the 52 finite BV relators held 47,844 letters before their
+# flanks were freely reduced; 3,648 of their codes exceeded 256 here, and
+# 22,690 would with 4 bits, and free-reduction and raise loops over those
+# codes ran 25-29% slower.
 _KIND = {Family.V: 0, Family.PI: 2, Family.PIBAR: 4}
 _FAMILY = (Family.V, Family.V, Family.PI, Family.PI, Family.PIBAR, Family.PIBAR)
 
@@ -311,6 +325,17 @@ def _letter(x: int) -> Gen:
 def _decode(codes: Sequence[int]) -> Word:
     """The letters of a code list, each one from the ``_letter`` memo."""
     return tuple(map(_letter, codes))
+
+
+def _free_codes(codes: Sequence[int]) -> tuple[int, ...]:
+    """A code list freely reduced: ``x ^ 1`` is the inverse of ``x``."""
+    out: list[int] = []
+    for x in codes:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: str) -> list[int]:
@@ -395,13 +420,7 @@ def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
     codes = _encode(free_reduce(w))
     left = _flush_v_letters(codes, 1, 0, budget, "to_first_form")
     right = _flush_v_letters(codes, -1, len(codes) - 1, budget, "to_first_form")
-    middle: list[int] = []
-    for x in codes:
-        if middle and middle[-1] == x ^ 1:
-            middle.pop()
-        else:
-            middle.append(x)
-    return LMRForm(L=_decode(left), M=_decode(middle), R=_decode(right))
+    return LMRForm(L=_decode(left), M=_decode(_free_codes(codes)), R=_decode(right))
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +550,16 @@ def _cut(codes: Sequence[int], what: str) -> list[tuple[Sequence[int], int, Sequ
 
 
 def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
-    """Cut a coded p/pb word just after each pb letter (trailing p goes last)."""
+    """Cut a coded p/pb word just after each pb letter (trailing p goes
+    last), freely reducing each flank.
+
+    One reduction here is enough: ``pi_action`` and ``mono_raise`` map
+    freely reduced flanks to freely reduced flanks, and free reduction
+    keeps a flank's permutation, so every spill, height and step stays as
+    it was.
+    """
     pieces = _cut(codes, "split_monosyllables")
-    return [Monosyllable(tuple(pre), core, tuple(post)) for pre, core, post in pieces]
+    return [Monosyllable(_free_codes(pre), core, _free_codes(post)) for pre, core, post in pieces]
 
 
 def mono_raise(
@@ -606,10 +632,18 @@ def raise_word_heights(syllables: Sequence) -> tuple[list, int | None]:
     return out, carry
 
 
-def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
+def _join_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
+    """The codes of syllables with freely reduced flanks, joined, with the
+    inverse p pairs that meet where one syllable's post meets the next
+    one's pre cancelled.  A pb letter never cancels: the letter met across
+    a join is a p letter."""
     out: list[int] = []
     for s in syllables:
-        out += s.pre
+        pre, i = s.pre, 0
+        while i < len(pre) and out and out[-1] == pre[i] ^ 1:
+            out.pop()
+            i += 1
+        out += pre[i:]
         out.append(s.core)
         out += s.post
     return out
@@ -866,8 +900,14 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     have height bound at most k, so the middle translates into a braid
     word on the strands below k while L and R read as monoid letters.
     Height repair, equalization and raising run on the int coding.  The
-    repaired middle is split into syllables once, equalized and raised as
-    that list, and joined once; the three parts are decoded on return.
+    repaired middle is split into syllables once, each flank freely
+    reduced, equalized and raised as that list, and joined once; the three
+    parts are decoded on return.
+
+    Raising keeps every flank freely reduced, so the join need only
+    cancel the inverse p pairs that meet across a syllable boundary.  M is
+    the unreduced flanks' middle with every maximal p run freely reduced,
+    the same braid, and L, R, k and the steps are those of that chain.
     """
     budget = budget if budget is not None else Budget()
     first = to_first_form(w, budget)
@@ -879,7 +919,7 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
         return LMRForm(first.L, first.M, first.R, height, k)
 
     left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables)
-    m_word = _decode(_concat_syllables(syllables))
+    m_word = _decode(_join_syllables(syllables))
     height = word_height(m_word)
     if not height.contains(h):
         raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")

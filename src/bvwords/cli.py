@@ -201,6 +201,8 @@ def _cmd_equal(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_all(args.bound, args.max_steps, args.family)
+    if not report.results:    # only a single family can select nothing
+        raise UsageError(f"relation family {args.family!r} has no instance at bound {args.bound}")
     if args.json:
         record = {
             "command": "verify", "bound": args.bound, "family": args.family,

@@ -102,6 +102,9 @@ class HatFraction:
     g_part: FNormal
     mode: GroupMode
 
+    def __post_init__(self) -> None:
+        _check_mode(self.mode, "HatFraction")
+
     def is_trivial(self, budget: Budget | None = None) -> bool:
         if self.f_part != self.g_part:
             return False
@@ -128,21 +131,25 @@ class HatFraction:
         return self.beta
 
 
+def _check_mode(mode: object, what: str) -> None:
+    if not isinstance(mode, GroupMode):
+        raise ValueError(f"{what}: mode must be GroupMode.VHAT or GroupMode.BVHAT, got {mode!r}")
+
+
 def canonicalize_hat(w: Word, mode: GroupMode, budget: Budget | None = None) -> HatFraction:
     """Collect a word over l/s letters into its canonical fraction.
 
     >>> canonicalize_hat((sig(0), lam(0)), GroupMode.BVHAT).to_word()
     (l1, s0, s1)
     """
+    _check_mode(mode, "canonicalize_hat")
     codes = _reduced_codes(w, _HAT_ALPHABET, "canonicalize_hat")
     budget = budget if budget is not None else Budget()
     positive, middle, negative = _collect_codes(codes, budget, "canonicalize_hat")
     if mode is GroupMode.VHAT:
         beta: Word | Permutation = from_adjacent_transpositions([y >> 2 for y in middle])
-    elif mode is GroupMode.BVHAT:
-        beta = tuple(map(_letter, middle))
     else:
-        raise ValueError(f"canonicalize_hat: mode must be GroupMode.VHAT or GroupMode.BVHAT, got {mode!r}")
+        beta = tuple(map(_letter, middle))
     return HatFraction(
         f_part=FNormal(_normal_indices(positive)),
         beta=beta,

@@ -24,6 +24,7 @@ from bvwords.braid import is_trivial_braid
 from bvwords.bv_lmr import m_to_sigma, to_third_form
 from bvwords.presentations import corrupt_instance, finite_presentation_instances
 from bvwords.words import Family, GroupId, sig
+from test_rewrite_equivalence import unreduced_third_form
 
 
 def _pos(x: int) -> int:
@@ -92,13 +93,13 @@ def test_handle_reduction_agrees_on_seeded_braids():
     assert 1500 < trivial < 3000
 
 
-def _bv_middles(corrupt: bool):
+def _bv_middles(corrupt: bool, third_form):
     """The braid words of the third-form middles that hold a pb letter,
     for the finite BV relators or their corrupted instances."""
     out = []
     for inst in finite_presentation_instances():
         if inst.group is GroupId.BV:
-            form = to_third_form((corrupt_instance(inst) if corrupt else inst).relator())
+            form = third_form((corrupt_instance(inst) if corrupt else inst).relator())
             if any(g.family is Family.PIBAR for g in form.M):
                 out.append(m_to_sigma(form.M, form.k))
     return out
@@ -106,11 +107,14 @@ def _bv_middles(corrupt: bool):
 
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_handle_reduction_agrees_on_finite_bv_middles(corrupt):
-    middles = _bv_middles(corrupt)
-    verdicts = [is_trivial_braid(w) for w in middles]
-    assert [dynnikov_trivial(w) for w in middles] == verdicts
-    if corrupt:
-        assert (len(middles), sum(verdicts)) == (35, 2)
-    else:
-        assert len(middles) == 33 and all(verdicts)
-        assert max(map(len, middles)) == 15_944
+    # the middles of the unreduced chain, and the public ones, whose p runs
+    # are freely reduced
+    for third_form, longest in ((unreduced_third_form, 15_944), (to_third_form, 5_174)):
+        middles = _bv_middles(corrupt, third_form)
+        verdicts = [is_trivial_braid(w) for w in middles]
+        assert [dynnikov_trivial(w) for w in middles] == verdicts
+        if corrupt:
+            assert (len(middles), sum(verdicts)) == (35, 2)
+        else:
+            assert len(middles) == 33 and all(verdicts)
+            assert max(map(len, middles)) == longest

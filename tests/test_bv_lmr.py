@@ -44,7 +44,13 @@ from bvwords.words import (
     sig,
     vgen,
 )
-from test_rewrite_equivalence import _ref_is_trivial_v, opi_commute, raise_m_joined
+from test_rewrite_equivalence import (
+    _ref_is_trivial_v,
+    opi_commute,
+    raise_m_joined,
+    reduce_p_runs,
+    unreduced_third_form,
+)
 
 BV_FAMILIES = (Family.V, Family.PI, Family.PIBAR)
 
@@ -167,6 +173,12 @@ def test_apply_relation_examples():
     assert backward == (vgen(2), vgen(1))
     with pytest.raises(ValueError):
         apply_relation((vgen(1), vgen(3)), "vv-shift", (2, 1), 0)
+
+
+def test_apply_relation_rejects_a_mode_that_is_not_a_member():
+    # read as V, "BV" would apply the V-only p-invol
+    with pytest.raises(ValueError, match="apply_relation: mode must be BVMode.V or BVMode.BV"):
+        apply_relation((pi(0), pi(0)), "p-invol", (0,), 0, mode="BV")
 
 
 def test_apply_relation_rejects_positions_and_directions_outside_its_range():
@@ -296,6 +308,9 @@ def test_monosyllable_structure():
 def test_split_monosyllables():
     parts = split_monosyllables(codes((pi(0), pibar(1), pibar(2), pi(3))))
     assert [p.word() for p in parts] == [(pi(0), pibar(1)), (pibar(2), pi(3))]
+    # each flank is freely reduced: repair makes p3' p3 pb4 of p3' pb3
+    parts = split_monosyllables(codes((pi(3, -1), pi(3), pibar(4), pi(1), pibar(4, -1), pi(1, -1))))
+    assert [p.word() for p in parts] == [(pibar(4),), (pi(1), pibar(4, -1), pi(1, -1))]
     with pytest.raises(ValueError):
         split_monosyllables(codes((pi(0), pi(1))))
 
@@ -447,6 +462,53 @@ def test_raising_cables_one_strand(syl):
             assert spill[0].index == h - end
         assert end == (h - spill[0].index if spill else 0)
         assert cable(braid, end) == (m_to_sigma(new.word(), h + 1), top)
+
+
+def freely_reduced(codes):
+    out = []
+    for x in codes:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def is_freely_reduced(codes):
+    return all(y != x ^ 1 for x, y in zip(codes, codes[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_height_syllables(), st.data())
+def test_raising_keeps_flanks_freely_reduced(syl, data):
+    # the invariant that lets ``split_monosyllables`` reduce each flank
+    # once: ``pi_action`` and ``mono_raise`` map freely reduced flanks to
+    # freely reduced flanks
+    syl = Monosyllable(freely_reduced(syl.pre), syl.core, freely_reduced(syl.post))
+    h = syl.single_height()
+    m = data.draw(st.integers(0, h - 1))
+    for flank in (syl.pre, syl.post):
+        assert is_freely_reduced(pi_action(flank, m)[0])
+    for new, _ in (mono_raise(syl, "a"), mono_raise(syl, "d", m), mono_raise(syl.inverse(), "d", m)):
+        assert is_freely_reduced(new.pre) and is_freely_reduced(new.post)
+
+
+def test_third_form_middle_has_no_inverse_pair_in_a_p_run():
+    # ``p3' pb3`` repairs to ``p3' p3 pb4 v3'``, and the cut cancels the
+    # pair; in the second word the raises leave pairs where one raised
+    # syllable meets the next, and the join cancels those.  Every third
+    # form is the unreduced chain's, with its p runs freely reduced.
+    words = [(pi(3, -1), pibar(3)), (vgen(3), pibar(0, -1), pi(0), pi(0), pibar(0), vgen(3, -1))]
+    rng = random.Random(79)
+    words += [random_word(rng, BV_FAMILIES, max_index=5, max_len=16) for _ in range(300)]
+    for w in words:
+        ref_budget, budget = Budget(), Budget()
+        ref, form = unreduced_third_form(w, ref_budget), to_third_form(w, budget)
+        assert not any(g.family is Family.PI and x == g.inverse() for g, x in zip(form.M, form.M[1:]))
+        assert (form.L, form.M, form.R, form.k) == (ref.L, reduce_p_runs(ref.M), ref.R, ref.k)
+        assert budget.used == ref_budget.used
+    assert to_third_form(words[0]) == LMRForm((), (pibar(4),), (vgen(3, -1),), HeightSet.singleton(5), 5)
+    assert len(to_third_form(words[1]).M) < len(unreduced_third_form(words[1]).M)
 
 
 def test_raise_m():

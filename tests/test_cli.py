@@ -256,6 +256,12 @@ def test_verify_summary_counts_caps_apart_from_failures(capsys):
     assert code == 3
     assert out.count("verdict=resource-cap") == 188 and out.count("verdict=holds") == 44
     assert out.rstrip().endswith("total: 232 instances, 44 hold, 0 FAILED, 188 capped")
-    code, out, _ = run(capsys, "verify", "--bound", "0", "--family", "vv-shift")
-    assert code == 1
-    assert out == "total: 0 instances, nothing checked\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_selection_without_instances_is_usage_error(capsys, json_flag):
+    # vv-shift needs two indices m < q, so bound 0 selects nothing: that
+    # is a usage error, not a failed check
+    code, out, err = run(capsys, "verify", "--bound", "0", "--family", "vv-shift", *json_flag)
+    assert (code, out) == (2, "")
+    assert err == "error: relation family 'vv-shift' has no instance at bound 0\n"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bvwords.hatgroups import GroupMode, canonicalize_hat, equal_hat, is_trivial_hat
+from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat, equal_hat, is_trivial_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, from_sigma_word
 from bvwords.thompson_f import FNormal, normalize_monoid
@@ -221,6 +221,22 @@ def test_budget_cap_raises():
     w = (sig(0), lam(0)) * 12
     with pytest.raises(StepLimitExceeded):
         canonicalize_hat(w, GroupMode.BVHAT, Budget(limit=3))
+
+
+def test_fraction_rejects_a_mode_that_is_not_a_member():
+    # read as BVhat, "Vhat" would call s0 s0 nontrivial
+    with pytest.raises(ValueError, match="HatFraction: mode must be GroupMode.VHAT or GroupMode.BVHAT"):
+        HatFraction(FNormal(()), (sig(0), sig(0)), FNormal(()), "Vhat")
+
+
+def test_canonicalize_hat_checks_its_mode_before_spending():
+    w = (lam(0, -1), lam(1))    # one push: l0' l1 -> l2 l0'
+    budget = Budget()
+    with pytest.raises(ValueError, match="canonicalize_hat: mode must be"):
+        canonicalize_hat(w, "Vhat", budget)
+    assert budget.used == 0
+    canonicalize_hat(w, GroupMode.VHAT, budget)
+    assert budget.used == 1
 
 
 _MISMATCHED_BETA = """

@@ -3,9 +3,12 @@
 For each relator the table holds the lengths of L, M and R, the height k
 and the first 16 hex digits of the sha256 of ``"L | M | R"``, each part
 in the tokens ``bvwords lmr`` prints.  The figures were recorded before
-height raising moved to the int coding, so a change to repair,
-equalization or raising cannot silently change the third form.
-``finite-v#12/bv-p`` has the largest middle, 15,944 letters.
+height raising moved to the int coding, and before ``split_monosyllables``
+freely reduced the flanks, so they pin the unreduced chain
+(``unreduced_third_form``), where ``finite-v#12/bv-p`` has the largest
+middle, 15,944 letters.  A change to repair, equalization or raising
+cannot silently change that chain, and the public ``to_third_form`` must
+give its L, R, k and steps, and its M with every p run freely reduced.
 
 The braids of the two BV relators that load handle reduction most are
 pinned through it as well: the steps it spends, and an empty result.
@@ -20,6 +23,7 @@ from bvwords.bv_lmr import m_to_sigma, to_third_form
 from bvwords.cli import format_word
 from bvwords.limits import Budget
 from bvwords.presentations import GroupId, finite_presentation_instances
+from test_rewrite_equivalence import reduce_p_runs, unreduced_third_form
 
 PINNED = [
     ("finite-bv#01/bv-v", GroupId.BV, 2, 0, 2, 5, "cf9f8e03aef988a2"),
@@ -147,10 +151,14 @@ def test_every_finite_relator_is_pinned():
 @pytest.mark.parametrize("source, group, n_l, n_m, n_r, k, digest", PINNED,
                          ids=[f"{source}-{group.value}" for source, group, *_ in PINNED])
 def test_third_form_is_pinned(source, group, n_l, n_m, n_r, k, digest):
-    form = to_third_form(RELATORS[source, group])
-    text = " | ".join(format_word(part) for part in (form.L, form.M, form.R))
-    assert (len(form.L), len(form.M), len(form.R), form.k) == (n_l, n_m, n_r, k)
+    ref_budget, budget = Budget(), Budget()
+    ref = unreduced_third_form(RELATORS[source, group], ref_budget)
+    text = " | ".join(format_word(part) for part in (ref.L, ref.M, ref.R))
+    assert (len(ref.L), len(ref.M), len(ref.R), ref.k) == (n_l, n_m, n_r, k)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    form = to_third_form(RELATORS[source, group], budget)
+    assert (form.L, form.M, form.R, form.k) == (ref.L, reduce_p_runs(ref.M), ref.R, ref.k)
+    assert budget.used == ref_budget.used
 
 
 @pytest.mark.parametrize("source, steps", [

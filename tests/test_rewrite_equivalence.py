@@ -28,9 +28,10 @@ from bvwords.bv_lmr import (
     _FAMILY,
     BVMode,
     HeightSet,
+    LMRForm,
     Monosyllable,
     _cable,
-    _concat_syllables,
+    _cut,
     _decode,
     _encode,
     _equalize_heights,
@@ -39,6 +40,7 @@ from bvwords.bv_lmr import (
     _invert_codes,
     _PermSyllable,
     _perm_syllables,
+    _raise_to_third_form,
     _repair_syllable_heights,
     is_trivial_bv,
     letter_height,
@@ -708,6 +710,48 @@ def _ref_equalize_heights(syllables, budget):
     return left_spill, syllables, right_spill
 
 
+# The unreduced chain: the repaired middle cut into syllables as
+# ``split_monosyllables`` cut it before it freely reduced the flanks, and the
+# raised syllables joined without cancelling.  The third forms pinned in
+# ``test_lmr_pins`` and ``test_selftest_pins`` were recorded on it.
+
+
+def _unreduced_split(codes: Sequence[int]) -> list[Monosyllable]:
+    """``split_monosyllables`` without its flank reduction."""
+    return [Monosyllable(tuple(pre), core, tuple(post)) for pre, core, post in _cut(codes, "_unreduced_split")]
+
+
+def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
+    out: list[int] = []
+    for s in syllables:
+        out += s.pre
+        out.append(s.core)
+        out += s.post
+    return out
+
+
+def unreduced_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
+    """``to_third_form`` on the unreduced chain, spending the same steps."""
+    budget = budget if budget is not None else Budget()
+    first = to_first_form(w, budget)
+    if not any(g.family is Family.PIBAR for g in first.M):
+        return to_third_form(w)    # no syllables: the two chains agree
+    left, syllables, right, k = _raise_to_third_form(first, budget, _unreduced_split)
+    m_word = _decode(_concat_syllables(syllables))
+    return LMRForm(_decode(left), m_word, _decode(right), word_height(m_word), k)
+
+
+def reduce_p_runs(w: Word) -> Word:
+    """A p/pb word with every maximal run of p letters freely reduced."""
+    out: list[Gen] = []
+    for g in w:
+        if out and g.family is Family.PI and out[-1] == g.inverse():
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
 # ``raise_m`` as it ran on code lists: every call scanned the codes, split
 # them into syllables (the inverted codes for a left raise) and joined the
 # raised syllables again.
@@ -730,7 +774,7 @@ def _ref_raise_m(codes: Sequence[int], side: Literal["left", "right"]) -> tuple[
         return ([], list(codes)) if side == "left" else (list(codes), [])
     if side == "left":
         codes = _invert_codes(codes)
-    syllables = split_monosyllables(codes)
+    syllables = _unreduced_split(codes)
     if len({s.core >> 3 for s in syllables}) > 1:
         raise ValueError("raise_m: middle word must have nonempty height")
     raised, spill = raise_word_heights(syllables)
@@ -772,8 +816,16 @@ def nested_braids(low=0, depth=3):
     return st.lists(chunk, max_size=8).map(lambda chunks: [g for c in chunks for g in c])
 
 
+# the handle s0 ... s0' holds the commuting handle s2 s4 s2', cancelled in
+# place, before its first letter of index 1, so its splice starts past the
+# deleted letters
+DELETED_BEFORE_FIRST_RAISED = (sig(0), sig(2), sig(4), sig(2, -1), sig(1), sig(3), sig(0, -1), sig(1))
+
+
 @SETTINGS
 @given(nested_braids().map(lambda b: tuple(b[:200])), st.one_of(st.integers(1, 60), st.just(CAP)))
+@example(DELETED_BEFORE_FIRST_RAISED, CAP)
+@example(DELETED_BEFORE_FIRST_RAISED, 1)
 def test_handle_reduce_matches_full_rescan_on_nested_handles(b, cap):
     assert capped_outcome(cap, handle_reduce, b) == capped_outcome(cap, _ref_handle_reduce, b)
 
@@ -1075,7 +1127,7 @@ def test_equalize_heights_matches_full_inversion(w, cap):
         return
 
     def coded(budget):
-        left, syllables, right = _equalize_heights(split_monosyllables(_encode(middle)), budget)
+        left, syllables, right = _equalize_heights(_unreduced_split(_encode(middle)), budget)
         return _decode(left), [s.word() for s in syllables], _decode(right)
 
     def ref(budget):
@@ -1092,7 +1144,7 @@ def test_raise_word_heights_matches_letter_chain(w, times):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    coded = sorted(split_monosyllables(_encode(middle)), key=lambda s: s.core >> 3)
+    coded = sorted(_unreduced_split(_encode(middle)), key=lambda s: s.core >> 3)
     ref = sorted(_ref_split_monosyllables(middle), key=lambda s: s.core.index)
     for _ in range(times):
         coded, spill = raise_word_heights(coded)
@@ -1123,7 +1175,7 @@ def test_raise_m_matches_code_list_raise(w, data):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    _, syllables, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP))
+    _, syllables, _ = _equalize_heights(_unreduced_split(_encode(middle)), Budget(CAP))
     codes = _concat_syllables(syllables)
     # the same letters cut elsewhere: part of one syllable's ``pre`` moved
     # into the previous syllable's ``post``

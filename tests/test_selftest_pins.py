@@ -6,7 +6,9 @@ the syllable heights already bounds L and R, so the final raising loop of
 1000 --seed 0`` do reach it: 134 of them raise the middle, 338 times in
 all, counted as the loop's ``to_third_form`` budget steps.  The digest is
 the sha256 of one line ``"L | M | R | k\\n"`` per word, each part in the
-tokens ``bvwords lmr`` prints.
+tokens ``bvwords lmr`` prints, recorded on the unreduced chain
+(``unreduced_third_form``).  The public ``to_third_form`` must give the
+same L, R, k and steps, and M with every p run freely reduced.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from bvwords.bv_lmr import to_third_form
 from bvwords.cli import build_parser, format_word
 from bvwords.limits import Budget
 from bvwords.words import Family, random_word
+from test_rewrite_equivalence import reduce_p_runs, unreduced_third_form
 
 DIGEST = "8bfac594c865d25cf1d9b5dcbb5e2c1c092b318236bddd5dc93748591449002f"
 RAISED_WORDS = 134
@@ -45,11 +48,14 @@ def test_selftest_words_third_forms_pinned():
     for _ in range(args.samples):
         # drawn as ``selftest`` draws them
         w = random_word(rng, (Family.V, Family.PI, Family.PIBAR), args.max_index, args.max_len)
-        budget = _LoopBudget()
-        form = to_third_form(w, budget)
-        digest.update(f"{format_word(form.L)} | {format_word(form.M)} | "
-                      f"{format_word(form.R)} | {form.k}\n".encode())
+        budget, public_budget = _LoopBudget(), _LoopBudget()
+        ref = unreduced_third_form(w, budget)
+        digest.update(f"{format_word(ref.L)} | {format_word(ref.M)} | "
+                      f"{format_word(ref.R)} | {ref.k}\n".encode())
         raised_words += budget.loop > 0
         raises += budget.loop
+        form = to_third_form(w, public_budget)
+        assert (form.L, form.M, form.R, form.k) == (ref.L, reduce_p_runs(ref.M), ref.R, ref.k)
+        assert (public_budget.used, public_budget.loop) == (budget.used, budget.loop)
     assert (raised_words, raises) == (RAISED_WORDS, RAISES)
     assert digest.hexdigest() == DIGEST
