@@ -10,7 +10,6 @@ from .bv_lmr import (
     apply_relation,
     equal_bv,
     is_trivial_bv,
-    letter_height,
     m_to_sigma,
     to_first_form,
     to_third_form,

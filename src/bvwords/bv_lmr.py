@@ -55,7 +55,8 @@ syllables as a height h and one permutation of the positions 0..h
 a raise cables one strand of that list instead of a word.  Each holding
 raises itself (``raised``), so one ``raise_word_heights`` and one
 ``raise_m`` serve both, and only the split into syllables is chosen per
-holding.
+holding.  Either split checks once that each piece has a single height
+``h``; a raise or an inversion keeps that, so no later step re-checks it.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
@@ -162,14 +163,6 @@ class HeightSet:
         if self.kind == "single":
             return f"HeightSet{{{self.value}}}"
         return f"HeightSet{{j>={self.value}}}"
-
-
-def letter_height(g: Gen) -> HeightSet:
-    if g.family is Family.PIBAR:
-        return HeightSet.singleton(g.index + 1)
-    if g.family is Family.PI:
-        return HeightSet.tail(g.index + 2)
-    raise AlphabetError(f"letter_height: {g!r} has no height")
 
 
 def word_height(w: Word) -> HeightSet:
@@ -476,18 +469,18 @@ def pi_action(codes: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True, slots=True)
 class Monosyllable:
-    """A p/pb word containing exactly one pb letter, split around it.
+    """A p/pb word of one height containing exactly one pb letter, split
+    around it.
 
     The fields are int codes: ``pre`` and ``post`` are tuples of p codes,
-    ``core`` is the pb code.  Its height set is {core index + 1} when every
-    p index lies below the core's and empty otherwise; ``single_height``
-    tells the two apart with one ``max`` per flank, and ``h`` reads the
-    core's height unchecked.
+    ``core`` is the pb code.  Every p index lies below the core's, so the
+    height set is {``h``}, the core's index + 1.
 
-    The constructor checks the kind of every code.  ``inverse`` and
-    ``mono_raise`` build their results through ``_syllable``, which skips
-    that check: they only flip or raise codes of a checked syllable, and
-    ``pi_action`` checks every flank code it reads.
+    The constructor checks the kind of every code and the height.
+    ``inverse`` and ``mono_raise`` build their results through
+    ``_syllable``, which skips both checks: inverting keeps every index,
+    and a raise lifts the core by one while ``pi_action`` keeps each flank
+    index below the new core's, checking every flank code it reads.
     """
 
     pre: tuple[int, ...]
@@ -500,6 +493,7 @@ class Monosyllable:
         for x in self.pre + self.post:
             if x & 6 != 2:
                 raise AlphabetError(f"monosyllable flanks must be p codes, got {self!r}")
+        _single_height(self.pre, self.core, self.post, "monosyllable")
 
     def word(self) -> Word:
         return _decode([*self.pre, self.core, *self.post])
@@ -507,9 +501,6 @@ class Monosyllable:
     @property
     def h(self) -> int:
         return (self.core >> 3) + 1
-
-    def single_height(self) -> int:
-        return _single_height(self.pre, self.core, self.post, "monosyllable")
 
     def inverse(self) -> "Monosyllable":
         return _syllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
@@ -520,8 +511,8 @@ class Monosyllable:
 
 
 def _syllable(pre: tuple[int, ...], core: int, post: tuple[int, ...]) -> Monosyllable:
-    """``Monosyllable(pre, core, post)`` without the per-code kind check,
-    for codes derived from a checked syllable."""
+    """``Monosyllable(pre, core, post)`` without the kind and height
+    checks, for codes derived from a checked syllable."""
     syl = object.__new__(Monosyllable)
     object.__setattr__(syl, "pre", pre)
     object.__setattr__(syl, "core", core)
@@ -551,7 +542,8 @@ def _cut(codes: Sequence[int], what: str) -> list[tuple[Sequence[int], int, Sequ
 
 def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
     """Cut a coded p/pb word just after each pb letter (trailing p goes
-    last), freely reducing each flank.
+    last), freely reducing each flank; each piece must have a single
+    height.
 
     One reduction here is enough: ``pi_action`` and ``mono_raise`` map
     freely reduced flanks to freely reduced flanks, and free reduction
@@ -589,7 +581,7 @@ def mono_raise(
         M      ~  v_j M'            from  mono_raise(syl.inverse(), "a")
         M v_m  ~  M'  or  v_j M'    from  mono_raise(syl.inverse(), "d", m)
     """
-    h = syl.single_height()
+    h = syl.h
     if op == "d":
         if m is None or not 0 <= m < h:
             raise ValueError(f"mono_raise op {op!r} needs an index 0 <= m < {h}, got {m}")
@@ -712,15 +704,12 @@ def _cable(f: list[int], m: int) -> tuple[list[int], int]:
 class _PermSyllable(NamedTuple):
     """A monosyllable of height h held as its line, a permutation of 0..h.
 
-    It has the field ``h`` and the three methods of a ``Monosyllable``
-    that equalization and raising read.
+    It has the field ``h`` and the two methods of a ``Monosyllable``,
+    ``inverse`` and ``raised``, that equalization and raising read.
     """
 
     h: int
     line: list[int]
-
-    def single_height(self) -> int:
-        return self.h
 
     def inverse(self) -> "_PermSyllable":
         return _PermSyllable(self.h, _perm_inverse(self.line))
@@ -842,18 +831,18 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
     return left_spill, codes, right_spill
 
 
-def _raise_suffixes(syllables: list, heights: list[int], targets: list[int], budget: Budget) -> list[int]:
+def _raise_suffixes(syllables: list, targets: list[int], budget: Budget) -> list[int]:
     """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
     right end down to 1, in place; return the spills in the order made.
 
     Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
-    j is first raised at step j, which makes ``targets[j - 1] - heights[j]``
-    raises (``heights`` as given), each one step of ``equalize_heights``
-    and one call of ``raise_word_heights``.
+    j is first raised at step j, which makes ``targets[j - 1] -
+    syllables[j].h`` raises, each one step of ``equalize_heights`` and one
+    call of ``raise_word_heights``.
     """
     spills: list[int] = []
     for j in range(len(syllables) - 1, 0, -1):
-        for _ in range(targets[j - 1] - heights[j]):
+        for _ in range(targets[j - 1] - syllables[j].h):
             budget.spend("equalize_heights")
             syllables[j:], spill = raise_word_heights(syllables[j:])
             if spill is not None:
@@ -874,20 +863,19 @@ def _equalize_heights(syllables: list, budget: Budget) -> tuple[list[int], list,
     right-spilling raise applies.  It runs on the inverted list, with that
     list's own heights as targets, and each spill inverts back to a
     positive v letter past the word's left end.  A syllable and its
-    inverse have the same height, so each sweep reads the heights once.
-    Returns (left spill, syllables, right spill), the spills as codes.
+    inverse have the same height ``h``, checked once where the middle
+    was cut.  Returns (left spill, syllables, right spill), the spills as
+    codes.
     """
-    heights = [s.single_height() for s in syllables]
-    right_spill = _raise_suffixes(syllables, heights, list(accumulate(heights, max)), budget)
+    right_spill = _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), budget)
     right_spill.reverse()
 
     left_spill: list[int] = []
-    heights = [s.single_height() for s in reversed(syllables)]
-    if heights[-1] < heights[0]:
+    if syllables[0].h < syllables[-1].h:
         inv = [s.inverse() for s in reversed(syllables)]
-        left_spill = [x ^ 1 for x in _raise_suffixes(inv, heights, heights, budget)]
+        left_spill = [x ^ 1 for x in _raise_suffixes(inv, [s.h for s in inv], budget)]
         syllables[:] = [s.inverse() for s in reversed(inv)]
-    heights = {s.single_height() for s in syllables}
+    heights = {s.h for s in syllables}
     if len(heights) != 1:
         raise AssertionError(f"equalization failed: {heights}")
     return left_spill, syllables, right_spill
@@ -944,7 +932,7 @@ def _raise_to_third_form(
     lspill, syllables, rspill = _equalize_heights(split(middle), budget)
     left += lspill
     right[:0] = rspill
-    h = syllables[0].single_height()
+    h = syllables[0].h
 
     while True:
         # L's letters are v codes, and R's read backwards are those of R'

@@ -104,8 +104,10 @@ def _check_options(args: argparse.Namespace) -> None:
         if args.family is not None and args.family not in FAMILIES:
             raise UsageError(f"unknown relation family {args.family!r}")
     if args.command == "selftest":
-        if min(args.samples, args.max_index, args.max_len) < 0:
-            raise UsageError("--samples, --max-index and --max-len must be nonnegative")
+        if args.samples < 1:
+            raise UsageError("--samples must be at least 1")
+        if min(args.max_index, args.max_len) < 0:
+            raise UsageError("--max-index and --max-len must be nonnegative")
         if args.max_index > MAX_INDEX:
             raise UsageError(f"--max-index must be at most {MAX_INDEX}")
 

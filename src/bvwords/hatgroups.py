@@ -94,7 +94,8 @@ class HatFraction:
     """The collected shape ``f * beta * g**-1`` of a hat-group element.
 
     ``beta`` is the middle: a word of ``s`` letters in BVhat, and its
-    strand permutation in Vhat.
+    strand permutation in Vhat.  The constructor checks that the middle's
+    type fits the mode, so the methods read ``beta`` as it is.
     """
 
     f_part: FNormal
@@ -104,31 +105,26 @@ class HatFraction:
 
     def __post_init__(self) -> None:
         _check_mode(self.mode, "HatFraction")
+        if self.mode is GroupMode.VHAT:
+            if not isinstance(self.beta, Permutation):
+                raise TypeError(f"HatFraction: a {self.mode.value} middle must be a Permutation, got {self.beta!r}")
+        elif not isinstance(self.beta, tuple):
+            raise TypeError(f"HatFraction: a {self.mode.value} middle must be a braid word, got {self.beta!r}")
 
     def is_trivial(self, budget: Budget | None = None) -> bool:
         if self.f_part != self.g_part:
             return False
         if self.mode is GroupMode.VHAT:
-            return self._permutation().is_identity()
-        return is_trivial_braid(self._braid(), budget)
+            return self.beta.is_identity()
+        return is_trivial_braid(self.beta, budget)
 
     def to_word(self) -> Word:
         """Reassemble an l/s word representing the same element."""
         if self.mode is GroupMode.VHAT:
-            middle: Word = tuple(sig(i) for i in self._permutation().adjacent_word())
+            middle: Word = tuple(sig(i) for i in self.beta.adjacent_word())
         else:
-            middle = self._braid()
+            middle = self.beta
         return self.f_part.word() + middle + invert(self.g_part.word())
-
-    def _permutation(self) -> Permutation:
-        if not isinstance(self.beta, Permutation):
-            raise TypeError(f"HatFraction: a {self.mode.value} middle must be a Permutation, got {self.beta!r}")
-        return self.beta
-
-    def _braid(self) -> Word:
-        if not isinstance(self.beta, tuple):
-            raise TypeError(f"HatFraction: a {self.mode.value} middle must be a braid word, got {self.beta!r}")
-        return self.beta
 
 
 def _check_mode(mode: object, what: str) -> None:

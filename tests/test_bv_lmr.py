@@ -18,7 +18,6 @@ from bvwords.bv_lmr import (
     equal_bv,
     is_trivial_bv,
     l_height_bound,
-    letter_height,
     m_to_sigma,
     mono_raise,
     pi_action,
@@ -126,11 +125,11 @@ def random_single_height_syllable(rng):
 
 
 def test_height_algebra():
-    assert letter_height(pibar(2)) == HeightSet.singleton(3)
-    assert letter_height(pibar(2, -1)) == HeightSet.singleton(3)
-    assert letter_height(pi(2)) == HeightSet.tail(4)
+    assert word_height((pibar(2),)) == HeightSet.singleton(3)
+    assert word_height((pibar(2, -1),)) == HeightSet.singleton(3)
+    assert word_height((pi(2),)) == HeightSet.tail(4)
     with pytest.raises(AlphabetError):
-        letter_height(vgen(0))
+        word_height((vgen(0),))
     assert word_height(()) == HeightSet.tail(0)
     assert word_height((pibar(0), pibar(1))) == HeightSet.empty()
     assert word_height((pi(0), pibar(2))) == HeightSet.singleton(3)
@@ -297,17 +296,20 @@ def test_monosyllable_structure():
         syllable((pibar(0),), pibar(1), ())
     syl = syllable((pi(0),), pibar(2), (pi(1, -1),))
     assert word_height(syl.word()) == HeightSet.singleton(3)
-    assert syl.single_height() == 3
+    assert syl.h == 3
     assert syl.inverse().word() == invert(syl.word())
-    gap = syllable((pi(2),), pibar(2), ())
-    assert word_height(gap.word()) == HeightSet.empty()
-    with pytest.raises(ValueError):
-        gap.single_height()
+    # p2 pb2 has an empty height set: the constructor rejects it
+    assert word_height((pi(2), pibar(2))) == HeightSet.empty()
+    with pytest.raises(ValueError, match="no single height"):
+        syllable((pi(2),), pibar(2), ())
 
 
 def test_split_monosyllables():
-    parts = split_monosyllables(codes((pi(0), pibar(1), pibar(2), pi(3))))
-    assert [p.word() for p in parts] == [(pi(0), pibar(1)), (pibar(2), pi(3))]
+    parts = split_monosyllables(codes((pi(0), pibar(1), pibar(4), pi(3))))
+    assert [p.word() for p in parts] == [(pi(0), pibar(1)), (pibar(4), pi(3))]
+    # the piece pb2 p3 of p0 pb1 pb2 p3 has no single height
+    with pytest.raises(ValueError, match="no single height"):
+        split_monosyllables(codes((pi(0), pibar(1), pibar(2), pi(3))))
     # each flank is freely reduced: repair makes p3' p3 pb4 of p3' pb3
     parts = split_monosyllables(codes((pi(3, -1), pi(3), pibar(4), pi(1), pibar(4, -1), pi(1, -1))))
     assert [p.word() for p in parts] == [(pibar(4),), (pi(1), pibar(4, -1), pi(1, -1))]
@@ -327,6 +329,7 @@ def test_mono_raise_examples():
         mono_raise_op(base, "c", m=1)
     with pytest.raises(ValueError):
         mono_raise(base, "a", m=0)
+    # a syllable without a single height is not built, so never raised
     with pytest.raises(ValueError):
         mono_raise(syllable((pi(2),), pibar(2), ()), "a")
 
@@ -335,11 +338,11 @@ def test_mono_raise_preserves_element():
     rng = random.Random(61)
     for _ in range(40):
         syl = random_single_height_syllable(rng)
-        h = syl.single_height()
+        h = syl.h
         for op in "abcd":
             m = rng.randint(0, h - 1) if op in "cd" else None
             prefix, new, suffix = mono_raise_op(syl, op, m=m)
-            assert new.single_height() == h + 1
+            assert new.h == h + 1
             assert all(g.index < h for g in prefix + suffix)
             lhs = {"a": syl.word(), "b": syl.word(),
                    "c": syl.word() + (vgen(m),) if m is not None else (),
@@ -365,9 +368,9 @@ def rebuilt(syl):
 @settings(max_examples=300, deadline=None)
 @given(single_height_syllables(), st.data())
 def test_raised_and_inverted_syllables_pass_the_checked_constructor(syl, data):
-    # ``mono_raise`` and ``inverse`` build syllables without the per-code
-    # check; each must still be one the checked constructor accepts
-    h = syl.single_height()
+    # ``mono_raise`` and ``inverse`` build syllables without the kind and
+    # height checks; each must still be one the checked constructor accepts
+    h = syl.h
     inverse = syl.inverse()
     assert inverse == rebuilt(inverse)
     assert type(inverse.pre) is tuple and type(inverse.post) is tuple
@@ -375,14 +378,14 @@ def test_raised_and_inverted_syllables_pass_the_checked_constructor(syl, data):
     for new, _ in (mono_raise(syl, "a"), mono_raise(syl, "d", m), mono_raise(inverse, "d", m)):
         assert new == rebuilt(new)
         assert type(new.pre) is tuple and type(new.post) is tuple
-        assert new.single_height() == h + 1
+        assert new.h == h + 1
 
 
 def test_raise_word_heights():
     raised, carry = raise_word_heights_letters([syllable((), pibar(0), ())])
     assert raised == [syllable((pi(0),), pibar(1), ())] and carry == vgen(0, -1)
     raised, carry = raise_word_heights_letters([syllable((), pibar(0), ()), syllable((), pibar(0), ())])
-    assert [s.single_height() for s in raised] == [2, 2] and carry is None
+    assert [s.h for s in raised] == [2, 2] and carry is None
     assert hat_same((pibar(0), pibar(0)), raised[0].word() + raised[1].word())
     assert raise_word_heights([]) == ([], None)
     with pytest.raises(ValueError):
@@ -390,12 +393,12 @@ def test_raise_word_heights():
     rng = random.Random(67)
     for _ in range(30):
         syls = sorted((random_single_height_syllable(rng) for _ in range(rng.randint(1, 4))),
-                      key=lambda s: s.single_height())
+                      key=lambda s: s.h)
         before = tuple(g for s in syls for g in s.word())
         raised, carry = raise_word_heights_letters(syls)
         after = tuple(g for s in raised for g in s.word()) + ((carry,) if carry else ())
-        assert [s.single_height() for s in raised] == [s.single_height() + 1 for s in syls]
-        assert carry is None or carry.index < syls[-1].single_height()
+        assert [s.h for s in raised] == [s.h + 1 for s in syls]
+        assert carry is None or carry.index < syls[-1].h
         assert hat_same(before, after)
 
 
@@ -452,7 +455,7 @@ def test_raising_cables_one_strand(syl):
     # raising a syllable from height h to h + 1 doubles one strand of its
     # braid: the one a carried v_m' names (position h - m), or position 0
     # with nothing carried, and the strand's end below names the spill
-    h = syl.single_height()
+    h = syl.h
     braid = m_to_sigma(syl.word(), h)
     for op, m in [("a", None)] + [("d", m) for m in range(h)]:
         new, spill = mono_raise_letters(syl, op, m=m)
@@ -485,7 +488,7 @@ def test_raising_keeps_flanks_freely_reduced(syl, data):
     # once: ``pi_action`` and ``mono_raise`` map freely reduced flanks to
     # freely reduced flanks
     syl = Monosyllable(freely_reduced(syl.pre), syl.core, freely_reduced(syl.post))
-    h = syl.single_height()
+    h = syl.h
     m = data.draw(st.integers(0, h - 1))
     for flank in (syl.pre, syl.post):
         assert is_freely_reduced(pi_action(flank, m)[0])

@@ -243,6 +243,8 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, error):
     (("selftest", "--samples", "2", "--max-index", "-1"), "must be nonnegative"),
     (("verify", "--bound", "1", "--max-steps", "0"), "step limit must be positive"),
     (("selftest", "--samples", "1", "--max-index", str(MAX_INDEX + 1)), f"at most {MAX_INDEX}"),
+    # a selftest of no sample would report agreement having checked nothing
+    (("selftest", "--samples", "0"), "--samples must be at least 1"),
 ])
 def test_bad_options_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -248,22 +248,22 @@ from bvwords.words import sig
 assert False, "this check must vanish under -O"
 empty = FNormal(())
 cases = [
-    HatFraction(empty, (sig(0), sig(0, -1)), empty, GroupMode.VHAT),
-    HatFraction(empty, Permutation.identity(), empty, GroupMode.BVHAT),
+    ((sig(0), sig(0, -1)), GroupMode.VHAT),
+    (Permutation.identity(), GroupMode.BVHAT),
 ]
-for fr in cases:
-    for check in (fr.is_trivial, fr.to_word):
-        try:
-            check()
-        except TypeError as e:
-            if "middle must be" in str(e):
-                continue
-        raise SystemExit(f"no error from {check.__name__} on {fr!r}")
+for beta, mode in cases:
+    try:
+        HatFraction(empty, beta, empty, mode)
+    except TypeError as e:
+        if "middle must be" in str(e):
+            continue
+    raise SystemExit(f"no error from HatFraction with a {mode.value} middle {beta!r}")
 """
 
 
 def test_mismatched_middle_raises_under_optimization():
-    # the type checks on a fraction's middle must survive python -O
+    # the constructor's type check on a fraction's middle must survive
+    # python -O
     src = str(Path(__import__("bvwords").__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-O", "-c", _MISMATCHED_BETA],

@@ -43,7 +43,6 @@ from bvwords.bv_lmr import (
     _raise_to_third_form,
     _repair_syllable_heights,
     is_trivial_bv,
-    letter_height,
     m_to_sigma,
     mono_raise,
     pi_action,
@@ -341,10 +340,18 @@ def _ref_is_trivial_v(w, budget):
     return is_trivial_f(tuple(lam(g.index, g.exponent) for g in form.L + form.R), budget)
 
 
+def _ref_letter_height(g):
+    if g.family is Family.PIBAR:
+        return HeightSet.singleton(g.index + 1)
+    if g.family is Family.PI:
+        return HeightSet.tail(g.index + 2)
+    raise AlphabetError(f"_ref_letter_height: {g!r} has no height")
+
+
 def _ref_word_height(w):
     out = HeightSet.tail(0)
     for g in w:
-        out = out.intersect(letter_height(g))
+        out = out.intersect(_ref_letter_height(g))
     return out
 
 
@@ -1152,7 +1159,7 @@ def test_raise_word_heights_matches_letter_chain(w, times):
         assert [s.word() for s in coded] == [s.word() for s in ref]
         assert (None if spill is None else _decode((spill,))[0]) == ref_spill
         for syl, ref_syl in zip(coded, ref):
-            h = syl.single_height()
+            h = syl.h
             for op, m in [("a", None)] + [("d", m) for m in range(h)]:
                 new, spill = mono_raise(syl, op, m=m)
                 ref_prefix, ref_new, ref_suffix = _ref_mono_raise(ref_syl, op, m=m)
@@ -1215,7 +1222,7 @@ def test_pi_action_cables_the_flank_permutation(case):
 
 def _perm_syllables_of(syllables):
     # each syllable's line: its letters' permutation of the positions 0..h
-    return [_PermSyllable(s.single_height(), _flank_perm([*s.pre, s.core, *s.post], s.single_height() + 1))
+    return [_PermSyllable(s.h, _flank_perm([*s.pre, s.core, *s.post], s.h + 1))
             for s in syllables]
 
 
