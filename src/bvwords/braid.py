@@ -59,14 +59,15 @@ rollback over it writes only a spare slot of ``last``.
 
 Two shortcuts run first: a word whose exponents do not sum to zero, or
 whose freely reduced strand permutation is not the identity, is certainly
-nontrivial.
+nontrivial.  Both read the codes of ``words._reduced_codes``, which
+checks the alphabet and freely reduces in one pass.
 """
 
 from __future__ import annotations
 
 from .limits import DEFAULT_BRAID_STEPS, Budget
 from .perms import from_adjacent_transpositions
-from .words import _letter, Family, Word, check_alphabet, invert
+from .words import _letter, _reduced_codes, Family, Word, invert
 
 _BRAID_ALPHABET = frozenset({Family.SIGMA})
 
@@ -78,24 +79,6 @@ def exponent_sum(w: Word) -> int:
 # A deleted letter's code.  Its index, ``-8 >> 2 == -2``, names the spare
 # slot ``last[-2]``, so a rollback over it writes nothing that is read.
 _DELETED = -8
-
-
-def _free_codes(w: Word) -> list[int]:
-    """The freely reduced word as the l/s codes of ``words``: ``s_i`` is
-    ``i << 2 | 1``, ``s_i'`` is ``i << 2 | 3``, an inverse is ``^ 2``.
-
-    Unlike ``thompson_f._reduced_codes`` it checks no letter:
-    ``is_trivial_braid`` checks the alphabet before its exponent-sum
-    shortcut and reduces only the words that pass both, so there is no
-    check left to fold into the reduction."""
-    codes: list[int] = []
-    for g in w:
-        x = g.index << 2 | 2 - g.exponent
-        if codes and codes[-1] == x ^ 2:
-            codes.pop()
-        else:
-            codes.append(x)
-    return codes
 
 
 def _decode(codes: list[int]) -> Word:
@@ -121,7 +104,8 @@ def _reduce_handle(w: list[int], opener: int, first: int, close: int) -> None:
 def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     """Fully handle-reduce a braid word; the result is handle free.
 
-    The word is freely reduced once, on its int codes (``_free_codes``),
+    The word is read once, freely reduced, into its l/s codes (``s_i`` is
+    ``i << 2 | 1``, ``s_i'`` is ``i << 2 | 3``, an inverse is ``^ 2``),
     and scanned from the left.  A handle's opener is marked deleted in
     place.  A commuting handle's closer is too, and the scan goes on past
     it.  Any other handle is spliced by ``_reduce_handle`` from its first
@@ -129,11 +113,10 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     from there on, and the scan resumes at that letter.  The readout drops
     the deleted letters left over.
     """
-    check_alphabet(w, _BRAID_ALPHABET, "handle_reduce")
+    codes = _reduced_codes(w, _BRAID_ALPHABET, "handle_reduce")
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
-    codes = _free_codes(w)
-    # ``check_alphabet`` admits indices >= 0 only, and reductions never
-    # raise one.  ``last`` has a slot per index up to the largest plus one,
+    # the reader admits indices >= 0 only, and reductions never raise
+    # one.  ``last`` has a slot per index up to the largest plus one,
     # which stays -1 for the commuting test at the top index; then the
     # spare slot ``last[-2]`` of deleted letters, and ``last[-1]``, never
     # written, which stands for index -1.
@@ -172,17 +155,17 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
 def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
     """Decide whether a braid word represents the trivial braid.
 
-    The exponent sum is read off the word as given.  The word is then
-    freely reduced once: an empty reduction is trivial, and the
-    permutation shortcut reads the reduced codes.  ``handle_reduce`` gets
-    the reduced word, in which its own free reduction cancels nothing.
+    The word is read once into its freely reduced codes.  Free reduction
+    cancels letters in pairs of opposite exponent, so the exponent sum is
+    read off the codes; an empty reduction is trivial, and the
+    permutation shortcut reads the codes too.  ``handle_reduce`` gets the
+    reduced word, in which its own free reduction cancels nothing.
     """
-    check_alphabet(w, _BRAID_ALPHABET, "is_trivial_braid")
-    if exponent_sum(w) != 0:
-        return False
-    codes = _free_codes(w)
+    codes = _reduced_codes(w, _BRAID_ALPHABET, "is_trivial_braid")
     if not codes:
         return True
+    if sum([1 - (x & 2) for x in codes]):
+        return False
     if not from_adjacent_transpositions([x >> 2 for x in codes]).is_identity():
         return False
     return len(handle_reduce(_decode(codes), budget)) == 0

@@ -896,6 +896,11 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     cancel the inverse p pairs that meet across a syllable boundary.  M is
     the unreduced flanks' middle with every maximal p run freely reduced,
     the same braid, and L, R, k and the steps are those of that chain.
+
+    M's height is read off the joined codes: it is {k} when every core,
+    which the join never cancels, sits at index k - 1 and every p index
+    lies below it.  ``word_height`` reads only a middle with no pb letter,
+    or words a failed check.
     """
     budget = budget if budget is not None else Budget()
     first = to_first_form(w, budget)
@@ -907,11 +912,12 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
         return LMRForm(first.L, first.M, first.R, height, k)
 
     left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables)
-    m_word = _decode(_join_syllables(syllables))
-    height = word_height(m_word)
-    if not height.contains(h):
+    codes = _join_syllables(syllables)
+    top = (h - 1) << 3
+    if any(x & ~1 != top | 4 if x & 4 else x >= top for x in codes):
+        height = word_height(_decode(codes))
         raise AssertionError(f"to_third_form: the middle's height set {height!r} misses {h}")
-    return LMRForm(_decode(left), m_word, _decode(right), height, h)
+    return LMRForm(_decode(left), _decode(codes), _decode(right), HeightSet.singleton(h), h)
 
 
 def _raise_to_third_form(

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from .bv_lmr import LMRForm, to_third_form
 from .hatgroups import GroupMode, canonicalize_hat
-from .limits import MAX_INDEX, Budget, StepLimitExceeded
+from .limits import MAX_BOUND, MAX_INDEX, MAX_WORD_LEN, Budget, StepLimitExceeded
 from .presentations import DECIDERS, FAMILIES, GroupId, verify_all
 from .thompson_f import f_fraction
 from .words import AlphabetError, Family, Gen, Word, invert, random_word
@@ -101,6 +101,8 @@ def _check_options(args: argparse.Namespace) -> None:
     if args.command == "verify":
         if args.bound < 0:
             raise UsageError("bound must be nonnegative")
+        if args.bound > MAX_BOUND:
+            raise UsageError(f"bound must be at most {MAX_BOUND}")
         if args.family is not None and args.family not in FAMILIES:
             raise UsageError(f"unknown relation family {args.family!r}")
     if args.command == "selftest":
@@ -110,6 +112,8 @@ def _check_options(args: argparse.Namespace) -> None:
             raise UsageError("--max-index and --max-len must be nonnegative")
         if args.max_index > MAX_INDEX:
             raise UsageError(f"--max-index must be at most {MAX_INDEX}")
+        if args.max_len > MAX_WORD_LEN:
+            raise UsageError(f"--max-len must be at most {MAX_WORD_LEN}")
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

@@ -54,10 +54,10 @@ results.  One step is spent per single-letter push, as the rules above
 count them; each carried letter's pushes are charged together.
 
 ``canonicalize_hat`` builds no letter that it does not return.  One
-pass over the input checks its alphabet and reads it, freely reduced,
-into the l/s codes of ``words``; the folds run on those codes.  The two
-l-parts become ``FNormal`` index tuples and a Vhat middle becomes its
-``Permutation`` straight from the codes.  Only a BVhat middle is decoded
+pass over the input, ``words._reduced_codes``, checks its alphabet and
+reads it, freely reduced, into the l/s codes of ``words``; the folds
+run on those codes.  The two l-parts become ``FNormal`` index tuples
+and a Vhat middle becomes its ``Permutation`` straight from the codes.  Only a BVhat middle is decoded
 back into ``s`` letters, through ``words._letter``, the bounded memo
 that handle reduction and ``bv_lmr.m_to_sigma`` share, so a process that
 decides many words builds each letter once.
@@ -71,9 +71,10 @@ from enum import Enum
 from .braid import is_trivial_braid
 from .limits import Budget
 from .perms import Permutation, from_adjacent_transpositions
-from .thompson_f import FNormal, _collect_codes, _normal_indices, _reduced_codes
+from .thompson_f import FNormal, _collect_codes, _normal_indices
 from .words import (
     _letter,
+    _reduced_codes,
     Family,
     Word,
     invert,

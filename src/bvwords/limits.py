@@ -19,6 +19,13 @@ DEFAULT_BRAID_STEPS = 1_000_000
 # single token such as ``s1000000000`` would otherwise exhaust memory.
 MAX_INDEX = 100_000
 
+# The largest ``verify --bound`` and ``selftest --max-len`` the command
+# line accepts.  Both allocate before any step budget applies: the
+# instances of ``verify_all`` grow with the square of the bound (53,656
+# at 64), and a self-test word has up to ``--max-len`` letters.
+MAX_BOUND = 64
+MAX_WORD_LEN = 100_000
+
 
 class StepLimitExceeded(RuntimeError):
     """A rewriting loop hit its step cap before finishing."""

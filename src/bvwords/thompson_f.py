@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .limits import Budget
 from .words import (
-    _KIND,
     _letter,
+    _reduced_codes,
     AlphabetError,
     Family,
     Word,
@@ -80,22 +80,6 @@ def _normal_indices(indices: list[int]) -> tuple[int, ...]:
         else:
             out.append(i)
     return tuple(out)
-
-
-def _reduced_codes(w: Word, families: frozenset[Family], what: str) -> list[int]:
-    """The codes of ``free_reduce(w)``, with the alphabet of ``w`` checked
-    as ``check_alphabet(w, families, what)`` checks it, in one pass."""
-    codes: list[int] = []
-    for g in w:
-        family, i, e = g
-        if family not in families or e not in (1, -1) or i < 0:
-            check_alphabet((g,), families, what)
-        x = i << 2 | (_KIND[family] - e)
-        if codes and codes[-1] == x ^ 2:
-            codes.pop()
-        else:
-            codes.append(x)
-    return codes
 
 
 def _collect_codes(

@@ -183,6 +183,24 @@ def check_alphabet(w: Iterable[Gen], families: frozenset[Family] | set[Family], 
             raise AlphabetError(f"{what}: malformed letter {tuple(g)!r}")
 
 
+def _reduced_codes(w: Word, families: frozenset[Family], what: str) -> list[int]:
+    """The l/s codes of ``free_reduce(w)``, with the alphabet of ``w``
+    checked as ``check_alphabet(w, families, what)`` checks it, in one
+    pass.  The one reader of l/s words: the F fraction, the hat folds and
+    handle reduction all start here."""
+    codes: list[int] = []
+    for g in w:
+        family, i, e = g
+        if family not in families or e not in (1, -1) or i < 0:
+            check_alphabet((g,), families, what)
+        x = i << 2 | (_KIND[family] - e)
+        if codes and codes[-1] == x ^ 2:
+            codes.pop()
+        else:
+            codes.append(x)
+    return codes
+
+
 def free_reduce(w: Iterable[Gen]) -> Word:
     """Cancel adjacent mutually inverse letters until none remain.
 

@@ -350,7 +350,7 @@ def test_mono_raise_preserves_element():
             assert hat_same(lhs, prefix + new.word() + suffix)
 
 
-def single_height_syllables():
+def coded_single_height_syllables():
     """Syllables of a single height 1..8, their flanks of p codes below
     the core's index."""
     def of_height(h):
@@ -366,7 +366,7 @@ def rebuilt(syl):
 
 
 @settings(max_examples=300, deadline=None)
-@given(single_height_syllables(), st.data())
+@given(coded_single_height_syllables(), st.data())
 def test_raised_and_inverted_syllables_pass_the_checked_constructor(syl, data):
     # ``mono_raise`` and ``inverse`` build syllables without the kind and
     # height checks; each must still be one the checked constructor accepts

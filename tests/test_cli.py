@@ -12,7 +12,7 @@ from bvwords.cli import (
     main,
     parse_word,
 )
-from bvwords.limits import MAX_INDEX
+from bvwords.limits import MAX_BOUND, MAX_INDEX, MAX_WORD_LEN
 from bvwords.words import Family, lam, pi, pibar, random_word, sig, vgen
 
 ALL_FAMILIES = (Family.LAMBDA, Family.SIGMA, Family.V, Family.PI, Family.PIBAR)
@@ -173,6 +173,7 @@ def test_sinf_rejects_p_letters(capsys):
     ("F", "s0", "error: group F: f_fraction: letter s0 not in alphabet l"),
     ("Vhat", "l0 v1", "error: group Vhat: canonicalize_hat: letter v1 not in alphabet l/s"),
     ("BVhat", "p0", "error: group BVhat: canonicalize_hat: letter p0 not in alphabet l/s"),
+    ("Binf", "s0 l0", "error: group Binf: is_trivial_braid: letter l0 not in alphabet s"),
 ])
 def test_alphabet_error_names_the_group(capsys, group, word, message):
     code, out, err = run(capsys, "trivial", "--group", group, word)
@@ -245,6 +246,9 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, error):
     (("selftest", "--samples", "1", "--max-index", str(MAX_INDEX + 1)), f"at most {MAX_INDEX}"),
     # a selftest of no sample would report agreement having checked nothing
     (("selftest", "--samples", "0"), "--samples must be at least 1"),
+    # both would allocate without limit before any step budget applies
+    (("verify", "--bound", str(MAX_BOUND + 1)), f"bound must be at most {MAX_BOUND}"),
+    (("selftest", "--samples", "1", "--max-len", str(MAX_WORD_LEN + 1)), f"--max-len must be at most {MAX_WORD_LEN}"),
 ])
 def test_bad_options_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

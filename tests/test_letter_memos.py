@@ -97,6 +97,12 @@ def test_every_l_s_letter_comes_from_one_memo():
     assert braid._letter is thompson_f._letter is hatgroups._letter is bv_lmr._ls_letter is words._letter
 
 
+def test_every_l_s_word_is_read_by_one_reader():
+    # the F fraction, the hat folds and handle reduction check and
+    # free-reduce their input in the same one pass
+    assert braid._reduced_codes is thompson_f._reduced_codes is hatgroups._reduced_codes is words._reduced_codes
+
+
 def test_verify_all_is_the_same_from_cold_memos():
     for memo in MEMOS:
         memo.cache_clear()

@@ -987,9 +987,29 @@ def test_expand_bv_generators_cancels_cores(w, expected):
 
 
 @SETTINGS
-@given(letters(HAT, max_index=4))
-def test_reduced_codes_encode_free_reduce(w):
+@given(letters(HAT, max_index=4), letters((Family.SIGMA,), max_index=4))
+def test_reduced_codes_encode_free_reduce(w, b):
     assert _reduced_codes(w, frozenset(HAT), "canonicalize_hat") == _codes(free_reduce(w))
+    # braid words, which handle reduction reads through the same pass
+    assert _reduced_codes(b, frozenset({Family.SIGMA}), "is_trivial_braid") == _codes(free_reduce(b))
+
+
+@pytest.mark.parametrize("bad", (lam(0), Gen(Family.SIGMA, -1, 1), Gen(Family.SIGMA, 0, 0), Gen(Family.SIGMA, 0, 2)),
+                         ids=repr)
+@pytest.mark.parametrize("what, read", [
+    ("is_trivial_braid", lambda w: _reduced_codes(w, frozenset({Family.SIGMA}), "is_trivial_braid")),
+    ("is_trivial_braid", is_trivial_braid),
+    ("handle_reduce", handle_reduce),
+], ids=["reader", "is_trivial_braid", "handle_reduce"])
+def test_braid_reader_rejects_letters_as_check_alphabet(bad, what, read):
+    # the letter follows a pair the reader has already cancelled, so it
+    # must be met as a separate first pass over the word would meet it
+    w = (sig(1), sig(1, -1), bad, sig(0))
+    with pytest.raises(AlphabetError) as expected:
+        check_alphabet(w, frozenset({Family.SIGMA}), what)
+    with pytest.raises(AlphabetError) as got:
+        read(w)
+    assert str(got.value) == str(expected.value)
 
 
 @SETTINGS
