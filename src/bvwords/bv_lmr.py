@@ -123,6 +123,10 @@ class HeightSet:
     kind: Literal["empty", "single", "tail"]
     value: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("empty", "single", "tail") or self.value < 0:
+            raise ValueError(f"HeightSet needs kind empty, single or tail, value >= 0: {self.kind!r}, {self.value!r}")
+
     @classmethod
     def empty(cls) -> "HeightSet":
         return cls("empty")
@@ -506,8 +510,8 @@ class Monosyllable:
         return _syllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
 
     def raised(self, m: int | None) -> tuple["Monosyllable", int | None]:
-        """``mono_raise`` op "a" when m is None, op "d" at m otherwise."""
-        return mono_raise(self, "a") if m is None else mono_raise(self, "d", m=m)
+        """``mono_raise``, a new strand entering at the top when m is None."""
+        return mono_raise(self, m)
 
 
 def _syllable(pre: tuple[int, ...], core: int, post: tuple[int, ...]) -> Monosyllable:
@@ -554,15 +558,11 @@ def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
     return [Monosyllable(_free_codes(pre), core, _free_codes(post)) for pre, core, post in pieces]
 
 
-def mono_raise(
-    syl: Monosyllable,
-    op: Literal["a", "d"],
-    m: int | None = None,
-) -> tuple[Monosyllable, int | None]:
-    """One height-raising move on a monosyllable of single height h.
+def mono_raise(syl: Monosyllable, m: int | None = None) -> tuple[Monosyllable, int | None]:
+    """One height-raising move on a monosyllable of single height h:
 
-    op="a":  M        ~  M' v_j'
-    op="d":  v_m' M   ~  M'  or  M' v_j'  (0 <= m < h)
+        M       ~  M' v_j'            (m None: a strand enters at the top)
+        v_m' M  ~  M'  or  M' v_j'    (0 <= m < h)
 
     Returns M' and the code of the spilled ``v_j'``, or None.  In both
     cases M' is again a monosyllable, of height {h + 1}, and j < h.  The
@@ -571,43 +571,38 @@ def mono_raise(
         pb_(h-1)^e  =  p_(h-1)^e pb_h^e v_(h-1)'
         pb_(h-1)^e  =  v_(h-1) pb_h^e p_(h-1)^e
 
-    with the freed v letter carried out through the flanking p words.  In
-    the braid picture the move doubles one strand of ``m_to_sigma(M, h)``:
-    the strand at ``h - m`` on the left for op "d" and at 0 for op "a".
-    It leaves on the right at ``h - j``, or at 0 when nothing spills.
+    with the freed v letter carried out through the flanking p words: a
+    strand at h - 1 crosses the core upward and is absorbed, one from the
+    top skips ``pre`` and crosses it downward.  In the braid picture the
+    strand at ``h - m`` (0 if m is None) on the left of ``m_to_sigma(M, h)``
+    is doubled; it leaves on the right at ``h - j``, or 0 if nothing spills.
 
     The leftward moves are these on the inverse syllable, inverted back:
 
-        M      ~  v_j M'            from  mono_raise(syl.inverse(), "a")
-        M v_m  ~  M'  or  v_j M'    from  mono_raise(syl.inverse(), "d", m)
+        M      ~  v_j M'            from  mono_raise(syl.inverse())
+        M v_m  ~  M'  or  v_j M'    from  mono_raise(syl.inverse(), m)
     """
     h = syl.h
-    if op == "d":
-        if m is None or not 0 <= m < h:
-            raise ValueError(f"mono_raise op {op!r} needs an index 0 <= m < {h}, got {m}")
-    elif m is not None:
-        raise ValueError(f"mono_raise op {op!r} takes no index")
-
+    if m is not None and not 0 <= m < h:
+        raise ValueError(f"mono_raise needs an index 0 <= m < {h} or None, got {m}")
     # pb_h^e, and p_(h-1)^e: a pb code less 2 is the p code of its letter
     core, p_core = syl.core + 8, syl.core - 2
-    if op == "a":
-        post, j = pi_action(syl.post, h - 1)
-        return _syllable(syl.pre + (p_core,), core, post), j << 3 | 1
-    if op == "d":
+    if m is None:
+        pre, k = syl.pre + (p_core,), h - 1
+    else:
         pre, k = pi_action(syl.pre, m)
         if k == h - 1:
             return _syllable(pre, core, (p_core,) + syl.post), None
-        post, j = pi_action(syl.post, k)
-        return _syllable(pre, core, post), j << 3 | 1
-    raise ValueError(f"mono_raise: unknown op {op!r}")
+    post, j = pi_action(syl.post, k)
+    return _syllable(pre, core, post), j << 3 | 1
 
 
 def raise_word_heights(syllables: Sequence) -> tuple[list, int | None]:
     """Raise every height by one along a nondecreasing syllable sequence,
     of either holding, by each syllable's own ``raised``.
 
-    The first syllable spills a trailing inverse v (op "a"); each later
-    syllable absorbs the spill (op "d"), possibly re-emitting one.  The
+    The first syllable spills a trailing inverse v (m None); each later
+    syllable absorbs the spill (as m), possibly re-emitting one.  The
     nondecreasing precondition guarantees each spilled index stays below
     the next height.  Returns the raised syllables and the code of the
     final spill, or None.  In the braid picture the whole word's braid has
@@ -716,7 +711,7 @@ class _PermSyllable(NamedTuple):
 
     def raised(self, m: int | None) -> tuple["_PermSyllable", int | None]:
         """``Monosyllable.raised`` on the line, in O(h): cable the strand
-        that enters at m, or at h (braid position 0) for op "a".  Where it
+        that enters at m, or at h (braid position 0) when m is None.  Where it
         leaves, c, is the spill ``v_c'``, unless c is h: then it leaves at
         braid position 0 and nothing spills."""
         h = self.h

@@ -37,26 +37,26 @@ left.  For the second phase, each push replaces one ``s`` letter by one
 or two whose positive-l-to-the-right counts are strictly smaller, a
 well-founded multiset descent.
 
-Both phases are single passes (``thompson_f._collect_codes``) that
-make the same rewrites, in the same order, as rewriting the rightmost
-(first phase) or leftmost (second phase) site of the whole word each
-time.  The first phase is rightmost-first, so it is a right-to-left
-fold: the letters right of the one being read are already (positive
-letters)(inverse block), so a newly read inverse has its only site on
-its right and is carried to the block, or until it cancels, before
-anything left of it moves.  The second phase is a left-to-right fold
-over the positive letters: the letters read so far are (positive l
-letters)(s block), and a newly read positive ``l`` is carried leftwards
-through the whole ``s`` block before any site on its right is reached.
-Each ``s`` letter's push is a function of its own index and the ``l``
-index it meets, so the new block is the concatenation of the per-letter
-results.  One step is spent per single-letter push, as the rules above
-count them; each carried letter's pushes are charged together.
+Both phases are one right-to-left fold, ``thompson_f._fold``, run twice,
+that makes the same rewrites, in the same order, as rewriting the
+rightmost (first phase) or leftmost (second phase) site each time.  In
+the first run the letters right of the one being read are already
+(positive letters)(inverse block), so a newly read inverse has its only
+site on its right and is carried to the block, or until it cancels,
+before anything left of it moves.  The second run reads the first run's
+stack, the positive part right to left: the mirror image, where the
+letters read are (positive l letters)(s block) and a newly read ``l`` is
+carried leftwards through the whole block before any site on its right
+is reached.  Read outward from the reader, an ``l`` meets an ``s`` letter
+as an inverse does (``s_m^e l_m`` and ``l_m' s_m^e`` both leave ``s_(m+1)^e
+s_m^e`` and go on at m + 1), so it makes the same pushes.  One step is
+spent per single-letter push, as the rules above count them; each
+carried letter's pushes are charged together.
 
 ``canonicalize_hat`` builds no letter that it does not return.  One
 pass over the input, ``words._reduced_codes``, checks its alphabet and
-reads it, freely reduced, into the l/s codes of ``words``; the folds
-run on those codes.  The two l-parts become ``FNormal`` index tuples
+reads it, freely reduced, into the l/s codes of ``words``; the fold
+runs on those codes.  The two l-parts become ``FNormal`` index tuples
 and a Vhat middle becomes its ``Permutation`` straight from the codes.  Only a BVhat middle is decoded
 back into ``s`` letters, through ``words._letter``, the bounded memo
 that handle reduction and ``bv_lmr.m_to_sigma`` share, so a process that

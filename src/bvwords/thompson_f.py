@@ -41,8 +41,8 @@ class FNormal:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(a > b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError(f"normal form indices must be nondecreasing: {self.indices}")
+        if any(a > b for a, b in zip((0,) + self.indices, self.indices)):
+            raise ValueError(f"normal form indices must be nonnegative and nondecreasing: {self.indices}")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -95,30 +95,36 @@ def _collect_codes(
     shares: ``x & 3`` is nonzero exactly on ``s`` letters, and ``x + 4``
     raises the index and keeps the kind.
 
-    The first phase moves every inverse ``l`` letter to the right end,
-    rightmost inverse first; the second moves the ``s`` letters right past
-    the positive ``l`` letters, leftmost site first.  The ``hatgroups``
-    module docstring lists the rules and says why each phase is one fold
-    that makes the same pushes, in the same order, as rewriting the whole
-    word site by site.
-
-    Every single-letter push spends one step of ``budget`` under ``op``.
-    The pushes of one carried letter are charged in one ``spend``: after
-    the carry in the first phase, where cancellation decides their number,
-    and before it in the second.  Over words without ``s`` letters this is
-    the fraction ``(P, N)`` of Thompson's group F.
+    One fold runs twice: it carries each ``l'`` to the right end, then,
+    over its stack (the positive part right to left), each ``l`` to the
+    left end through the ``s`` block.  The ``hatgroups`` docstring says
+    why both runs push as rewriting the whole word site by site does, in
+    its order.  Over ``l`` words this is the fraction ``(P, N)`` of F.
     """
-    run: list[int] = []           # positive letters right of the reader, right to left
-    denominator: list[int] = []   # N, read off the inverse block right to left
+    run, denominator = _fold(codes, 2, budget, op)
+    block, numerator = _fold(run, 0, budget, op)
+    return numerator, block, denominator
+
+
+def _fold(codes: list[int], mover: int, budget: Budget, op: str) -> tuple[list[int], list[int]]:
+    """Read ``codes`` from the end, carrying each letter of kind ``mover``
+    away from the reader until it cancels or has passed every letter read.
+    Returns the other letters as the carries leave them, nearest the reader
+    last, and the indices of the movers that got through, in order.  Each
+    push spends a step of ``budget`` under ``op``, a mover's in one spend.
+    """
+    stack: list[int] = []         # the letters read, the nearest last
+    exits: list[int] = []
+    pop = stack.pop
     for x in reversed(codes):
-        if x & 3 != 2:
-            run.append(x)
+        if x & 3 != mover:
+            stack.append(x)
             continue
         m = x >> 2
         out: list[int] = []
         pushes = 0
-        while run:
-            y = run.pop()
+        while stack:
+            y = pop()
             pushes += 1
             q = y >> 2
             if m < q:
@@ -137,38 +143,12 @@ def _collect_codes(
             else:
                 out.append(y)
         else:
-            denominator.append(m)
+            exits.append(m)
         out.reverse()
-        run += out
+        stack += out
         if pushes:
             budget.spend(op, pushes)
-
-    numerator: list[int] = []
-    block: list[int] = []
-    for y in reversed(run):
-        if y & 3:
-            block.append(y)
-            continue
-        m = y >> 2
-        if block:
-            budget.spend(op, len(block))
-            passed: list[int] = []    # the new block, right to left
-            for x in reversed(block):
-                q = x >> 2
-                if m < q:
-                    passed.append(x + 4)
-                elif m == q:
-                    passed += (x + 4, x)
-                    m += 1
-                elif m == q + 1:
-                    passed += (x, x + 4)
-                    m = q
-                else:
-                    passed.append(x)
-            passed.reverse()
-            block = passed
-        numerator.append(m)
-    return numerator, block, denominator
+    return stack, exits
 
 
 def f_fraction(w: Word, budget: Budget | None = None) -> tuple[FNormal, FNormal]:

@@ -85,9 +85,9 @@ def pi_action_right(w, m):
     return invert(moved), j
 
 
-def mono_raise_letters(syl, op, m=None):
+def mono_raise_letters(syl, m=None):
     """``mono_raise`` with the spill as a word of zero or one letters."""
-    new, spill = mono_raise(syl, op, m=m)
+    new, spill = mono_raise(syl, m)
     return new, _decode([] if spill is None else [spill])
 
 
@@ -108,13 +108,14 @@ def opi_commute_left(m, k, e):
 
 
 def mono_raise_op(syl, op, m=None):
-    """A raise as (prefix, M', suffix).  Ops "a" and "d" spill on the
-    right; "b" and "c" are their mirrors on the inverse syllable, inverted
-    back, and spill on the left."""
+    """A raise as (prefix, M', suffix).  Ops "a" (a strand entering at
+    the top) and "d" (the strand of ``v_m'`` entering on the left) spill
+    on the right; "b" and "c" are their mirrors on the inverse syllable,
+    inverted back, and spill on the left."""
     if op in ("a", "d"):
-        new, spill = mono_raise_letters(syl, op, m=m)
+        new, spill = mono_raise_letters(syl, m)
         return (), new, spill
-    new, spill = mono_raise_letters(syl.inverse(), {"b": "a", "c": "d"}[op], m=m)
+    new, spill = mono_raise_letters(syl.inverse(), m)
     return invert(spill), new.inverse(), ()
 
 
@@ -144,6 +145,18 @@ def test_height_algebra():
             assert a.intersect(b) == b.intersect(a)
             for c in sets:
                 assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("bogus", 3),
+    ("Tail", 0),
+    ("single", -1),
+    ("tail", -2),
+    ("empty", -1),
+])
+def test_height_set_rejects_an_unknown_kind_and_a_negative_value(kind, value):
+    with pytest.raises(ValueError, match="HeightSet needs"):
+        HeightSet(kind, value)
 
 
 def test_relation_sides_validation():
@@ -319,7 +332,7 @@ def test_split_monosyllables():
 
 def test_mono_raise_examples():
     base = syllable((), pibar(0), ())
-    new, spill = mono_raise_letters(base, "a")
+    new, spill = mono_raise_letters(base)
     assert spill == (vgen(0, -1),)
     assert new == syllable((pi(0),), pibar(1), ())
     prefix, new, suffix = mono_raise_op(base, "c", m=0)
@@ -327,11 +340,9 @@ def test_mono_raise_examples():
     assert new == syllable((pi(0),), pibar(1), ())
     with pytest.raises(ValueError):
         mono_raise_op(base, "c", m=1)
-    with pytest.raises(ValueError):
-        mono_raise(base, "a", m=0)
     # a syllable without a single height is not built, so never raised
     with pytest.raises(ValueError):
-        mono_raise(syllable((pi(2),), pibar(2), ()), "a")
+        mono_raise(syllable((pi(2),), pibar(2), ()))
 
 
 def test_mono_raise_preserves_element():
@@ -375,7 +386,7 @@ def test_raised_and_inverted_syllables_pass_the_checked_constructor(syl, data):
     assert inverse == rebuilt(inverse)
     assert type(inverse.pre) is tuple and type(inverse.post) is tuple
     m = data.draw(st.integers(0, h - 1))
-    for new, _ in (mono_raise(syl, "a"), mono_raise(syl, "d", m), mono_raise(inverse, "d", m)):
+    for new, _ in (mono_raise(syl), mono_raise(syl, m), mono_raise(inverse, m)):
         assert new == rebuilt(new)
         assert type(new.pre) is tuple and type(new.post) is tuple
         assert new.h == h + 1
@@ -457,11 +468,11 @@ def test_raising_cables_one_strand(syl):
     # with nothing carried, and the strand's end below names the spill
     h = syl.h
     braid = m_to_sigma(syl.word(), h)
-    for op, m in [("a", None)] + [("d", m) for m in range(h)]:
-        new, spill = mono_raise_letters(syl, op, m=m)
+    for m in [None, *range(h)]:
+        new, spill = mono_raise_letters(syl, m)
         top = 0 if m is None else h - m
         end = strand_end(braid, top)
-        if op == "a":
+        if m is None:
             assert spill[0].index == h - end
         assert end == (h - spill[0].index if spill else 0)
         assert cable(braid, end) == (m_to_sigma(new.word(), h + 1), top)
@@ -492,7 +503,7 @@ def test_raising_keeps_flanks_freely_reduced(syl, data):
     m = data.draw(st.integers(0, h - 1))
     for flank in (syl.pre, syl.post):
         assert is_freely_reduced(pi_action(flank, m)[0])
-    for new, _ in (mono_raise(syl, "a"), mono_raise(syl, "d", m), mono_raise(syl.inverse(), "d", m)):
+    for new, _ in (mono_raise(syl), mono_raise(syl, m), mono_raise(syl.inverse(), m)):
         assert is_freely_reduced(new.pre) and is_freely_reduced(new.post)
 
 

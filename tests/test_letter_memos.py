@@ -2,7 +2,7 @@
 
 The package has two int codings, each turned back into letters through
 one bounded ``_letter`` memo: ``bv_lmr``'s v/p/pb codes, and the l/s
-codes of ``words``, which the hat folds, handle reduction and the LMR
+codes of ``words``, which the hat fold, handle reduction and the LMR
 route's ``l`` and ``s`` letters share.  The references below are the
 bodies that built a fresh ``{code: Gen}`` table on every call; on any
 code list the two give the same letters.  A list with more distinct codes
@@ -98,7 +98,7 @@ def test_every_l_s_letter_comes_from_one_memo():
 
 
 def test_every_l_s_word_is_read_by_one_reader():
-    # the F fraction, the hat folds and handle reduction check and
+    # the F fraction, the hat fold and handle reduction check and
     # free-reduce their input in the same one pass
     assert braid._reduced_codes is thompson_f._reduced_codes is hatgroups._reduced_codes is words._reduced_codes
 

@@ -936,10 +936,24 @@ def test_canonicalize_hat_matches_full_rescan(w, mode):
 @given(letters(HAT, max_index=4), st.sampled_from(GroupMode), st.integers(1, 60))
 @example(CANCEL_THEN_SITE_BEFORE, GroupMode.BVHAT, 3)
 def test_canonicalize_hat_matches_full_rescan_at_small_caps(w, mode, cap):
-    # the folds charge each carried letter's pushes in one spend; at a cap
+    # the fold charges each carried letter's pushes in one spend; at a cap
     # this small the step count often runs out inside such a block
     assert capped_outcome(cap, lambda budget: canonicalize_hat(w, mode, budget)) == \
         capped_outcome(cap, lambda budget: _ref_canonicalize_hat(w, mode, budget))
+
+
+def test_canonicalize_hat_matches_full_rescan_on_expanded_verify_relators():
+    # the hat route's own words, up to 100 l/s letters: the drawn words
+    # above stop at 24, so these carry l letters through longer s blocks
+    instances = [i for f in FAMILIES for i in instantiate_family(f, 8)] + finite_presentation_instances()
+    words = [expand_bv_generators(i.relator()) for i in instances if i.group in (GroupId.V, GroupId.BV)]
+    assert len(words) == 712 and max(map(len, words)) == 100
+    for w in words:
+        for mode in GroupMode:
+            got = lambda budget: canonicalize_hat(w, mode, budget)
+            ref = lambda budget: _ref_canonicalize_hat(w, mode, budget)
+            assert outcome(got) == outcome(ref)
+            assert capped_outcome(10, got) == capped_outcome(10, ref)
 
 
 @SETTINGS
@@ -1181,7 +1195,7 @@ def test_raise_word_heights_matches_letter_chain(w, times):
         for syl, ref_syl in zip(coded, ref):
             h = syl.h
             for op, m in [("a", None)] + [("d", m) for m in range(h)]:
-                new, spill = mono_raise(syl, op, m=m)
+                new, spill = mono_raise(syl, m)
                 ref_prefix, ref_new, ref_suffix = _ref_mono_raise(ref_syl, op, m=m)
                 spilled = _decode([] if spill is None else [spill])
                 assert ((), new.word(), spilled) == (ref_prefix, ref_new.word(), ref_suffix)

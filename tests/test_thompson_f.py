@@ -59,6 +59,13 @@ def test_normalize_fixes_sorted_words():
     assert normalize_monoid(w) == FNormal((0, 0, 2, 5))
 
 
+@pytest.mark.parametrize("indices", [(-1,), (-2, 0, 3), (-1, -1)])
+def test_fnormal_rejects_a_negative_index(indices):
+    # the nondecreasing check reaches every later index from the first
+    with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
+        FNormal(indices)
+
+
 def test_normalize_rejects_inverses_and_wrong_family():
     with pytest.raises(AlphabetError):
         normalize_monoid((lam(0, -1),))
