@@ -1,7 +1,7 @@
 """Word-problem and normal-form tools for Thompson's groups F and V,
 their hat extensions, and the braided variants."""
 
-from .braid import equal_braid, exponent_sum, handle_reduce, is_trivial_braid
+from .braid import equal_braid, handle_reduce, is_trivial_braid
 from .bv_lmr import (
     BVMode,
     HeightSet,

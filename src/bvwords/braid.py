@@ -72,10 +72,6 @@ from .words import _letter, _reduced_codes, Family, Word, invert
 _BRAID_ALPHABET = frozenset({Family.SIGMA})
 
 
-def exponent_sum(w: Word) -> int:
-    return sum(g.exponent for g in w)
-
-
 # A deleted letter's code.  Its index, ``-8 >> 2 == -2``, names the spare
 # slot ``last[-2]``, so a rollback over it writes nothing that is read.
 _DELETED = -8

@@ -44,19 +44,22 @@ in p coordinates.
 
 From the first form on, the route works on int-coded letters
 ``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
-repair and every raise.  The repaired middle is split into syllables
-once: a raise cables one strand, so it does not depend on where the cuts
-fall.  BV and ``to_third_form`` (so ``bvwords lmr``) hold each syllable
-as a ``Monosyllable`` of codes, join them once and decode the letters
-once, when ``to_third_form`` returns.  V needs only the strand
-permutation of the middle, so ``is_trivial_bv`` holds each of V's
-syllables as a height h and one permutation of the positions 0..h
-(``_PermSyllable``), cut from the codes without a ``Monosyllable``, and
-a raise cables one strand of that list instead of a word.  Each holding
-raises itself (``raised``), so one ``raise_word_heights`` and one
-``raise_m`` serve both, and only the split into syllables is chosen per
-holding.  Either split checks once that each piece has a single height
-``h``; a raise or an inversion keeps that, so no later step re-checks it.
+repair and every raise.  ``_invert_codes`` (reverse, invert every code)
+is the route's one mirror: R is the mirror of a positive v word, so each
+rightward move is the leftward one run on the mirror.  The repaired
+middle is split into syllables once: a raise cables one strand, so it
+does not depend on where the cuts fall.  BV and ``to_third_form`` (so
+``bvwords lmr``) hold each syllable as a ``Monosyllable`` of codes, join
+them once and decode the letters once, when ``to_third_form`` returns.
+V needs only the strand permutation of the middle, so ``is_trivial_bv``
+holds each of V's syllables as a height h and one permutation of the
+positions 0..h (``_PermSyllable``), cut from the codes without a
+``Monosyllable``, and a raise cables one strand of that list instead of
+a word.  Each holding raises itself (``raised``), so one
+``raise_word_heights`` and one ``raise_m`` serve both, and only the split
+into syllables is chosen per holding.  Either split checks once that each
+piece has a single height ``h``; a raise or an inversion keeps that, so
+no later step re-checks it.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
@@ -335,38 +338,39 @@ def _free_codes(codes: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: str) -> list[int]:
-    """Sweep every ``v^s`` letter to its end of the coded list (the left
-    for ``s = 1``, the right for ``s = -1``) and strip those letters off.
+def _invert_codes(codes: Sequence[int]) -> list[int]:
+    """The mirror of a code list: reversed, every letter inverted."""
+    return [x ^ 1 for x in reversed(codes)]
 
-    The positive sweep moves the leftmost stray, a ``v`` after the leading
-    run of them, past its left neighbour by the rules of the module
-    docstring; past ``pb_a^e`` with ``a < c``, ``v_c`` is replayed as
-    ``v_a ... v_(c-2) v_(c-1)^2 pb_(c+1)^e p_c^e ... p_a^e``.  Both pb
-    moves shrink a multiset measure, so the sweep ends.  Each move is one
-    step of ``op``.  The search starts at ``start``, at or before the
-    first stray, and resumes at ``p - 1`` after a move at ``p``: the move
-    rewrote only the pair ending at ``p``, and no letter before it was a
-    stray, so this finds the stray a full rescan would.
 
-    The inverse sweep is the positive one with every v exponent negated,
-    run on the list reversed in place: each rule that moves ``v_c'``
-    rightward past a letter, read backwards, is the rule that moves
-    ``v_c`` leftward past it with v exponents negated.  So it makes the
-    same moves in the same order, rightmost stray first, with the same
-    steps.
+def _flush_v_letters(codes: list[int], start: int, budget: Budget, op: str) -> list[int]:
+    """Sweep every ``v`` letter to the left end of the coded list and strip
+    those letters off.
+
+    The sweep moves the leftmost stray, a ``v`` after the leading run of
+    them, past its left neighbour by the rules of the module docstring;
+    past ``pb_a^e`` with ``a < c``, ``v_c`` is replayed as ``v_a ...
+    v_(c-2) v_(c-1)^2 pb_(c+1)^e p_c^e ... p_a^e``.  Both pb moves shrink a
+    multiset measure, so the sweep ends.  Each move is one step of ``op``.
+    The search starts at ``start``, at or before the first stray, and
+    resumes at ``p - 1`` after a move at ``p``: the move rewrote only the
+    pair ending at ``p``, and no letter before it was a stray, so this
+    finds the stray a full rescan would.
+
+    The sweep of ``v'`` letters to the right end is this sweep run on the
+    mirror (``_invert_codes``) and mirrored back: every rule keeps the
+    exponents of the p/pb letters it touches, so the mirror of a rule that
+    moves ``v_c`` leftward is the rule that moves ``v_c'`` rightward, and
+    the mirrored sweep makes the same moves in the same order, rightmost
+    stray first, with the same steps.
     """
-    mover = int(s < 0)
-    if mover:
-        codes.reverse()
-        start = len(codes) - 1 - start
     head = 0
     while True:
         n = len(codes)
-        while head < n and codes[head] & 7 == mover:
+        while head < n and not codes[head] & 7:
             head += 1
         p = max(start, head)
-        while p < n and codes[p] & 7 != mover:
+        while p < n and codes[p] & 7:
             p += 1
         if p == n:
             break
@@ -374,7 +378,7 @@ def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: s
         x, y = codes[p], codes[p - 1]
         c, a, kind = x >> 3, y >> 3, y & 7
         if kind < 2:
-            # a v^-s: a stray never follows a v^s
+            # a v': a stray never follows a v
             if a == c:
                 del codes[p - 1:p + 1]
             elif a < c:
@@ -399,25 +403,23 @@ def _flush_v_letters(codes: list[int], s: int, start: int, budget: Budget, op: s
         start = p - 1
     spill = codes[:head]
     del codes[:head]
-    if mover:
-        codes.reverse()
-        spill.reverse()
     return spill
 
 
 def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
     """Sort a v/p/pb word into left-middle-right shape (heights unset).
 
-    The inverse movers start right of the flushed positive letters and
-    move away, so only p/pb letters are left.  The middle is freely
-    reduced on its codes, where ``x ^ 1`` is the inverse letter, and each
-    part is decoded once."""
+    The inverse movers are flushed on the mirror, from its left end: they
+    start right of the flushed positive letters and move away, so only
+    p/pb letters are left.  The middle is freely reduced on its codes,
+    where ``x ^ 1`` is the inverse letter, and each part is decoded once."""
     check_alphabet(w, _BV_ALPHABET, "to_first_form")
     budget = budget if budget is not None else Budget()
     codes = _encode(free_reduce(w))
-    left = _flush_v_letters(codes, 1, 0, budget, "to_first_form")
-    right = _flush_v_letters(codes, -1, len(codes) - 1, budget, "to_first_form")
-    return LMRForm(L=_decode(left), M=_decode(_free_codes(codes)), R=_decode(right))
+    left = _flush_v_letters(codes, 0, budget, "to_first_form")
+    mirror = _invert_codes(codes)
+    right = _invert_codes(_flush_v_letters(mirror, 0, budget, "to_first_form"))
+    return LMRForm(L=_decode(left), M=_decode(_free_codes(_invert_codes(mirror))), R=_decode(right))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +427,6 @@ def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
 #
 # Raising runs on the int coding as well: a flank is a tuple of p codes, a
 # core a pb code, raising an index adds 8 and inverting a letter flips bit 0.
-
-
-def _invert_codes(codes: Sequence[int]) -> list[int]:
-    return [x ^ 1 for x in reversed(codes)]
 
 
 def pi_action(codes: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
@@ -774,56 +772,47 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
 
     raise the pb index by one per use while the offending p run, lying on
     the far side of the flush, keeps its indices, so the pb index
-    overtakes the run.  The trailing p run is leveled first, since its
-    flushes travel left and may disturb anything earlier; then each pb
-    letter's preceding run in left-to-right order.  A right flush keeps
-    every leveled run to its right level: crossing bumps a p index by at
-    most one per passing v against exactly one for the run's pb index,
-    and the p letter deposited by an absorption sits just below the
-    absorbing pb letter's raised index.  Takes the coded middle, rewrites
-    it in place and returns (left spill, middle, right spill), all codes;
-    the spills are v letters.
+    overtakes the run.  One loop levels the p run after a pb letter by the
+    first rearrangement: while the run holds a p index at least ``c``, it
+    splits the pb letter and ``_flush_v_letters`` sweeps the ``v_c`` left
+    from where it was inserted.  The second rearrangement is the first
+    read in the mirror (``_invert_codes``).  The loop runs on the middle
+    for the trailing run only, which is leveled first, since its flushes
+    travel left and may disturb anything earlier; then on the middle's
+    mirror for every pb letter, right to left, which is each pb letter's
+    preceding run in left-to-right order.  A right flush keeps every
+    leveled run to its right level: crossing bumps a p index by at most
+    one per passing v against exactly one for the run's pb index, and the
+    p letter deposited by an absorption sits just below the absorbing pb
+    letter's raised index.  Takes the coded middle and returns (left
+    spill, middle, right spill), all codes; the spills are v letters.
 
-    Both loops run on the int coding of ``_flush_v_letters``.  A split
-    flushes only the v letter it inserted, from where it was inserted.
-    A flush of both signs would make the same moves: the letters are pure
-    p/pb before the split, and every rule emits v letters of the mover's
-    sign only, so the sweep of the other sign finds nothing.  A right
-    split leaves the letters up to the raised pb letter in place, so the
-    scan for the next run to level resumes there.
+    A flush of both signs would make the split's moves: the letters are
+    pure p/pb before the split, and every rule emits ``v`` letters only.
+    A leftward flush never moves the list's right end, so ``done`` counts
+    the letters from the last leveled pb letter to that end.
     """
-    left_spill: list[int] = []
-    right_spill: list[int] = []
-
-    while True:
-        last = len(codes) - 1
-        while not codes[last] & 4:
-            last -= 1
-        x = codes[last]
-        if max(codes[last + 1:], default=-1) < x & ~7:  # every later p index < c
-            break
-        budget.spend("repair_heights")
-        # v_c pb_(c+1)^e p_c^e
-        codes[last:last + 1] = x & ~7, x + 8, x - 2
-        left_spill += _flush_v_letters(codes, 1, last, budget, "repair_heights")
-
-    start = 0
-    while True:
-        pos = start
-        while pos < len(codes) and not codes[pos] & 4:
-            pos += 1
-        if pos == len(codes):
-            break
-        x = codes[pos]
-        if max(codes[start:pos], default=-1) < x & ~7:  # the run's p indices < c
-            start = pos + 1
-            continue
-        budget.spend("repair_heights")
-        # p_c^e pb_(c+1)^e v_c'
-        codes[pos:pos + 1] = x - 2, x + 8, x & ~7 | 1
-        right_spill[:0] = _flush_v_letters(codes, -1, pos + 2, budget, "repair_heights")
-
-    return left_spill, codes, right_spill
+    spills: list[list[int]] = [[], []]
+    for mirrored in (0, 1):
+        done = 0
+        while True:
+            pos = len(codes) - 1 - done
+            while pos >= 0 and not codes[pos] & 4:
+                pos -= 1
+            if pos < 0:
+                break
+            x = codes[pos]
+            if max(codes[pos + 1:len(codes) - done], default=-1) < x & ~7:  # the run's p indices < c
+                if not mirrored:
+                    break
+                done = len(codes) - pos
+                continue
+            budget.spend("repair_heights")
+            # v_c pb_(c+1)^e p_c^e
+            codes[pos:pos + 1] = x & ~7, x + 8, x - 2
+            spills[mirrored] += _flush_v_letters(codes, pos, budget, "repair_heights")
+        codes = _invert_codes(codes)
+    return spills[0], codes, _invert_codes(spills[1])
 
 
 def _raise_suffixes(syllables: list, targets: list[int], budget: Budget) -> list[int]:

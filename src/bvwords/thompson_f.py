@@ -122,10 +122,9 @@ def _fold(codes: list[int], mover: int, budget: Budget, op: str) -> tuple[list[i
             continue
         m = x >> 2
         out: list[int] = []
-        pushes = 0
+        n = len(stack)
         while stack:
             y = pop()
-            pushes += 1
             q = y >> 2
             if m < q:
                 out.append(y + 4)
@@ -144,10 +143,10 @@ def _fold(codes: list[int], mover: int, budget: Budget, op: str) -> tuple[list[i
                 out.append(y)
         else:
             exits.append(m)
+        if n:
+            budget.spend(op, n - len(stack))
         out.reverse()
         stack += out
-        if pushes:
-            budget.spend(op, pushes)
     return stack, exits
 
 

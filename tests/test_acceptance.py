@@ -7,7 +7,7 @@ gives one pass/fail line per criterion.
 import random
 import time
 
-from bvwords.braid import exponent_sum, handle_reduce
+from bvwords.braid import handle_reduce
 from bvwords.bv_lmr import BVMode, equal_bv, is_trivial_bv, l_height_bound, to_third_form
 from bvwords.cli import main
 from bvwords.hatgroups import GroupMode, equal_hat, is_trivial_hat
@@ -122,7 +122,7 @@ def test_criterion_6_braid_decider_10000_words():
         assert handle_reduce(b + invert(b)) == ()
         if verdict:
             trivial_count += 1
-            assert exponent_sum(b) == 0
+            assert sum(g.exponent for g in b) == 0
             assert from_sigma_word(b).is_identity()
     assert trivial_count > 100  # the trivial branch is genuinely exercised
     print(f"\ncriterion 6: 10000 braid words checked, {trivial_count} trivial, no caps hit")

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvwords import bv_lmr
-from bvwords.braid import exponent_sum, handle_reduce, is_trivial_braid
+from bvwords.braid import handle_reduce, is_trivial_braid
 from bvwords.bv_lmr import (
     _FAMILY,
     BVMode,
@@ -523,9 +523,10 @@ def _flush(letters_, budget, op):
     """The package's two flushes, as ``to_first_form`` runs them, on a
     letter list."""
     codes = _encode(letters_)
-    prefix = _flush_v_letters(codes, 1, 0, budget, op)
-    suffix = _flush_v_letters(codes, -1, len(codes) - 1, budget, op)
-    letters_[:] = _decode(codes)
+    prefix = _flush_v_letters(codes, 0, budget, op)
+    mirror = _invert_codes(codes)
+    suffix = _invert_codes(_flush_v_letters(mirror, 0, budget, op))
+    letters_[:] = _decode(_invert_codes(mirror))
     return list(_decode(prefix)), list(_decode(suffix))
 
 
@@ -871,7 +872,7 @@ def _ref_is_trivial_braid(b, budget):
     """The braid decider as the chain of its public steps: the exponent
     sum, the permutation of the letter-level free reduction, and handle
     reduction of the word as given."""
-    if exponent_sum(b) != 0:
+    if sum(g.exponent for g in b) != 0:
         return False
     if not from_sigma_word(free_reduce(b)).is_identity():
         return False
@@ -1116,8 +1117,8 @@ def test_flush_v_letters_matches_full_rescan_at_small_caps(w, cap):
 @pytest.mark.parametrize("s", (1, -1))
 @pytest.mark.parametrize("e", (1, -1))
 def test_int_pb_rule_matches_opi_commute(e, s):
-    # the sweep of sign s runs on the list reversed when s = -1, so there
-    # the pair pb_m^e v_(m+k)' is written right to left
+    # when s = -1 the pair is written right to left, v_(m+k)' pb_m^e, and
+    # its v' letter is swept rightward: on the mirror, then mirrored back
     for m in range(4):
         for k in range(1, 5):
             first, second = opi_commute(m, k, e)
@@ -1126,16 +1127,34 @@ def test_int_pb_rule_matches_opi_commute(e, s):
             pair = (pibar(m, e), vgen(m + k, s))
             budget = Budget(CAP)
             codes = _encode(pair[::s])
-            spill = _decode(_flush_v_letters(codes, s, 0 if s > 0 else 1, budget, "op"))
-            assert (spill[::s], _decode(codes)[::s]) == (first, second)
+            if s < 0:
+                codes = _invert_codes(codes)
+            spill = _flush_v_letters(codes, 0, budget, "op")
+            if s < 0:
+                spill, codes = _invert_codes(spill), _invert_codes(codes)
+            assert (_decode(spill)[::s], _decode(codes)[::s]) == (first, second)
             assert budget.used == 1
             letters_ = list(pair)
             _ref_push_v_left(letters_, 1, s)
             assert tuple(letters_) == first + second
 
 
+# the trailing run's second flush crosses pb1 by the replay rule
+REPAIR_REPLAY = parse_word("pb1 p0' pb2 p3")
+# three splits on the middle, then one on its mirror: 14 steps
+REPAIR_BOTH_SIDES = parse_word("p0 pb0 p2")
+# the mirror's pass goes on past a leveled pb letter to split the next
+REPAIR_SECOND_CORE = parse_word("pb0 p1 pb0")
+
+
 @SETTINGS
 @given(letters(BV, max_index=4, max_size=16), st.one_of(st.integers(1, 60), st.just(CAP)))
+@example(REPAIR_REPLAY, CAP)
+@example(REPAIR_REPLAY, 5)
+@example(REPAIR_BOTH_SIDES, CAP)
+@example(REPAIR_BOTH_SIDES, 5)
+@example(REPAIR_SECOND_CORE, CAP)
+@example(REPAIR_SECOND_CORE, 1)
 def test_repair_heights_matches_full_flush(w, cap):
     middle = to_first_form(w).M
     if not any(g.family is Family.PIBAR for g in middle):
