@@ -116,6 +116,18 @@ def test_handle_reduce_preserves_element():
         assert equal_braid(b, handle_reduce(b))
 
 
+def test_handle_reduce_keeps_invariants():
+    # the exponent sum and the permutation image are homomorphisms out of
+    # the braid group, so every rewrite must keep them; unlike the test
+    # above, this does not lean on handle reduction to judge itself
+    rng = random.Random(59)
+    for _ in range(300):
+        b = _random_braid(rng, 6, 16)
+        r = handle_reduce(b)
+        assert sum(g.exponent for g in r) == sum(g.exponent for g in b)
+        assert from_sigma_word(r) == from_sigma_word(b)
+
+
 def test_budget_cap_raises():
     b = _s((0, 1), (1, 1), (0, -1)) * 10
     with pytest.raises(StepLimitExceeded):
