@@ -46,9 +46,10 @@ From the first form on, the route works on int-coded letters
 ``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
 repair and every raise.  ``_invert_codes`` (reverse, invert every code)
 is the route's one mirror: R is the mirror of a positive v word, so each
-rightward move is the leftward one run on the mirror.  The repaired
-middle is split into syllables once: a raise cables one strand, so it
-does not depend on where the cuts fall.  BV and ``to_third_form`` (so
+rightward move is the leftward one run on the mirror.  The third form
+grows L and that word R' by appends and mirrors R back once.  The
+repaired middle is split into syllables once: a raise cables one strand,
+so it does not depend on where the cuts fall.  BV and ``to_third_form`` (so
 ``bvwords lmr``) hold each syllable as a ``Monosyllable`` of codes, join
 them once and decode the letters once, when ``to_third_form`` returns.
 V needs only the strand permutation of the middle, so ``is_trivial_bv``
@@ -620,8 +621,9 @@ def raise_word_heights(syllables: Sequence) -> tuple[list, int | None]:
 def _join_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
     """The codes of syllables with freely reduced flanks, joined, with the
     inverse p pairs that meet where one syllable's post meets the next
-    one's pre cancelled.  A pb letter never cancels: the letter met across
-    a join is a p letter."""
+    one's pre cancelled.  Two cores meet where the p letters between them
+    cancel (``pb1 v2' pb1'`` gives ``pb3 pb3'``) and are never cancelled:
+    M is the chain's middle with only its p runs reduced."""
     out: list[int] = []
     for s in syllables:
         pre, i = s.pre, 0
@@ -761,7 +763,7 @@ def _height_bound(indices: Iterable[int]) -> int:
     return k
 
 
-def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int], list[int], list[int]]:
+def _repair_syllable_heights(codes: list[int], parts: tuple[list[int], list[int]], budget: Budget) -> list[int]:
     """Split pb letters until every monosyllable has a single height.
 
     A monosyllable's height set is empty exactly when some p index in it
@@ -784,15 +786,14 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
     leveled run to its right level: crossing bumps a p index by at most
     one per passing v against exactly one for the run's pb index, and the
     p letter deposited by an absorption sits just below the absorbing pb
-    letter's raised index.  Takes the coded middle and returns (left
-    spill, middle, right spill), all codes; the spills are v letters.
+    letter's raised index.  Appends the spills of the middle to L and of
+    its mirror to R', the codes ``parts``, and returns the middle.
 
     A flush of both signs would make the split's moves: the letters are
     pure p/pb before the split, and every rule emits ``v`` letters only.
     A leftward flush never moves the list's right end, so ``done`` counts
     the letters from the last leveled pb letter to that end.
     """
-    spills: list[list[int]] = [[], []]
     for mirrored in (0, 1):
         done = 0
         while True:
@@ -810,59 +811,53 @@ def _repair_syllable_heights(codes: list[int], budget: Budget) -> tuple[list[int
             budget.spend("repair_heights")
             # v_c pb_(c+1)^e p_c^e
             codes[pos:pos + 1] = x & ~7, x + 8, x - 2
-            spills[mirrored] += _flush_v_letters(codes, pos, budget, "repair_heights")
+            parts[mirrored].extend(_flush_v_letters(codes, pos, budget, "repair_heights"))
         codes = _invert_codes(codes)
-    return spills[0], codes, _invert_codes(spills[1])
+    return codes
 
 
-def _raise_suffixes(syllables: list, targets: list[int], budget: Budget) -> list[int]:
+def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget: Budget) -> None:
     """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
-    right end down to 1, in place; return the spills in the order made.
+    right end down to 1, in place; append each spill's inverse to ``part``.
 
     Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
     j is first raised at step j, which makes ``targets[j - 1] -
     syllables[j].h`` raises, each one step of ``equalize_heights`` and one
     call of ``raise_word_heights``.
     """
-    spills: list[int] = []
     for j in range(len(syllables) - 1, 0, -1):
         for _ in range(targets[j - 1] - syllables[j].h):
             budget.spend("equalize_heights")
             syllables[j:], spill = raise_word_heights(syllables[j:])
             if spill is not None:
-                spills.append(spill)
-    return spills
+                part.append(spill ^ 1)
 
 
-def _equalize_heights(syllables: list, budget: Budget) -> tuple[list[int], list, list[int]]:
+def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budget: Budget) -> list:
     """Bring all syllable heights to a common value: ``_raise_suffixes``
     run twice, on ``Monosyllable`` words or ``_PermSyllable`` lines (whose
     ``inverse`` is one permutation inverse).
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
-    spilling inverse v letters past the word's right end.  The second
-    levels each prefix up to the next height: a leveled prefix has
-    constant heights, so its inversion is again nondecreasing and the
-    right-spilling raise applies.  It runs on the inverted list, with that
-    list's own heights as targets, and each spill inverts back to a
-    positive v letter past the word's left end.  A syllable and its
-    inverse have the same height ``h``, checked once where the middle
-    was cut.  Returns (left spill, syllables, right spill), the spills as
-    codes.
+    spilling inverse v letters past the word's right end, so onto R',
+    ``parts[1]``.  The second levels each prefix up to the next height: a
+    leveled prefix has constant heights, so its inversion is again
+    nondecreasing and the right-spilling raise applies.  It runs on the
+    inverted list, with that list's own heights as targets, and its spills
+    are the positive v letters past the word's left end, onto L,
+    ``parts[0]``.  A syllable and its inverse have the same height ``h``,
+    checked once where the middle was cut.  Returns the syllables.
     """
-    right_spill = _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), budget)
-    right_spill.reverse()
-
-    left_spill: list[int] = []
+    _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), parts[1], budget)
     if syllables[0].h < syllables[-1].h:
         inv = [s.inverse() for s in reversed(syllables)]
-        left_spill = [x ^ 1 for x in _raise_suffixes(inv, [s.h for s in inv], budget)]
+        _raise_suffixes(inv, [s.h for s in inv], parts[0], budget)
         syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.h for s in syllables}
     if len(heights) != 1:
         raise AssertionError(f"equalization failed: {heights}")
-    return left_spill, syllables, right_spill
+    return syllables
 
 
 def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
@@ -912,22 +907,17 @@ def _raise_to_third_form(
 
     ``split`` cuts the repaired middle's codes into syllables
     (``split_monosyllables`` or ``_perm_syllables``); each syllable raises
-    itself, so equalization and ``raise_m`` are the same for both.
-    Returns L's and R's codes, the syllables and their common height k.
+    itself, so equalization and ``raise_m`` are the same for both.  Every
+    phase appends its spills to the codes of L or R', the positive mirror
+    of R, and R is mirrored back once: returns L's and R's codes, the
+    syllables and their common height k.
     """
-    left, right = _encode(first.L), _encode(first.R)
-    lspill, middle, rspill = _repair_syllable_heights(_encode(first.M), budget)
-    left += lspill
-    right[:0] = rspill
-    lspill, syllables, rspill = _equalize_heights(split(middle), budget)
-    left += lspill
-    right[:0] = rspill
+    parts = left, rmirror = _encode(first.L), _invert_codes(_encode(first.R))
+    syllables = _equalize_heights(split(_repair_syllable_heights(_encode(first.M), parts, budget)), parts, budget)
     h = syllables[0].h
 
     while True:
-        # L's letters are v codes, and R's read backwards are those of R'
-        k1 = _height_bound(x >> 3 for x in left)
-        k2 = _height_bound(x >> 3 for x in reversed(right))
+        k1, k2 = (_height_bound(x >> 3 for x in part) for part in parts)
         if k1 <= h and k2 <= h:
             break
         budget.spend("to_third_form")
@@ -937,9 +927,9 @@ def _raise_to_third_form(
             if k2 > h:
                 left.append(spill)
             else:
-                right.insert(0, spill)
+                rmirror.append(spill ^ 1)
         h += 1
-    return left, syllables, right, h
+    return left, syllables, _invert_codes(rmirror), h
 
 
 def m_to_sigma(m_word: Word, h: int) -> Word:
@@ -973,22 +963,22 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
         form = to_third_form(w, budget)
         if not is_trivial_braid(m_to_sigma(form.M, form.k), budget):
             return False
-        outer = form.L + form.R
-    else:
-        if mode is not BVMode.V:
-            raise ValueError(f"is_trivial_bv: mode must be BVMode.V or BVMode.BV, got {mode!r}")
+        outer = _encode(form.L + form.R)
+    elif mode is BVMode.V:
         first = to_first_form(w, budget)
         if all(g.family is Family.PI for g in first.M):
             if not from_adjacent_transpositions(g.index for g in first.M).is_identity():
                 return False
-            outer = first.L + first.R
+            outer = _encode(first.L + first.R)
         else:
             left, syllables, right, k = _raise_to_third_form(first, budget, _perm_syllables)
             if not _middle_is_identity(syllables, k):
                 return False
-            # the v code ``n << 3 | (e < 0)`` reads as the l code ``n << 2 | (e < 0) << 1``
-            return is_trivial_f(tuple([_ls_letter(x >> 3 << 2 | (x & 1) << 1) for x in left + right]), budget)
-    return is_trivial_f(tuple([_ls_letter(g.index << 2 | (g.exponent < 0) << 1) for g in outer]), budget)
+            outer = left + right
+    else:
+        raise ValueError(f"is_trivial_bv: mode must be BVMode.V or BVMode.BV, got {mode!r}")
+    # the v code ``n << 3 | (e < 0)`` reads as the l code ``n << 2 | (e < 0) << 1``
+    return is_trivial_f(tuple([_ls_letter(x >> 3 << 2 | (x & 1) << 1) for x in outer]), budget)
 
 
 def equal_bv(w1: Word, w2: Word, mode: BVMode, budget: Budget | None = None) -> bool:

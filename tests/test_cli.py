@@ -103,6 +103,42 @@ def test_lmr_golden(capsys):
     assert code == 0 and out.endswith("k: 0\n")
 
 
+@pytest.mark.parametrize("argv, line", [
+    # the p letters between two cores cancel completely, and the join
+    # leaves the cores that meet: M is not freely reduced
+    (("lmr", "pb1 v2' pb1'"),
+     '{"L": "v1 v2", "M": "pb3 pb3\'", "R": "v1\' v1\'", "command": "lmr", "input": "pb1 v2\' pb1\'", "k": 4}'),
+    # one height repair, one equalizing raise and four final raises; the
+    # join cancels the inverse p pairs that meet across it
+    (("lmr", "v3 pb0' p0 p0 pb0 v3'"),
+     '{"L": "v3 v0", "M": "p1\' p2\' p3\' p4\' pb5\' p0 p1 p2 p3 p4 p4 p3 p2 p1 p0 pb5 p4 p3 p2 p1", '
+     '"R": "v0\' v3\'", "command": "lmr", "input": "v3 pb0\' p0 p0 pb0 v3\'", "k": 6}'),
+    # height repair makes p3' p3 pb4 v3', and the cut reduces the flank pair away
+    (("lmr", "p3' pb3"),
+     '{"L": "", "M": "pb4", "R": "v3\'", "command": "lmr", "input": "p3\' pb3", "k": 5}'),
+    # the trailing run's second flush crosses pb1 by the replay rule
+    (("lmr", "pb1 p0' pb2 p3"),
+     '{"L": "v1 v1 v2", "M": "pb4 p3 p2 p1 p0\' pb4 p3 p2 p3", "R": "", "command": "lmr", '
+     '"input": "pb1 p0\' pb2 p3", "k": 5}'),
+    # height repair on the middle's mirror spills v0' into R
+    (("lmr", "p0 pb0 p2"),
+     '{"L": "v1 v2 v3", "M": "p0 p1 p2 p3 p3 pb4 p2 p3 p1 p2 p0 p1 p3", "R": "v0\'", "command": "lmr", '
+     '"input": "p0 pb0 p2", "k": 5}'),
+    # the hat fold's second run carries two l letters leftwards through an
+    # s block, each meeting an s letter of its own index or of one less
+    (("normalize", "--group", "BVhat", "s1 s0 l1 s0 l0"),
+     '{"beta": "s3 s2 s1 s0 s0 s1", "command": "normalize", "group": "BVhat", "input": "s1 s0 l1 s0 l0", '
+     '"negative": [], "positive": [0, 0]}'),
+    # handle reduction on a braid relator
+    (("trivial", "--group", "Binf", "s0 s1 s0 s1' s0' s1'"),
+     '{"command": "trivial", "group": "Binf", "input": "s0 s1 s0 s1\' s0\' s1\'", "steps": 4, "trivial": true}'),
+], ids=["lmr_cores_meet", "lmr", "lmr_repair", "lmr_replay", "lmr_mirror", "bvhat_fold", "binf"])
+def test_json_golden(capsys, argv, line):
+    code, out, _ = run(capsys, argv[0], "--json", *argv[1:])
+    assert code == 0
+    assert out == line + "\n"
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--bound", "2")
     assert code == 0

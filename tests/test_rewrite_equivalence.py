@@ -1161,7 +1161,9 @@ def test_repair_heights_matches_full_flush(w, cap):
         return
 
     def coded(budget):
-        return tuple(map(_decode, _repair_syllable_heights(_encode(middle), budget)))
+        parts = [], []
+        repaired = _repair_syllable_heights(_encode(middle), parts, budget)
+        return _decode(parts[0]), _decode(repaired), _decode(_invert_codes(parts[1]))
 
     def ref(budget):
         return tuple(map(tuple, _ref_repair_syllable_heights(middle, budget)))
@@ -1174,7 +1176,7 @@ def _repaired_middle(w):
     middle = to_first_form(w).M
     if not any(g.family is Family.PIBAR for g in middle):
         return None
-    return _decode(_repair_syllable_heights(_encode(middle), Budget(CAP))[1])
+    return _decode(_repair_syllable_heights(_encode(middle), ([], []), Budget(CAP)))
 
 
 @SETTINGS
@@ -1187,8 +1189,9 @@ def test_equalize_heights_matches_full_inversion(w, cap):
         return
 
     def coded(budget):
-        left, syllables, right = _equalize_heights(_unreduced_split(_encode(middle)), budget)
-        return _decode(left), [s.word() for s in syllables], _decode(right)
+        parts = [], []
+        syllables = _equalize_heights(_unreduced_split(_encode(middle)), parts, budget)
+        return _decode(parts[0]), [s.word() for s in syllables], _decode(_invert_codes(parts[1]))
 
     def ref(budget):
         left, syllables, right = _ref_equalize_heights(_ref_split_monosyllables(middle), budget)
@@ -1235,7 +1238,7 @@ def test_raise_m_matches_code_list_raise(w, data):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    _, syllables, _ = _equalize_heights(_unreduced_split(_encode(middle)), Budget(CAP))
+    syllables = _equalize_heights(_unreduced_split(_encode(middle)), ([], []), Budget(CAP))
     codes = _concat_syllables(syllables)
     # the same letters cut elsewhere: part of one syllable's ``pre`` moved
     # into the previous syllable's ``post``
@@ -1294,7 +1297,7 @@ def test_raise_chain_matches_on_words_and_lines(w, times):
         coded, spill = raise_word_heights(coded)
         perms, perm_spill = raise_word_heights(perms)
         assert (perms, perm_spill) == (_perm_syllables_of(coded), spill)
-    _, level, _ = _equalize_heights(split_monosyllables(_encode(middle)), Budget(CAP))
+    level = _equalize_heights(split_monosyllables(_encode(middle)), ([], []), Budget(CAP))
     for side in ("left", "right"):
         raised, spill = raise_m(level, side)
         assert raise_m(_perm_syllables_of(level), side) == (_perm_syllables_of(raised), spill)
