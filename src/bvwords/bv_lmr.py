@@ -56,11 +56,16 @@ V needs only the strand permutation of the middle, so ``is_trivial_bv``
 holds each of V's syllables as a height h and one permutation of the
 positions 0..h (``_PermSyllable``), cut from the codes without a
 ``Monosyllable``, and a raise cables one strand of that list instead of
-a word.  Each holding raises itself (``raised``), so one
-``raise_word_heights`` and one ``raise_m`` serve both, and only the split
-into syllables is chosen per holding.  Either split checks once that each
-piece has a single height ``h``; a raise or an inversion keeps that, so
-no later step re-checks it.
+a word.  Cabling respects composition, so two lines of one height raise
+as their product does: equalization joins each pair of neighbouring
+lines that reach one height (``_join_lines``), every raise cables one
+line per run of equal heights, and V's chain ends on one line, which
+``is_trivial_bv`` compares with the identity.  Each holding raises
+itself (``raised``), so one ``raise_word_heights`` and one ``raise_m``
+serve both, and only the split into syllables and the join (None for
+words) are chosen per holding.  Either split checks once that each
+piece has a single height ``h``; a raise, an inversion or a join keeps
+that, so no later step re-checks it.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
@@ -729,13 +734,16 @@ def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
     return out
 
 
-def _middle_is_identity(syllables: Sequence[_PermSyllable], k: int) -> bool:
-    """Whether the syllables of height k, read left to right, fix every
-    position 0..k."""
-    line = list(range(k + 1))
-    for _, f in syllables:
-        line = [f[y] for y in line]
-    return line == list(range(k + 1))
+def _join_lines(a: _PermSyllable, b: _PermSyllable) -> _PermSyllable:
+    """The product of two lines of one height, a's letters then b's.
+
+    Cabling respects composition: raising the product at m cables a at m
+    and b where the strand leaves a, and the strand leaves the product
+    where it leaves b, so the product raises as the pair does, with the
+    same spill.
+    """
+    f = b.line
+    return _PermSyllable(a.h, [f[y] for y in a.line])
 
 
 # ---------------------------------------------------------------------------
@@ -816,14 +824,19 @@ def _repair_syllable_heights(codes: list[int], parts: tuple[list[int], list[int]
     return codes
 
 
-def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget: Budget) -> None:
+def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget: Budget,
+                    join: Callable | None) -> None:
     """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
     right end down to 1, in place; append each spill's inverse to ``part``.
 
     Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
     j is first raised at step j, which makes ``targets[j - 1] -
     syllables[j].h`` raises, each one step of ``equalize_heights`` and one
-    call of ``raise_word_heights``.
+    call of ``raise_word_heights``.  With a ``join``, syllable j is then
+    joined into syllable j - 1 when the two have one height: the raised
+    suffix is a list of runs of strictly increasing height, and a raise
+    makes one move per run where it made one per syllable, with the same
+    spill.  Without one (BV's words) every syllable is raised on its own.
     """
     for j in range(len(syllables) - 1, 0, -1):
         for _ in range(targets[j - 1] - syllables[j].h):
@@ -831,12 +844,15 @@ def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget
             syllables[j:], spill = raise_word_heights(syllables[j:])
             if spill is not None:
                 part.append(spill ^ 1)
+        if join is not None and syllables[j - 1].h == syllables[j].h:
+            syllables[j - 1:j + 1] = [join(syllables[j - 1], syllables[j])]
 
 
-def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budget: Budget) -> list:
+def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budget: Budget,
+                      join: Callable | None) -> list:
     """Bring all syllable heights to a common value: ``_raise_suffixes``
     run twice, on ``Monosyllable`` words or ``_PermSyllable`` lines (whose
-    ``inverse`` is one permutation inverse).
+    ``inverse`` is one permutation inverse, and which ``join`` multiplies).
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
@@ -847,12 +863,15 @@ def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budge
     inverted list, with that list's own heights as targets, and its spills
     are the positive v letters past the word's left end, onto L,
     ``parts[0]``.  A syllable and its inverse have the same height ``h``,
-    checked once where the middle was cut.  Returns the syllables.
+    checked once where the middle was cut.  With a ``join`` the first
+    sweep leaves runs of strictly increasing height, the second joins
+    each raised suffix into the syllable before it, and the result is one
+    line.  Returns the syllables.
     """
-    _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), parts[1], budget)
+    _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), parts[1], budget, join)
     if syllables[0].h < syllables[-1].h:
         inv = [s.inverse() for s in reversed(syllables)]
-        _raise_suffixes(inv, [s.h for s in inv], parts[0], budget)
+        _raise_suffixes(inv, [s.h for s in inv], parts[0], budget, join)
         syllables[:] = [s.inverse() for s in reversed(inv)]
     heights = {s.h for s in syllables}
     if len(heights) != 1:
@@ -890,7 +909,7 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
                 _height_bound(g.index for g in reversed(first.R)), height.value)
         return LMRForm(first.L, first.M, first.R, height, k)
 
-    left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables)
+    left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables, None)
     codes = _join_syllables(syllables)
     top = (h - 1) << 3
     if any(x & ~1 != top | 4 if x & 4 else x >= top for x in codes):
@@ -900,20 +919,23 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
 
 
 def _raise_to_third_form(
-    first: LMRForm, budget: Budget, split: Callable[[list[int]], list]
+    first: LMRForm, budget: Budget, split: Callable[[list[int]], list],
+    join: Callable | None,
 ) -> tuple[list[int], list, list[int], int]:
     """The part of ``to_third_form`` after the first form, for a middle
     with a pb letter, in either holding of the syllables.
 
     ``split`` cuts the repaired middle's codes into syllables
-    (``split_monosyllables`` or ``_perm_syllables``); each syllable raises
-    itself, so equalization and ``raise_m`` are the same for both.  Every
-    phase appends its spills to the codes of L or R', the positive mirror
-    of R, and R is mirrored back once: returns L's and R's codes, the
-    syllables and their common height k.
+    (``split_monosyllables`` or ``_perm_syllables``), and ``join`` (None
+    or ``_join_lines``) multiplies two of one height in equalization; each
+    syllable raises itself, so equalization and ``raise_m`` are the same
+    for both.  Every phase appends its spills to the codes of L or R', the
+    positive mirror of R, and R is mirrored back once: returns L's and R's
+    codes, the syllables and their common height k.
     """
     parts = left, rmirror = _encode(first.L), _invert_codes(_encode(first.R))
-    syllables = _equalize_heights(split(_repair_syllable_heights(_encode(first.M), parts, budget)), parts, budget)
+    middle = _repair_syllable_heights(_encode(first.M), parts, budget)
+    syllables = _equalize_heights(split(middle), parts, budget, join)
     h = syllables[0].h
 
     while True:
@@ -955,8 +977,9 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     check too, spend from one budget.  BV translates the middle of
     ``to_third_form`` into a braid word and reduces it.  V needs only the
     middle's strand permutation: it makes the same raises, with the same
-    steps and spills, on one permutation per syllable, and checks that
-    their product fixes every strand.
+    steps and spills, on one permutation per run of syllables of one
+    height, which equalization joins into one line, and checks that this
+    line fixes every strand.
     """
     budget = budget if budget is not None else Budget()
     if mode is BVMode.BV:
@@ -971,8 +994,10 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
                 return False
             outer = _encode(first.L + first.R)
         else:
-            left, syllables, right, k = _raise_to_third_form(first, budget, _perm_syllables)
-            if not _middle_is_identity(syllables, k):
+            left, lines, right, k = _raise_to_third_form(first, budget, _perm_syllables, _join_lines)
+            if len(lines) != 1:
+                raise AssertionError(f"is_trivial_bv: V's equalization ended on {len(lines)} lines, not one")
+            if lines[0].line != list(range(k + 1)):
                 return False
             outer = left + right
     else:

@@ -14,6 +14,8 @@ from bvwords.bv_lmr import (
     RELATION_FAMILIES,
     _decode,
     _encode,
+    _join_lines,
+    _PermSyllable,
     apply_relation,
     equal_bv,
     is_trivial_bv,
@@ -505,6 +507,27 @@ def test_raising_keeps_flanks_freely_reduced(syl, data):
         assert is_freely_reduced(pi_action(flank, m)[0])
     for new, _ in (mono_raise(syl), mono_raise(syl, m), mono_raise(syl.inverse(), m)):
         assert is_freely_reduced(new.pre) and is_freely_reduced(new.post)
+
+
+@st.composite
+def lines_of_one_height(draw):
+    """Two lines of one height h in 1..8: permutations of 0..h."""
+    h = draw(st.integers(1, 8))
+    a, b = (draw(st.permutations(range(h + 1))) for _ in range(2))
+    return _PermSyllable(h, list(a)), _PermSyllable(h, list(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines_of_one_height())
+def test_a_join_raises_as_its_two_lines(pair):
+    # cabling respects composition: raising a's and b's product at m is
+    # raising a at m and b where the strand leaves a, then joining, and
+    # the product spills what b spills
+    a, b = pair
+    for m in [None, *range(a.h)]:
+        raised_a, carry = a.raised(m)
+        raised_b, spill = b.raised(None if carry is None else carry >> 3)
+        assert _join_lines(a, b).raised(m) == (_join_lines(raised_a, raised_b), spill)
 
 
 def test_third_form_middle_has_no_inverse_pair_in_a_p_run():

@@ -132,10 +132,18 @@ def test_lmr_golden(capsys):
     # handle reduction on a braid relator
     (("trivial", "--group", "Binf", "s0 s1 s0 s1' s0' s1'"),
      '{"command": "trivial", "group": "Binf", "input": "s0 s1 s0 s1\' s0\' s1\'", "steps": 4, "trivial": true}'),
-], ids=["lmr_cores_meet", "lmr", "lmr_repair", "lmr_replay", "lmr_mirror", "bvhat_fold", "binf"])
+    # V's equalization joins the lines of one height in both sweeps and
+    # ends on one line; the second word's line is not the identity
+    (("trivial", "--group", "V", "pb1 pb1 pb3 pb3"),
+     '{"command": "trivial", "group": "V", "input": "pb1 pb1 pb3 pb3", "steps": 2, "trivial": true}'),
+    (("trivial", "--group", "V", "pb1 pb0' pb3 pb3"),
+     '{"command": "trivial", "group": "V", "input": "pb1 pb0\' pb3 pb3", "steps": 4, "trivial": false}'),
+], ids=["lmr_cores_meet", "lmr", "lmr_repair", "lmr_replay", "lmr_mirror", "bvhat_fold", "binf",
+        "v_runs_trivial", "v_runs_not_trivial"])
 def test_json_golden(capsys, argv, line):
     code, out, _ = run(capsys, argv[0], "--json", *argv[1:])
-    assert code == 0
+    # a word that is not trivial exits 1
+    assert code == (0 if json.loads(line).get("trivial", True) else 1)
     assert out == line + "\n"
 
 

@@ -113,6 +113,12 @@ def test_verify_rejects_nonpositive_step_cap():
     ("finite-bv#12/bv-p", GroupId.BV, 2904),
     ("finite-v#12/bv-p", GroupId.V, 1037),
     ("finite-bv#24/bv-p", GroupId.BV, 5009),
+    # the slowest V relators of a ``verify`` pass, whose equalization
+    # joins many syllables of one height
+    ("finite-v#02/bv-p", GroupId.V, 885),
+    ("finite-v#10/bv-p", GroupId.V, 513),
+    ("finite-v#11/bv-p", GroupId.V, 516),
+    ("finite-v#24/bv-p", GroupId.V, 460),
 ])
 def test_finite_relator_step_counts_pinned(source, group, steps):
     # the exact rewrite steps of the two routes on the heaviest relators:

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,7 @@ from bvwords.bv_lmr import (
     _flank_perm,
     _flush_v_letters,
     _invert_codes,
+    _join_lines,
     _PermSyllable,
     _perm_syllables,
     _raise_to_third_form,
@@ -744,7 +746,7 @@ def unreduced_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     first = to_first_form(w, budget)
     if not any(g.family is Family.PIBAR for g in first.M):
         return to_third_form(w)    # no syllables: the two chains agree
-    left, syllables, right, k = _raise_to_third_form(first, budget, _unreduced_split)
+    left, syllables, right, k = _raise_to_third_form(first, budget, _unreduced_split, None)
     m_word = _decode(_concat_syllables(syllables))
     return LMRForm(_decode(left), m_word, _decode(right), word_height(m_word), k)
 
@@ -1190,7 +1192,7 @@ def test_equalize_heights_matches_full_inversion(w, cap):
 
     def coded(budget):
         parts = [], []
-        syllables = _equalize_heights(_unreduced_split(_encode(middle)), parts, budget)
+        syllables = _equalize_heights(_unreduced_split(_encode(middle)), parts, budget, None)
         return _decode(parts[0]), [s.word() for s in syllables], _decode(_invert_codes(parts[1]))
 
     def ref(budget):
@@ -1238,7 +1240,7 @@ def test_raise_m_matches_code_list_raise(w, data):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    syllables = _equalize_heights(_unreduced_split(_encode(middle)), ([], []), Budget(CAP))
+    syllables = _equalize_heights(_unreduced_split(_encode(middle)), ([], []), Budget(CAP), None)
     codes = _concat_syllables(syllables)
     # the same letters cut elsewhere: part of one syllable's ``pre`` moved
     # into the previous syllable's ``post``
@@ -1297,7 +1299,7 @@ def test_raise_chain_matches_on_words_and_lines(w, times):
         coded, spill = raise_word_heights(coded)
         perms, perm_spill = raise_word_heights(perms)
         assert (perms, perm_spill) == (_perm_syllables_of(coded), spill)
-    level = _equalize_heights(split_monosyllables(_encode(middle)), ([], []), Budget(CAP))
+    level = _equalize_heights(split_monosyllables(_encode(middle)), ([], []), Budget(CAP), None)
     for side in ("left", "right"):
         raised, spill = raise_m(level, side)
         assert raise_m(_perm_syllables_of(level), side) == (_perm_syllables_of(raised), spill)
@@ -1395,6 +1397,73 @@ def test_v_permutation_path_matches_word_path_on_verify_instances():
     for w in relators:
         got, ref = v_outcomes(CAP, w)
         assert got == ref and got[0] is True
+
+
+# V's chain as it ran before equalization joined the lines of one height:
+# every syllable raised on its own, by every sweep and every final raise,
+# and the middle's permutation the product of the lines left at height k.
+
+
+def _ref_raise_suffixes(syllables, targets, part, budget):
+    """``_raise_suffixes`` without a join: one raise per syllable."""
+    for j in range(len(syllables) - 1, 0, -1):
+        for _ in range(targets[j - 1] - syllables[j].h):
+            budget.spend("equalize_heights")
+            syllables[j:], spill = raise_word_heights(syllables[j:])
+            if spill is not None:
+                part.append(spill ^ 1)
+
+
+def _ref_v_chain(first, budget):
+    """L, the product line, R and k of the per-syllable chain: the shared
+    ``_raise_to_third_form`` with ``_ref_raise_suffixes`` as its sweep."""
+    def sweep(syllables, targets, part, budget, join):
+        _ref_raise_suffixes(syllables, targets, part, budget)
+
+    with mock.patch.object(bv_lmr, "_raise_suffixes", sweep):
+        left, lines, right, k = _raise_to_third_form(first, budget, _perm_syllables, None)
+    product = list(range(k + 1))
+    for s in lines:
+        product = [s.line[y] for y in product]
+    return left, product, right, k
+
+
+def _v_chain(first, budget):
+    """The same four values from V's joined chain, which ends on one line."""
+    left, [joined], right, k = _raise_to_third_form(first, budget, _perm_syllables, _join_lines)
+    return left, joined.line, right, k
+
+
+def v_chain_outcomes(cap, w):
+    """The capped outcomes of both chains after the word's first form, or
+    None when its middle has no pb letter."""
+    def run(chain, budget):
+        first = to_first_form(w, budget)
+        if all(g.family is Family.PI for g in first.M):
+            return None
+        return chain(first, budget)
+
+    return (capped_outcome(cap, lambda b: run(_v_chain, b)),
+            capped_outcome(cap, lambda b: run(_ref_v_chain, b)))
+
+
+V_CHAIN_CAPS = [CAP, 3, 17, 60]    # CAP: no cap is reached
+
+
+@SETTINGS
+@given(letters(BV, max_size=24), st.sampled_from(V_CHAIN_CAPS))
+def test_v_joined_chain_matches_per_syllable_chain(w, cap):
+    got, ref = v_chain_outcomes(cap, w)
+    assert got == ref
+
+
+@pytest.mark.parametrize("cap", V_CHAIN_CAPS)
+def test_v_joined_chain_matches_per_syllable_chain_on_finite_relators(cap):
+    relators = [i.relator() for i in finite_presentation_instances() if i.group is GroupId.V]
+    assert len(relators) == 60
+    for w in relators:
+        got, ref = v_chain_outcomes(cap, w)
+        assert got == ref
 
 
 @SETTINGS
