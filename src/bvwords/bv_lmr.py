@@ -44,9 +44,13 @@ in p coordinates.
 
 From the first form on, the route works on int-coded letters
 ``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
-repair and every raise.  ``_invert_codes`` (reverse, invert every code)
-is the route's one mirror: R is the mirror of a positive v word, so each
-rightward move is the leftward one run on the mirror.  The third form
+repair and every raise.  A sweep carries each stray v letter across its
+left neighbours in one loop and one step charge, and height repair
+levels each pb letter by one block of splits, flushed once; both make
+the single moves of the rules above, in the same order and steps.
+``_invert_codes`` (reverse, invert every code) is the route's one
+mirror: R is the mirror of a positive v word, so each rightward move is
+the leftward one run on the mirror.  The third form
 grows L and that word R' by appends and mirrors R back once.  The
 repaired middle is split into syllables once: a raise cables one strand,
 so it does not depend on where the cuts fall.  BV and ``to_third_form`` (so
@@ -353,15 +357,23 @@ def _flush_v_letters(codes: list[int], start: int, budget: Budget, op: str) -> l
     """Sweep every ``v`` letter to the left end of the coded list and strip
     those letters off.
 
-    The sweep moves the leftmost stray, a ``v`` after the leading run of
-    them, past its left neighbour by the rules of the module docstring;
-    past ``pb_a^e`` with ``a < c``, ``v_c`` is replayed as ``v_a ...
-    v_(c-2) v_(c-1)^2 pb_(c+1)^e p_c^e ... p_a^e``.  Both pb moves shrink a
-    multiset measure, so the sweep ends.  Each move is one step of ``op``.
-    The search starts at ``start``, at or before the first stray, and
-    resumes at ``p - 1`` after a move at ``p``: the move rewrote only the
-    pair ending at ``p``, and no letter before it was a stray, so this
-    finds the stray a full rescan would.
+    The sweep carries the leftmost stray, a ``v`` after the leading run of
+    them, leftward past one neighbour at a time by the rules of the module
+    docstring; past ``pb_a^e`` with ``a < c``, ``v_c`` is replayed as
+    ``v_a ... v_(c-2) v_(c-1)^2 pb_(c+1)^e p_c^e ... p_a^e``.  Both pb
+    moves shrink a multiset measure, so the sweep ends.  Each move is one
+    step of ``op``.  A carry ends when the stray reaches the leading run,
+    cancels against a ``v_c'``, is absorbed by a ``pb_c^e``, or is
+    replayed, which leaves ``v_a`` as the next stray.  Every move writes
+    only letters right of the stray, which it never reads again, so the
+    carry keeps them in a list, writes them back with one slice
+    assignment and charges its n moves with one ``spend(op, n)``: a block
+    charge leaves ``used`` where n single ones would, also on overflow
+    (``Budget.spend``), and reports the same operation.  The search starts
+    at ``start``, at or before the first stray, and resumes at the carry's
+    left end: no letter before it is a stray, so this finds the stray a
+    full rescan would, and the moves are those of a sweep that makes one
+    move per rescan, in its order.
 
     The sweep of ``v'`` letters to the right end is this sweep run on the
     mirror (``_invert_codes``) and mirrored back: every rule keeps the
@@ -380,33 +392,47 @@ def _flush_v_letters(codes: list[int], start: int, budget: Budget, op: str) -> l
             p += 1
         if p == n:
             break
-        budget.spend(op)
-        x, y = codes[p], codes[p - 1]
-        c, a, kind = x >> 3, y >> 3, y & 7
-        if kind < 2:
-            # a v': a stray never follows a v
-            if a == c:
-                del codes[p - 1:p + 1]
-            elif a < c:
-                codes[p - 1], codes[p] = x + 8, y
+        c = codes[p] >> 3
+        rest: list[int] = []    # the letters the carry rewrote, nearest it last
+        i = p
+        while i > head:
+            i -= 1
+            y = codes[i]
+            a, kind = y >> 3, y & 7
+            if kind < 2:
+                # a v': no v lies between the leading run and the stray
+                if a == c:
+                    lead = ()
+                    break
+                if a < c:
+                    c += 1
+                    rest.append(y)
+                else:
+                    rest.append(y + 8)
+            elif kind < 4:
+                if a == c:
+                    c += 1
+                    rest += (y + 8, y)
+                elif a == c - 1:
+                    c = a
+                    rest += (y, y + 8)
+                else:
+                    rest.append(y + 8 if a > c else y)
+            elif a > c:
+                rest.append(y + 8)
+            elif a == c:
+                lead = (y - 2, y + 8)
+                break
             else:
-                codes[p - 1], codes[p] = x, y + 8
-        elif kind < 4:
-            if a == c:
-                codes[p - 1:p + 1] = x + 8, y, y + 8
-            elif a == c - 1:
-                codes[p - 1:p + 1] = x - 8, y + 8, y
-            else:
-                codes[p - 1], codes[p] = x, y + 8 if a > c else y
-        elif a > c:
-            codes[p - 1], codes[p] = x, y + 8
-        elif a == c:
-            codes[p - 1], codes[p] = y - 2, y + 8
+                x, k = c << 3, c - a
+                lead = [*range(x - (k << 3), x - 8, 8), x - 8, x - 8,
+                        y + ((k + 1) << 3), *range(y - 2 + (k << 3), y - 10, -8)]
+                break
         else:
-            k = c - a
-            codes[p - 1:p + 1] = [*range(x - (k << 3), x - 8, 8), x - 8, x - 8,
-                                  y + ((k + 1) << 3), *range(y - 2 + (k << 3), y - 10, -8)]
-        start = p - 1
+            lead = (c << 3,)
+        budget.spend(op, p - i)
+        codes[i:p + 1] = [*lead, *rest[::-1]]
+        start = i
     spill = codes[:head]
     del codes[:head]
     return spill
@@ -783,19 +809,32 @@ def _repair_syllable_heights(codes: list[int], parts: tuple[list[int], list[int]
     raise the pb index by one per use while the offending p run, lying on
     the far side of the flush, keeps its indices, so the pb index
     overtakes the run.  One loop levels the p run after a pb letter by the
-    first rearrangement: while the run holds a p index at least ``c``, it
-    splits the pb letter and ``_flush_v_letters`` sweeps the ``v_c`` left
-    from where it was inserted.  The second rearrangement is the first
-    read in the mirror (``_invert_codes``).  The loop runs on the middle
-    for the trailing run only, which is leveled first, since its flushes
-    travel left and may disturb anything earlier; then on the middle's
-    mirror for every pb letter, right to left, which is each pb letter's
-    preceding run in left-to-right order.  A right flush keeps every
-    leveled run to its right level: crossing bumps a p index by at most
-    one per passing v against exactly one for the run's pb index, and the
-    p letter deposited by an absorption sits just below the absorbing pb
-    letter's raised index.  Appends the spills of the middle to L and of
-    its mirror to R', the codes ``parts``, and returns the middle.
+    first rearrangement: it reads the run once, with ``m`` its largest p
+    index, and makes all ``t = m - c + 1`` splits as one block
+    ``v_c ... v_(c+t-1) pb_(c+t)^e p_(c+t-1)^e ... p_c^e``, charged as t
+    steps, then one ``_flush_v_letters`` from the split sweeps the v
+    letters left.  This is splitting one letter at a time, flushing after
+    each, while the run holds a p index at least the pb index: a leftward
+    flush never touches the pb letter, its run or anything right of them;
+    every inserted p index lies below the raised core, so m and c alone
+    fix t; and the leftmost stray goes first, so ``v_c`` and all it
+    replays are flushed before ``v_(c+1)`` moves, the order of the single
+    splits, with the same steps.  The block's one ``spend`` leaves
+    ``used`` where t single charges would, also on overflow
+    (``Budget.spend``), and splits and flushes both charge
+    ``repair_heights``, so neither ``used`` nor the capped operation
+    tells the block from single splits.  The second
+    rearrangement is the first read in the mirror (``_invert_codes``).
+    The loop runs on the middle for the trailing run only, which is
+    leveled first, since its flushes travel left and may disturb anything
+    earlier; then on the middle's mirror for every pb letter, right to
+    left, which is each pb letter's preceding run in left-to-right order.
+    A right flush keeps every leveled run to its right level: crossing
+    bumps a p index by at most one per passing v against exactly one for
+    the run's pb index, and the p letter deposited by an absorption sits
+    just below the absorbing pb letter's raised index.  Appends the spills
+    of the middle to L and of its mirror to R', the codes ``parts``, and
+    returns the middle.
 
     A flush of both signs would make the split's moves: the letters are
     pure p/pb before the split, and every rule emits ``v`` letters only.
@@ -811,15 +850,18 @@ def _repair_syllable_heights(codes: list[int], parts: tuple[list[int], list[int]
             if pos < 0:
                 break
             x = codes[pos]
-            if max(codes[pos + 1:len(codes) - done], default=-1) < x & ~7:  # the run's p indices < c
-                if not mirrored:
-                    break
-                done = len(codes) - pos
-                continue
-            budget.spend("repair_heights")
-            # v_c pb_(c+1)^e p_c^e
-            codes[pos:pos + 1] = x & ~7, x + 8, x - 2
-            parts[mirrored].extend(_flush_v_letters(codes, pos, budget, "repair_heights"))
+            # t splits lift pb_c^e over the run's largest p index m
+            t = (max(codes[pos + 1:len(codes) - done], default=-1) >> 3) - (x >> 3) + 1
+            done = len(codes) - pos
+            if t > 0:
+                done += t
+                budget.spend("repair_heights", t)
+                # v_c ... v_(c+t-1) pb_(c+t)^e p_(c+t-1)^e ... p_c^e
+                top = x + (t << 3)
+                codes[pos:pos + 1] = [*range(x & ~7, top & ~7, 8), top, *range(top - 10, x - 10, -8)]
+                parts[mirrored].extend(_flush_v_letters(codes, pos, budget, "repair_heights"))
+            if not mirrored:
+                break
         codes = _invert_codes(codes)
     return codes
 

@@ -120,6 +120,9 @@ def _fold(codes: list[int], mover: int, budget: Budget, op: str) -> tuple[list[i
         if x & 3 != mover:
             stack.append(x)
             continue
+        if not stack:    # nothing read yet to push past
+            exits.append(x >> 2)
+            continue
         m = x >> 2
         out: list[int] = []
         n = len(stack)
@@ -143,8 +146,7 @@ def _fold(codes: list[int], mover: int, budget: Budget, op: str) -> tuple[list[i
                 out.append(y)
         else:
             exits.append(m)
-        if n:
-            budget.spend(op, n - len(stack))
+        budget.spend(op, n - len(stack))
         out.reverse()
         stack += out
     return stack, exits

@@ -138,8 +138,20 @@ def test_lmr_golden(capsys):
      '{"command": "trivial", "group": "V", "input": "pb1 pb1 pb3 pb3", "steps": 2, "trivial": true}'),
     (("trivial", "--group", "V", "pb1 pb0' pb3 pb3"),
      '{"command": "trivial", "group": "V", "input": "pb1 pb0\' pb3 pb3", "steps": 4, "trivial": false}'),
+    # height repair levels pb2 by one block of three splits
+    (("lmr", "pb0 pb2 p4"),
+     '{"L": "v0 v1 v1 v2 v3", "M": "pb5 p4 p3 p2 p1 p0 pb5 p4 p3 p2 p4", "R": "", "command": "lmr", '
+     '"input": "pb0 pb2 p4", "k": 6}'),
+    # 403 of the steps are height repair
+    (("trivial", "--group", "BV", "pb1' p5' pb1' pb4 v5 pb0' p0' v5' pb5' pb1'"),
+     '{"command": "trivial", "group": "BV", "input": "pb1\' p5\' pb1\' pb4 v5 pb0\' p0\' v5\' pb5\' pb1\'", '
+     '"steps": 439, "trivial": false}'),
+    # 210 of the steps are first-form moves
+    (("trivial", "--group", "V", "v5' p5 pb0 p3 p3' v5 pb1 p2 pb0"),
+     '{"command": "trivial", "group": "V", "input": "v5\' p5 pb0 p3 p3\' v5 pb1 p2 pb0", '
+     '"steps": 495, "trivial": false}'),
 ], ids=["lmr_cores_meet", "lmr", "lmr_repair", "lmr_replay", "lmr_mirror", "bvhat_fold", "binf",
-        "v_runs_trivial", "v_runs_not_trivial"])
+        "v_runs_trivial", "v_runs_not_trivial", "lmr_repair_block", "bv_long_repair", "v_long_flush"])
 def test_json_golden(capsys, argv, line):
     code, out, _ = run(capsys, argv[0], "--json", *argv[1:])
     # a word that is not trivial exits 1

@@ -55,7 +55,7 @@ from bvwords.bv_lmr import (
     to_third_form,
     word_height,
 )
-from bvwords.cli import parse_word
+from bvwords.cli import build_parser, parse_word
 from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat
 from bvwords.limits import Budget, StepLimitExceeded
 from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
@@ -1103,9 +1103,8 @@ def test_flush_v_letters_matches_full_rescan(w):
         outcome(lambda budget: run(_ref_flush_v_letters, budget))
 
 
-@SETTINGS
-@given(letters(BV, max_size=20), st.integers(1, 60))
-def test_flush_v_letters_matches_full_rescan_at_small_caps(w, cap):
+def _flush_outcomes(w, cap):
+    """The capped outcomes of the package's flushes and of the reference."""
     def run(flush):
         def go(budget):
             rest = list(w)
@@ -1113,7 +1112,27 @@ def test_flush_v_letters_matches_full_rescan_at_small_caps(w, cap):
             return prefix, rest, suffix
         return go
 
-    assert capped_outcome(cap, run(_flush)) == capped_outcome(cap, run(_ref_flush_v_letters))
+    return capped_outcome(cap, run(_flush)), capped_outcome(cap, run(_ref_flush_v_letters))
+
+
+# ``pb0 pb2 p4`` after its block of three splits: the first v letter is
+# replayed past pb0, the next two are carried across four and five letters
+FLUSH_BLOCK = parse_word("pb0 v2 v3 v4 pb5 p4 p3 p2 p4")
+# 25 flush steps, in carries that cross v' letters and p/pb letters
+FLUSH_LONG = parse_word("pb1' p5' pb1' pb4 v5 pb0' p0' v5' pb5' pb1'")
+
+
+@SETTINGS
+@given(letters(BV, max_size=20), st.integers(1, 60))
+@example(FLUSH_BLOCK, CAP)
+@example(FLUSH_BLOCK, 1)
+@example(FLUSH_BLOCK, 2)
+@example(FLUSH_BLOCK, 7)
+@example(FLUSH_LONG, CAP)
+@example(FLUSH_LONG, 20)
+def test_flush_v_letters_matches_full_rescan_at_small_caps(w, cap):
+    coded, ref = _flush_outcomes(w, cap)
+    assert coded == ref
 
 
 @pytest.mark.parametrize("s", (1, -1))
@@ -1147,6 +1166,30 @@ REPAIR_REPLAY = parse_word("pb1 p0' pb2 p3")
 REPAIR_BOTH_SIDES = parse_word("p0 pb0 p2")
 # the mirror's pass goes on past a leveled pb letter to split the next
 REPAIR_SECOND_CORE = parse_word("pb0 p1 pb0")
+# pb2 is leveled by one block of three splits, and each of its v letters
+# is flushed in turn: 13 steps; caps 1 and 2 fall inside the block, 7
+# inside a carry
+REPAIR_BLOCK = parse_word("pb0 pb2 p4")
+# 403 repair steps on a middle of 21 letters
+REPAIR_LONG = parse_word("pb1' p5' pb1' pb4 v5 pb0' p0' v5' pb5' pb1'")
+
+
+def _repair_outcomes(w, cap):
+    """The capped outcomes of height repair on a word's first-form middle,
+    the package's and the reference's; both None when it has no pb letter."""
+    middle = to_first_form(w).M
+    if not any(g.family is Family.PIBAR for g in middle):
+        return None, None
+
+    def coded(budget):
+        parts = [], []
+        repaired = _repair_syllable_heights(_encode(middle), parts, budget)
+        return _decode(parts[0]), _decode(repaired), _decode(_invert_codes(parts[1]))
+
+    def ref(budget):
+        return tuple(map(tuple, _ref_repair_syllable_heights(middle, budget)))
+
+    return capped_outcome(cap, coded), capped_outcome(cap, ref)
 
 
 @SETTINGS
@@ -1157,20 +1200,28 @@ REPAIR_SECOND_CORE = parse_word("pb0 p1 pb0")
 @example(REPAIR_BOTH_SIDES, 5)
 @example(REPAIR_SECOND_CORE, CAP)
 @example(REPAIR_SECOND_CORE, 1)
+@example(REPAIR_BLOCK, CAP)
+@example(REPAIR_BLOCK, 1)
+@example(REPAIR_BLOCK, 2)
+@example(REPAIR_BLOCK, 7)
+@example(REPAIR_LONG, CAP)
+@example(REPAIR_LONG, 200)
 def test_repair_heights_matches_full_flush(w, cap):
-    middle = to_first_form(w).M
-    if not any(g.family is Family.PIBAR for g in middle):
-        return
+    coded, ref = _repair_outcomes(w, cap)
+    assert coded == ref
 
-    def coded(budget):
-        parts = [], []
-        repaired = _repair_syllable_heights(_encode(middle), parts, budget)
-        return _decode(parts[0]), _decode(repaired), _decode(_invert_codes(parts[1]))
 
-    def ref(budget):
-        return tuple(map(tuple, _ref_repair_syllable_heights(middle, budget)))
-
-    assert capped_outcome(cap, coded) == capped_outcome(cap, ref)
+def test_flush_and_repair_match_references_on_relators_and_selftest_words():
+    words = [i.relator() for i in finite_presentation_instances() if i.group in (GroupId.V, GroupId.BV)]
+    assert len(words) == 112
+    # and the words of ``selftest --samples 1000 --seed 0``, drawn as it draws them
+    args = build_parser().parse_args(["selftest", "--samples", "1000", "--seed", "0"])
+    rng = random.Random(args.seed)
+    words += [random_word(rng, BV, args.max_index, args.max_len) for _ in range(args.samples)]
+    for w in words:
+        for cap in (CAP, 3, 17, 60):
+            for coded, ref in (_flush_outcomes(w, cap), _repair_outcomes(w, cap)):
+                assert coded == ref, (w, cap)
 
 
 def _repaired_middle(w):
