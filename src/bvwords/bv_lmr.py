@@ -39,8 +39,10 @@ In the strand-splitting picture ``v_n`` splits a strand and the p/pb
 letters cross strands, so raising a monosyllable from height h to h + 1
 doubles one strand of its braid: the cabling map, which
 ``tests/test_bv_lmr.py`` checks letter for letter.  ``pi_action`` carries
-the v letter freed at the core through a flank, and its loop is that map
-in p coordinates.
+the v letter through the p/pb letters, crossing each core as a p letter
+would, and its loop is that map in p coordinates.  Raising by t at once
+cables the strand into t + 1 parallel strands, the result of t raises
+that each enter at the upper strand of the pair the last one made.
 
 From the first form on, the route works on int-coded letters
 ``index << 3 | kind`` (see ``_flush_v_letters``): the sweeps, height
@@ -53,33 +55,39 @@ mirror: R is the mirror of a positive v word, so each rightward move is
 the leftward one run on the mirror.  The third form
 grows L and that word R' by appends and mirrors R back once.  The
 repaired middle is split into syllables once: a raise cables one strand,
-so it does not depend on where the cuts fall.  BV and ``to_third_form`` (so
-``bvwords lmr``) hold each syllable as a ``Monosyllable`` of codes, join
-them once and decode the letters once, when ``to_third_form`` returns.
-V needs only the strand permutation of the middle, so ``is_trivial_bv``
-holds each of V's syllables as a height h and one permutation of the
-positions 0..h (``_PermSyllable``), cut from the codes without a
-``Monosyllable``, and a raise cables one strand of that list instead of
-a word.  Cabling respects composition, so two lines of one height raise
-as their product does: equalization joins each pair of neighbouring
-lines that reach one height (``_join_lines``), every raise cables one
-line per run of equal heights, and V's chain ends on one line, which
-``is_trivial_bv`` compares with the identity.  Each holding raises
-itself (``raised``), so one ``raise_word_heights`` and one ``raise_m``
-serve both, and only the split into syllables and the join (None for
-words) are chosen per holding.  Either split checks once that each
-piece has a single height ``h``; a raise, an inversion or a join keeps
-that, so no later step re-checks it.
+so it does not depend on where the cuts fall.
+
+The syllables have two holdings, each a height h and the data.  BV and
+``to_third_form`` (so ``bvwords lmr``) hold a ``Monosyllable``, the codes
+of a p/pb word of height {h}, and decode the letters once, when
+``to_third_form`` returns.  V needs only the strand permutation of the
+middle, so ``is_trivial_bv`` holds each of V's syllables as one
+permutation of the positions 0..h (``_PermSyllable``), cut from the
+codes without a ``Monosyllable``, and a raise cables one strand of that
+list instead of a word.  Cabling respects composition, so two
+neighbours of one height raise as their product does, and both holdings
+join: equalization joins each pair of neighbours that reach one height
+(``_join_words`` concatenates codes, ``_join_lines`` multiplies lines),
+every raise cables one word or line per run of equal heights, and the
+chain ends on one, which ``to_third_form`` reads M off and
+``is_trivial_bv`` compares with the identity.  Each equalizing lift of a
+suffix by t levels is one cabling pass, one ``raise_word_heights`` call
+and one block charge of t steps.  Each holding raises itself
+(``raised``), so one ``raise_word_heights`` and one ``raise_m`` serve
+both, and only the split into syllables and the join are chosen per
+holding.  Either split checks once that each piece has a single height
+``h``; a raise, an inversion or a join keeps that, so no later step
+re-checks it.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
 (``p3' pb3`` repairs to ``p3' p3 pb4 v3'``), and every raise would copy
-and grow them.  Cabling never unreduces a flank: ``pi_action`` maps a
-freely reduced p word to a freely reduced one, and so does ``mono_raise``
-to each flank.  Free reduction keeps a flank's permutation, so the spills,
-heights and steps stay those of the unreduced flanks, and the join in
-``to_third_form`` cancels the pairs that meet across a syllable boundary.
-M is then the unreduced chain's middle with every maximal p run freely
+and grow them.  Cabling never unreduces a p run: ``pi_action`` maps a
+freely reduced p word to a freely reduced one, and where two cores meet
+it cancels the p letters of their two crossings.  A join cancels the
+pairs that meet at its seam.  Free reduction keeps a run's permutation,
+so the spills, heights and steps stay those of the unreduced flanks, and
+M is the unreduced chain's middle with every maximal p run freely
 reduced, the same braid.
 
 Codes turn back into letters only at the public boundaries, through two
@@ -461,97 +469,147 @@ def to_first_form(w: Word, budget: Budget | None = None) -> LMRForm:
 # core a pb code, raising an index adds 8 and inverting a letter flips bit 0.
 
 
-def pi_action(codes: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
-    """Carry a splitting letter across a coded pure ``p`` word, left to right.
+def pi_action(codes: Sequence[int], m: int, t: int = 1) -> tuple[tuple[int, ...], int]:
+    """Carry a splitting letter across a coded p/pb word, left to right,
+    cabling its strand into t + 1 strands.
 
-        v_m' * w  ~  w' * v_k'   with k the preimage of m under w
+        v_m' * w  ~  w' * v_k'   with k the preimage of m under w    (t = 1)
 
-    ``codes`` and the returned ``w'`` are p codes.  A composition of
+    ``codes`` and the returned ``w'`` are p/pb codes.  A composition of
     single-letter moves (pv-shift, pv-split, pv-split-up, pv-far and their
     rearrangements), each of which tracks the moving index through one
-    adjacent transposition.  Letter indices grow by at most one.
+    adjacent transposition.  Letter indices grow by at most t.
     Inverting this move for ``invert(w)`` gives the mirror move
     ``w * v_m ~ v_k * invert(l)``, where ``(l, k) = pi_action(invert(w), m)``
     and k is the image of m under w.
 
     Read through ``p_i -> s_(h-1-i)`` at a height h above every index, this
     is the cabling of one strand: the strand at position ``h - m`` on the
-    left is doubled, ``s_i`` letters clear of it are shifted or kept, a
-    crossing with it becomes two crossings, and it leaves on the right at
-    position ``h - k``.
+    left becomes a bundle of t + 1 parallel strands, and it leaves on the
+    right at position ``h - k``.  With c the strand's index, a letter clear
+    of it is kept (index below c - 1) or lifted by t (index above c), and a
+    crossing becomes t + 1 crossings: ``p_(c+t) ... p_c`` when the strand
+    moves up to c + 1, ``p_(c-1) ... p_(c-1+t)`` when it moves down to
+    c - 1.  These are the letters of t single raises, each entering at the
+    upper strand of the pair the one before made.
+
+    A core ``pb_(h-1)`` crosses the strand as ``p_(h-1)`` would, and the
+    crossing letter at the top index stays pb: the two rearrangements of
+    pbv-absorb in ``mono_raise``.  Only a core sends the strand up to the
+    top, h, and only from there does it come down through a core; when it
+    comes down right after the core before sent it up, the t p letters of
+    the two crossings meet, and a stack check cancels them when the two
+    cores have opposite exponents.  So a word whose p runs are freely
+    reduced is mapped to one.
     """
     if m < 0:
         raise ValueError("pi_action: index must be nonnegative")
-    # lo and hi bound the codes of the letters p_(c-1) and p_c
-    c, lo, hi = m, (m - 1) << 3, (m + 1) << 3
+    if t < 1:
+        raise ValueError(f"pi_action: a lift needs t >= 1, got {t}")
+    # lo and hi bound the codes of the letters of index c - 1 and c
+    c, lo, hi, step = m, (m - 1) << 3, (m + 1) << 3, t << 3
     out: list[int] = []
     for x in codes:
-        if x & 6 != 2:
-            raise AlphabetError(f"pi_action: {x} is not a p code")
+        if not x & 6:
+            raise AlphabetError(f"pi_action: {x} is not a p or pb code")
         if x < lo:
             out.append(x)
         elif x >= hi:
-            out.append(x + 8)
-        elif x >= lo + 8:    # p_c: the strand moves up
-            out += (x + 8, x)
+            out.append(x + step)
+        elif x >= lo + 8:    # index c: the strand moves up
+            if x & 4:        # pb_(c+t) p_(c+t-1) ... p_c
+                out.append(x + step)
+                out += range(x + step - 10, x - 10, -8)
+            elif t == 1:     # a tuple extends faster than a range
+                out += (x + 8, x)
+            else:
+                out += range(x + step, x - 8, -8)
             c, lo, hi = c + 1, lo + 8, hi + 8
-        else:                # p_(c-1): the strand moves down
-            out += (x, x + 8)
+        else:                # index c - 1: the strand moves down
+            if x & 4:        # p_(c-1) ... p_(c-2+t) pb_(c-1+t)
+                if out and out[-1] == (x - 2) ^ 1:
+                    del out[-t:]
+                else:
+                    out += range(x - 2, x - 2 + step, 8)
+                out.append(x + step)
+            elif t == 1:
+                out += (x, x + 8)
+            else:
+                out += range(x, x + step + 8, 8)
             c, lo, hi = c - 1, lo - 8, hi - 8
     return tuple(out), c
 
 
-@dataclass(frozen=True, slots=True)
-class Monosyllable:
-    """A p/pb word of one height containing exactly one pb letter, split
-    around it.
+class _Held(NamedTuple):
+    h: int
+    codes: tuple[int, ...]
 
-    The fields are int codes: ``pre`` and ``post`` are tuples of p codes,
-    ``core`` is the pb code.  Every p index lies below the core's, so the
-    height set is {``h``}, the core's index + 1.
 
-    The constructor checks the kind of every code and the height.
-    ``inverse`` and ``mono_raise`` build their results through
-    ``_syllable``, which skips both checks: inverting keeps every index,
-    and a raise lifts the core by one while ``pi_action`` keeps each flank
-    index below the new core's, checking every flank code it reads.
+class Monosyllable(_Held):
+    """A p/pb word of one height h, held as ``(h, codes)``: every pb
+    letter is a core ``pb_(h-1)^e`` and every p index lies below h - 1.
+
+    ``Monosyllable(pre, core, post)`` builds the word of one core, split
+    around it: ``pre`` and ``post`` are tuples of p codes and ``core`` is
+    the pb code.  This constructor checks the kind of every code and the
+    height.  A raise, an inversion or a join builds its result through
+    ``_syllable``, which skips both checks: inverting keeps every index, a
+    raise lifts each core by t and keeps every p index below the new
+    cores' (``pi_action``, which checks every code it reads), and a join
+    concatenates two words of one height.  Equalization joins neighbours
+    of one height (``_join_words``), as V joins its lines, so a held word
+    may have several cores; ``pre``, ``core`` and ``post`` cut it at its
+    first one.
     """
 
-    pre: tuple[int, ...]
-    core: int
-    post: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.core & 6 != 4:
-            raise ValueError(f"monosyllable core must be a pb code, got {self.core!r}")
-        for x in self.pre + self.post:
+    def __new__(cls, pre: Sequence[int], core: int, post: Sequence[int]) -> "Monosyllable":
+        if core & 6 != 4:
+            raise ValueError(f"monosyllable core must be a pb code, got {core!r}")
+        for x in (*pre, *post):
             if x & 6 != 2:
-                raise AlphabetError(f"monosyllable flanks must be p codes, got {self!r}")
-        _single_height(self.pre, self.core, self.post, "monosyllable")
-
-    def word(self) -> Word:
-        return _decode([*self.pre, self.core, *self.post])
+                raise AlphabetError(f"monosyllable flanks must be p codes, got {(pre, core, post)!r}")
+        h = _single_height(pre, core, post, "monosyllable")
+        return tuple.__new__(cls, (h, (*pre, core, *post)))
 
     @property
-    def h(self) -> int:
-        return (self.core >> 3) + 1
+    def _first_core(self) -> int:
+        return next(i for i, x in enumerate(self.codes) if x & 4)
+
+    @property
+    def pre(self) -> tuple[int, ...]:
+        return self.codes[:self._first_core]
+
+    @property
+    def core(self) -> int:
+        return self.codes[self._first_core]
+
+    @property
+    def post(self) -> tuple[int, ...]:
+        return self.codes[self._first_core + 1:]
+
+    def word(self) -> Word:
+        return _decode(self.codes)
 
     def inverse(self) -> "Monosyllable":
-        return _syllable(tuple(_invert_codes(self.post)), self.core ^ 1, tuple(_invert_codes(self.pre)))
+        return _syllable(self.h, tuple(_invert_codes(self.codes)))
 
-    def raised(self, m: int | None) -> tuple["Monosyllable", int | None]:
-        """``mono_raise``, a new strand entering at the top when m is None."""
-        return mono_raise(self, m)
+    def raised(self, m: int | None, t: int = 1) -> tuple["Monosyllable", int | None]:
+        """``mono_raise``: a lift by t, the strand entering at the top when
+        m is None."""
+        return mono_raise(self, m, t)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through ``_syllable``: ``__new__`` takes
+        # (pre, core, post), not the held (h, codes)
+        return _syllable, (self.h, self.codes)
 
 
-def _syllable(pre: tuple[int, ...], core: int, post: tuple[int, ...]) -> Monosyllable:
-    """``Monosyllable(pre, core, post)`` without the kind and height
-    checks, for codes derived from a checked syllable."""
-    syl = object.__new__(Monosyllable)
-    object.__setattr__(syl, "pre", pre)
-    object.__setattr__(syl, "core", core)
-    object.__setattr__(syl, "post", post)
-    return syl
+def _syllable(h: int, codes: tuple[int, ...]) -> Monosyllable:
+    """A ``Monosyllable`` of height h without the kind and height checks,
+    for codes derived from a checked syllable."""
+    return tuple.__new__(Monosyllable, (h, codes))
 
 
 def _single_height(pre: Sequence[int], core: int, post: Sequence[int], what: str) -> int:
@@ -579,92 +637,92 @@ def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
     last), freely reducing each flank; each piece must have a single
     height.
 
-    One reduction here is enough: ``pi_action`` and ``mono_raise`` map
-    freely reduced flanks to freely reduced flanks, and free reduction
-    keeps a flank's permutation, so every spill, height and step stays as
-    it was.
+    One reduction here is enough: ``pi_action`` maps freely reduced p runs
+    to freely reduced ones, a join cancels the pairs at its seam, and free
+    reduction keeps a flank's permutation, so every spill, height and step
+    stays as it was.
     """
     pieces = _cut(codes, "split_monosyllables")
     return [Monosyllable(_free_codes(pre), core, _free_codes(post)) for pre, core, post in pieces]
 
 
-def mono_raise(syl: Monosyllable, m: int | None = None) -> tuple[Monosyllable, int | None]:
-    """One height-raising move on a monosyllable of single height h:
+def mono_raise(syl: Monosyllable, m: int | None = None, t: int = 1) -> tuple[Monosyllable, int | None]:
+    """Lift a held word of single height h by t in one ``pi_action`` pass:
 
-        M       ~  M' v_j'            (m None: a strand enters at the top)
-        v_m' M  ~  M'  or  M' v_j'    (0 <= m < h)
+        M       ~  M' v_j' ... v_(j+t-1)'      (m None: enter at the top)
+        v_m' M  ~  M'  or  M' v_j' ... v_(j+t-1)'      (0 <= m < h)
 
-    Returns M' and the code of the spilled ``v_j'``, or None.  In both
-    cases M' is again a monosyllable, of height {h + 1}, and j < h.  The
+    for t = 1 one height-raising move.  Returns M', of height {h + t}, and
+    the code of ``v_j'``, the first of the t spills, or None; j < h.  The
     core moves are the two rearrangements of pbv-absorb,
 
         pb_(h-1)^e  =  p_(h-1)^e pb_h^e v_(h-1)'
         pb_(h-1)^e  =  v_(h-1) pb_h^e p_(h-1)^e
 
-    with the freed v letter carried out through the flanking p words: a
-    strand at h - 1 crosses the core upward and is absorbed, one from the
-    top skips ``pre`` and crosses it downward.  In the braid picture the
-    strand at ``h - m`` (0 if m is None) on the left of ``m_to_sigma(M, h)``
-    is doubled; it leaves on the right at ``h - j``, or 0 if nothing spills.
+    with the freed v letter carried out through the p letters: a strand at
+    h - 1 crosses a core upward and is absorbed, one at the top, h, crosses
+    it downward.  So the strand enters ``pi_action`` at m, or at h when m
+    is None, and nothing spills when it leaves at h.  In the braid picture
+    the strand at ``h - m`` (0 if m is None) on the left of
+    ``m_to_sigma(M, h)`` becomes t + 1 strands; it leaves on the right at
+    ``h - j``, or 0 if nothing spills.  The t raises it replaces spill
+    ``v_j'``, ``v_(j+1)'``, ..., in that order: each enters at the upper
+    strand of the pair the one before made, one higher on both sides.
 
-    The leftward moves are these on the inverse syllable, inverted back:
+    The leftward moves are these on the inverse word, inverted back:
 
         M      ~  v_j M'            from  mono_raise(syl.inverse())
         M v_m  ~  M'  or  v_j M'    from  mono_raise(syl.inverse(), m)
     """
     h = syl.h
-    if m is not None and not 0 <= m < h:
-        raise ValueError(f"mono_raise needs an index 0 <= m < {h} or None, got {m}")
-    # pb_h^e, and p_(h-1)^e: a pb code less 2 is the p code of its letter
-    core, p_core = syl.core + 8, syl.core - 2
     if m is None:
-        pre, k = syl.pre + (p_core,), h - 1
-    else:
-        pre, k = pi_action(syl.pre, m)
-        if k == h - 1:
-            return _syllable(pre, core, (p_core,) + syl.post), None
-    post, j = pi_action(syl.post, k)
-    return _syllable(pre, core, post), j << 3 | 1
+        m = h
+    elif not 0 <= m < h:
+        raise ValueError(f"mono_raise needs an index 0 <= m < {h} or None, got {m}")
+    codes, c = pi_action(syl.codes, m, t)
+    return _syllable(h + t, codes), None if c == h else c << 3 | 1
 
 
-def raise_word_heights(syllables: Sequence) -> tuple[list, int | None]:
-    """Raise every height by one along a nondecreasing syllable sequence,
-    of either holding, by each syllable's own ``raised``.
+def raise_word_heights(syllables: Sequence, t: int = 1) -> tuple[list, int | None]:
+    """Lift every height by t along a nondecreasing syllable sequence, of
+    either holding, by each syllable's own ``raised``.
 
-    The first syllable spills a trailing inverse v (m None); each later
-    syllable absorbs the spill (as m), possibly re-emitting one.  The
-    nondecreasing precondition guarantees each spilled index stays below
-    the next height.  Returns the raised syllables and the code of the
-    final spill, or None.  In the braid picture the whole word's braid has
-    one strand doubled, entering on the left at position 0.
+    The first syllable spills trailing inverse v letters (m None); each
+    later syllable absorbs the first spill (as m), possibly re-emitting
+    one.  The nondecreasing precondition guarantees each spilled index
+    stays below the next height.  Returns the raised syllables and the
+    code of ``v_j'``, the first of the final spills ``v_j' ... v_(j+t-1)'``,
+    or None.  In the braid picture the whole word's braid has one strand
+    cabled into t + 1, entering on the left at position 0: t calls with
+    t = 1 give the same syllables and spill ``v_j'``, ``v_(j+1)'``, ...
     """
+    if t < 1:
+        raise ValueError(f"raise_word_heights: a lift needs t >= 1, got {t}")
     heights = [s.h for s in syllables]
     if heights != sorted(heights):
         raise ValueError(f"raise_word_heights: heights must be nondecreasing, got {heights}")
     out = []
     carry: int | None = None
     for syl in syllables:
-        new, carry = syl.raised(None if carry is None else carry >> 3)
+        new, carry = syl.raised(None if carry is None else carry >> 3, t)
         out.append(new)
     return out, carry
 
 
-def _join_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
-    """The codes of syllables with freely reduced flanks, joined, with the
-    inverse p pairs that meet where one syllable's post meets the next
-    one's pre cancelled.  Two cores meet where the p letters between them
-    cancel (``pb1 v2' pb1'`` gives ``pb3 pb3'``) and are never cancelled:
-    M is the chain's middle with only its p runs reduced."""
-    out: list[int] = []
-    for s in syllables:
-        pre, i = s.pre, 0
-        while i < len(pre) and out and out[-1] == pre[i] ^ 1:
-            out.pop()
-            i += 1
-        out += pre[i:]
-        out.append(s.core)
-        out += s.post
-    return out
+def _join_words(a: Monosyllable, b: Monosyllable) -> Monosyllable:
+    """Two held words of one height, a's codes then b's, with the inverse p
+    pairs that meet at the seam cancelled.
+
+    Cabling respects composition, as for ``_join_lines``: the join raises
+    as the pair does, with the same spill.  A pb letter is never cancelled,
+    so two cores may meet (``pb1 v2' pb1'`` gives ``pb3 pb3'``): M is the
+    chain's middle with only its p runs reduced.
+    """
+    x, y = a.codes, b.codes
+    i, n = 0, min(len(x), len(y))
+    while i < n and x[-1 - i] == y[i] ^ 1 and not y[i] & 4:
+        i += 1
+    return _syllable(a.h, x[:len(x) - i] + y[i:])
 
 
 def raise_m(syllables: Sequence, side: Literal["left", "right"]) -> tuple[list, int | None]:
@@ -714,16 +772,19 @@ def _perm_inverse(f: list[int]) -> list[int]:
     return inv
 
 
-def _cable(f: list[int], m: int) -> tuple[list[int], int]:
-    """Double the strand that enters a permutation at position m.
+def _cable(f: list[int], m: int, t: int = 1) -> tuple[list[int], int]:
+    """Cable the strand that enters a permutation at position m into a
+    bundle of t + 1 strands.
 
-    Returns the cabled permutation, one position longer, and ``c = f[m]``,
-    where the strand leaves: ``pi_action`` makes this map on a p word's
-    letters and returns the same c.
+    With ``c = f[m]``, where the strand leaves, every entry at least c
+    moves up by t and position m becomes c, c + 1, ..., c + t.  Returns
+    the cabled permutation, t positions longer, and c: ``pi_action`` makes
+    this map on a p word's letters and returns the same c.  It is t single
+    cablings, each of the upper strand of the pair the one before made.
     """
     c = f[m]
-    g = [y + (y >= c) for y in f]
-    g[m:m + 1] = c, c + 1
+    g = [y + t if y >= c else y for y in f]
+    g[m:m + 1] = range(c, c + t + 1)
     return g, c
 
 
@@ -740,14 +801,14 @@ class _PermSyllable(NamedTuple):
     def inverse(self) -> "_PermSyllable":
         return _PermSyllable(self.h, _perm_inverse(self.line))
 
-    def raised(self, m: int | None) -> tuple["_PermSyllable", int | None]:
-        """``Monosyllable.raised`` on the line, in O(h): cable the strand
-        that enters at m, or at h (braid position 0) when m is None.  Where it
-        leaves, c, is the spill ``v_c'``, unless c is h: then it leaves at
-        braid position 0 and nothing spills."""
+    def raised(self, m: int | None, t: int = 1) -> tuple["_PermSyllable", int | None]:
+        """``Monosyllable.raised`` on the line, in O(h + t): cable the
+        strand that enters at m, or at h (braid position 0) when m is None,
+        into t + 1.  Where it leaves, c, is the first spill ``v_c'``, unless
+        c is h: then it leaves at braid position 0 and nothing spills."""
         h = self.h
-        line, c = _cable(self.line, h if m is None else m)
-        return _PermSyllable(h + 1, line), None if c == h else c << 3 | 1
+        line, c = _cable(self.line, h if m is None else m, t)
+        return _PermSyllable(h + t, line), None if c == h else c << 3 | 1
 
 
 def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
@@ -872,20 +933,27 @@ def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget
     right end down to 1, in place; append each spill's inverse to ``part``.
 
     Raising ``syllables[j:]`` leaves ``syllables[:j]`` alone, so syllable
-    j is first raised at step j, which makes ``targets[j - 1] -
-    syllables[j].h`` raises, each one step of ``equalize_heights`` and one
-    call of ``raise_word_heights``.  With a ``join``, syllable j is then
-    joined into syllable j - 1 when the two have one height: the raised
-    suffix is a list of runs of strictly increasing height, and a raise
-    makes one move per run where it made one per syllable, with the same
-    spill.  Without one (BV's words) every syllable is raised on its own.
+    j is first raised at step j, by a lift of ``t = targets[j - 1] -
+    syllables[j].h``: t steps of ``equalize_heights``, charged as one
+    block, and one call of ``raise_word_heights``.  The t raises it
+    replaces each cable the upper strand of the pair the one before made,
+    so the lift cables one strand into t + 1 and spills ``v_j' ...
+    v_(j+t-1)'`` for a first spill ``v_j'``, appended in that order as
+    their inverses; the block charge leaves ``used`` and the capped
+    operation where t single charges would (``Budget.spend``).  With a
+    ``join``, syllable j is then joined into syllable j - 1 when the two
+    have one height: the raised suffix is a list of runs of strictly
+    increasing height, and a raise makes one move per run where it made
+    one per syllable, with the same spill.  Without one every syllable is
+    raised on its own.
     """
     for j in range(len(syllables) - 1, 0, -1):
-        for _ in range(targets[j - 1] - syllables[j].h):
-            budget.spend("equalize_heights")
-            syllables[j:], spill = raise_word_heights(syllables[j:])
+        t = targets[j - 1] - syllables[j].h
+        if t > 0:
+            budget.spend("equalize_heights", t)
+            syllables[j:], spill = raise_word_heights(syllables[j:], t)
             if spill is not None:
-                part.append(spill ^ 1)
+                part.extend(range(spill ^ 1, (spill ^ 1) + (t << 3), 8))
         if join is not None and syllables[j - 1].h == syllables[j].h:
             syllables[j - 1:j + 1] = [join(syllables[j - 1], syllables[j])]
 
@@ -893,8 +961,9 @@ def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget
 def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budget: Budget,
                       join: Callable | None) -> list:
     """Bring all syllable heights to a common value: ``_raise_suffixes``
-    run twice, on ``Monosyllable`` words or ``_PermSyllable`` lines (whose
-    ``inverse`` is one permutation inverse, and which ``join`` multiplies).
+    run twice, on ``Monosyllable`` words (which ``join`` concatenates) or
+    ``_PermSyllable`` lines (whose ``inverse`` is one permutation inverse,
+    and which ``join`` multiplies).
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
@@ -908,7 +977,7 @@ def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budge
     checked once where the middle was cut.  With a ``join`` the first
     sweep leaves runs of strictly increasing height, the second joins
     each raised suffix into the syllable before it, and the result is one
-    line.  Returns the syllables.
+    word or one line.  Returns the syllables.
     """
     _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), parts[1], budget, join)
     if syllables[0].h < syllables[-1].h:
@@ -929,18 +998,18 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     word on the strands below k while L and R read as monoid letters.
     Height repair, equalization and raising run on the int coding.  The
     repaired middle is split into syllables once, each flank freely
-    reduced, equalized and raised as that list, and joined once; the three
-    parts are decoded on return.
+    reduced, and equalization joins them into one word as they reach one
+    height; the three parts are decoded on return.
 
-    Raising keeps every flank freely reduced, so the join need only
-    cancel the inverse p pairs that meet across a syllable boundary.  M is
-    the unreduced flanks' middle with every maximal p run freely reduced,
-    the same braid, and L, R, k and the steps are those of that chain.
+    Raising keeps every p run freely reduced and each join cancels the
+    inverse p pairs at its seam, so M is the unreduced flanks' middle with
+    every maximal p run freely reduced, the same braid, and L, R, k and
+    the steps are those of that chain.
 
-    M's height is read off the joined codes: it is {k} when every core,
-    which the join never cancels, sits at index k - 1 and every p index
-    lies below it.  ``word_height`` reads only a middle with no pb letter,
-    or words a failed check.
+    M's height is read off its codes: it is {k} when every core, which no
+    join or raise cancels, sits at index k - 1 and every p index lies
+    below it.  ``word_height`` reads only a middle with no pb letter, or
+    words a failed check.
     """
     budget = budget if budget is not None else Budget()
     first = to_first_form(w, budget)
@@ -951,8 +1020,10 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
                 _height_bound(g.index for g in reversed(first.R)), height.value)
         return LMRForm(first.L, first.M, first.R, height, k)
 
-    left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables, None)
-    codes = _join_syllables(syllables)
+    left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables, _join_words)
+    if len(syllables) != 1:
+        raise AssertionError(f"to_third_form: BV's equalization ended on {len(syllables)} words, not one")
+    codes = syllables[0].codes
     top = (h - 1) << 3
     if any(x & ~1 != top | 4 if x & 4 else x >= top for x in codes):
         height = word_height(_decode(codes))
@@ -968,8 +1039,9 @@ def _raise_to_third_form(
     with a pb letter, in either holding of the syllables.
 
     ``split`` cuts the repaired middle's codes into syllables
-    (``split_monosyllables`` or ``_perm_syllables``), and ``join`` (None
-    or ``_join_lines``) multiplies two of one height in equalization; each
+    (``split_monosyllables`` or ``_perm_syllables``), and ``join``
+    (``_join_words``, ``_join_lines``, or None to raise every syllable on
+    its own) joins two of one height in equalization; each
     syllable raises itself, so equalization and ``raise_m`` are the same
     for both.  Every phase appends its spills to the codes of L or R', the
     positive mirror of R, and R is mirrored back once: returns L's and R's

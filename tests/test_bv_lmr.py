@@ -1,6 +1,9 @@
 """LMR calculus for V/BV: heights, relation table, raising moves, decider."""
 
+import copy
+import pickle
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from bvwords.bv_lmr import (
     RELATION_FAMILIES,
     _decode,
     _encode,
+    _flank_perm,
     _join_lines,
+    _join_words,
     _PermSyllable,
     apply_relation,
     equal_bv,
@@ -46,7 +51,10 @@ from bvwords.words import (
     vgen,
 )
 from test_rewrite_equivalence import (
+    _concat_syllables,
     _ref_is_trivial_v,
+    _ref_mono_raise,
+    _RefMonosyllable,
     opi_commute,
     raise_m_joined,
     reduce_p_runs,
@@ -233,6 +241,30 @@ def test_pi_action_examples():
         pi_action_right((pi(0),), -1)
 
 
+def test_pi_action_crosses_a_core_and_lifts():
+    # a pb code is a core: the strand from the top comes down through it,
+    # and the crossing letter at the top index stays pb
+    assert pi_action_letters((pibar(1),), 2) == ((pi(1), pibar(2)), 1)
+    assert pi_action_letters((pibar(1),), 1) == ((pibar(2), pi(1)), 2)
+    moved, k = pi_action(codes((pibar(1),)), 2, 3)
+    assert (_decode(moved), k) == ((pi(1), pi(2), pi(3), pibar(4)), 1)
+    # a crossing becomes t + 1 crossings, and a letter above the strand
+    # is lifted by t
+    moved, k = pi_action(codes((pi(0), pi(3))), 0, 2)
+    assert (_decode(moved), k) == ((pi(2), pi(1), pi(0), pi(5)), 1)
+    moved, k = pi_action(codes((pi(0), pi(3))), 1, 2)
+    assert (_decode(moved), k) == ((pi(0), pi(1), pi(2), pi(5)), 0)
+    # the strand sent up by one core comes down through the next, and the
+    # p letters of the two crossings cancel
+    moved, k = pi_action(codes((pibar(1), pibar(1, -1))), 1, 2)
+    assert (_decode(moved), k) == ((pibar(3), pibar(3, -1)), 1)
+    with pytest.raises(AlphabetError):
+        pi_action(codes((pi(0), vgen(0))), 0)
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t >= 1"):
+            pi_action(codes((pi(0),)), 0, t)
+
+
 def test_pi_action_tracks_permutation():
     # moved index is the strand image under the word's permutation
     rng = random.Random(47)
@@ -317,6 +349,10 @@ def test_monosyllable_structure():
     assert word_height((pi(2), pibar(2))) == HeightSet.empty()
     with pytest.raises(ValueError, match="no single height"):
         syllable((pi(2),), pibar(2), ())
+    # copy and pickle rebuild the held (h, codes), also of a joined word
+    for held in (syl, _join_words(syl, syl.inverse())):
+        for back in (copy.copy(held), copy.deepcopy(held), pickle.loads(pickle.dumps(held))):
+            assert type(back) is Monosyllable and back == held
 
 
 def test_split_monosyllables():
@@ -528,6 +564,72 @@ def test_a_join_raises_as_its_two_lines(pair):
         raised_a, carry = a.raised(m)
         raised_b, spill = b.raised(None if carry is None else carry >> 3)
         assert _join_lines(a, b).raised(m) == (_join_lines(raised_a, raised_b), spill)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_single_height_syllables(), st.integers(1, 4))
+def test_a_lift_is_t_single_raises(syl, t):
+    # ``raised(m, t)`` on either holding is t single raises, the i-th
+    # entering at m + i (the upper strand of the pair the last one made)
+    # or at the top: the same codes or line, height h + t, and the t
+    # spills v_j', ..., v_(j+t-1)', or none; the single raises on words
+    # are those of the letter chain
+    h = syl.h
+    line = _PermSyllable(h, _flank_perm(syl.codes, h + 1))
+    for m in [None, *range(h)]:
+        lifted, first = syl.raised(m, t)
+        lifted_line, line_first = line.raised(m, t)
+        word, ref, held, spills = syl, _RefMonosyllable(*_split_letters(syl)), line, []
+        for i in range(t):
+            entry = None if m is None else m + i
+            word, spill = word.raised(entry)
+            _, ref, ref_spill = _ref_mono_raise(ref, "a" if m is None else "d", m=entry)
+            held, held_spill = held.raised(entry)
+            assert word.word() == ref.word()
+            assert _decode([] if spill is None else [spill]) == ref_spill
+            assert held_spill == spill
+            spills.append(spill)
+        assert (lifted, lifted.h) == (word, h + t)
+        assert (lifted_line, lifted_line.h) == (held, h + t)
+        assert line_first == first
+        assert spills == ([None] * t if first is None else [first + (i << 3) for i in range(t)])
+
+
+def _split_letters(syl):
+    """A one-core syllable's (pre, core, post) as letters."""
+    return _decode(syl.pre), _decode((syl.core,))[0], _decode(syl.post)
+
+
+def one_height_words():
+    """One to four syllables of one height h, flanks freely reduced and
+    often empty, so that cores meet in their join."""
+    def of_height(h):
+        flank = st.lists(st.builds(lambda i, neg: i << 3 | 2 | neg, st.integers(0, h - 2), st.integers(0, 1)),
+                         max_size=3).map(freely_reduced) if h >= 2 else st.just(())
+        syl = st.builds(lambda pre, neg, post: Monosyllable(pre, (h - 1) << 3 | 4 | neg, post),
+                        flank, st.integers(0, 1), flank)
+        return st.lists(syl, min_size=1, max_size=4)
+    return st.integers(1, 6).flatmap(of_height)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_height_words(), st.integers(1, 3))
+def test_a_joined_word_raises_as_its_syllables(syllables, t):
+    # the join of syllables of one height lifts as the syllables do, one
+    # after the other, joined: the same letters once every p run is freely
+    # reduced, and the same spill
+    joined = reduce(_join_words, syllables)
+    h = joined.h
+    for m in [None, *range(h)]:
+        lifted, spill = joined.raised(m, t)
+        raised, carry = [], m
+        for syl in syllables:
+            new, out = syl.raised(carry, t)
+            raised.append(new)
+            carry = None if out is None else out >> 3
+        assert lifted.h == h + t
+        assert lifted.word() == reduce_p_runs(_decode(_concat_syllables(raised)))
+        assert spill == out
 
 
 def test_third_form_middle_has_no_inverse_pair_in_a_p_run():

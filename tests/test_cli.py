@@ -150,8 +150,23 @@ def test_lmr_golden(capsys):
     (("trivial", "--group", "V", "v5' p5 pb0 p3 p3' v5 pb1 p2 pb0"),
      '{"command": "trivial", "group": "V", "input": "v5\' p5 pb0 p3 p3\' v5 pb1 p2 pb0", '
      '"steps": 495, "trivial": false}'),
+    # equalization lifts the suffix pb4' by 4 in one pass; the two pb1
+    # cores, joined, meet as pb5 pb5
+    (("lmr", "pb1 pb1 v2' pb4'"),
+     '{"L": "", "M": "p1 p2 p3 p4 pb5 pb5 p4 p3 p2 p1 pb5\'", "R": "v2\'", "command": "lmr", '
+     '"input": "pb1 pb1 v2\' pb4\'", "k": 6}'),
+    # a lift of 3 in the second sweep, onto L
+    (("lmr", "pb4 pb4 pb1' v4"),
+     '{"L": "v1 v2 v3 v3", "M": "pb8 pb8 p5\' p6\' p7\' pb8\' p4\' p5\' p6\' p7\' p3\' p4\' p5\' p6\' '
+     'p2\' p3\' p4\' p5\' p1\' p2\' p3\' p4\'", "R": "v3\' v2\' v1\'", "command": "lmr", '
+     '"input": "pb4 pb4 pb1\' v4", "k": 9}'),
+    (("trivial", "--group", "BV", "pb1 pb1 v2' pb4'"),
+     '{"command": "trivial", "group": "BV", "input": "pb1 pb1 v2\' pb4\'", "steps": 5, "trivial": false}'),
+    (("trivial", "--group", "V", "pb4 pb4 pb1' v4"),
+     '{"command": "trivial", "group": "V", "input": "pb4 pb4 pb1\' v4", "steps": 12, "trivial": false}'),
 ], ids=["lmr_cores_meet", "lmr", "lmr_repair", "lmr_replay", "lmr_mirror", "bvhat_fold", "binf",
-        "v_runs_trivial", "v_runs_not_trivial", "lmr_repair_block", "bv_long_repair", "v_long_flush"])
+        "v_runs_trivial", "v_runs_not_trivial", "lmr_repair_block", "bv_long_repair", "v_long_flush",
+        "lmr_lift_4", "lmr_lift_3", "bv_lift_4", "v_lift_3"])
 def test_json_golden(capsys, argv, line):
     code, out, _ = run(capsys, argv[0], "--json", *argv[1:])
     # a word that is not trivial exits 1

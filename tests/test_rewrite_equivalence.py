@@ -40,6 +40,7 @@ from bvwords.bv_lmr import (
     _flush_v_letters,
     _invert_codes,
     _join_lines,
+    _join_words,
     _PermSyllable,
     _perm_syllables,
     _raise_to_third_form,
@@ -1424,7 +1425,7 @@ def test_v_path_builds_no_monosyllable(monkeypatch):
 
     for name in ("split_monosyllables", "mono_raise", "_syllable"):
         monkeypatch.setattr(bv_lmr, name, no_monosyllable)
-    monkeypatch.setattr(Monosyllable, "__post_init__", no_monosyllable)
+    monkeypatch.setattr(Monosyllable, "__new__", no_monosyllable)
     assert [outcome(lambda b: is_trivial_bv(w, BVMode.V, b)) for w in words] == expected
 
 
@@ -1456,7 +1457,8 @@ def test_v_permutation_path_matches_word_path_on_verify_instances():
 
 
 def _ref_raise_suffixes(syllables, targets, part, budget):
-    """``_raise_suffixes`` without a join: one raise per syllable."""
+    """``_raise_suffixes`` without a join or a lift: one raise per
+    syllable and per level, each charged as one step."""
     for j in range(len(syllables) - 1, 0, -1):
         for _ in range(targets[j - 1] - syllables[j].h):
             budget.spend("equalize_heights")
@@ -1465,14 +1467,19 @@ def _ref_raise_suffixes(syllables, targets, part, budget):
                 part.append(spill ^ 1)
 
 
-def _ref_v_chain(first, budget):
-    """L, the product line, R and k of the per-syllable chain: the shared
-    ``_raise_to_third_form`` with ``_ref_raise_suffixes`` as its sweep."""
+def _single_raise_chain(first, budget, split):
+    """The shared ``_raise_to_third_form`` with ``_ref_raise_suffixes`` as
+    its sweep: every syllable raised on its own, one level at a time."""
     def sweep(syllables, targets, part, budget, join):
         _ref_raise_suffixes(syllables, targets, part, budget)
 
     with mock.patch.object(bv_lmr, "_raise_suffixes", sweep):
-        left, lines, right, k = _raise_to_third_form(first, budget, _perm_syllables, None)
+        return _raise_to_third_form(first, budget, split, None)
+
+
+def _ref_v_chain(first, budget):
+    """L, the product line, R and k of the per-syllable chain."""
+    left, lines, right, k = _single_raise_chain(first, budget, _perm_syllables)
     product = list(range(k + 1))
     for s in lines:
         product = [s.line[y] for y in product]
@@ -1485,8 +1492,21 @@ def _v_chain(first, budget):
     return left, joined.line, right, k
 
 
-def v_chain_outcomes(cap, w):
-    """The capped outcomes of both chains after the word's first form, or
+def _ref_bv_chain(first, budget):
+    """L, M, R and k of BV's per-syllable chain on the unreduced flanks,
+    M with its p runs freely reduced, as codes."""
+    left, syllables, right, k = _single_raise_chain(first, budget, _unreduced_split)
+    return left, _encode(reduce_p_runs(_decode(_concat_syllables(syllables)))), right, k
+
+
+def _bv_chain(first, budget):
+    """The same four values from BV's joined chain, which ends on one word."""
+    left, [joined], right, k = _raise_to_third_form(first, budget, split_monosyllables, _join_words)
+    return left, list(joined.codes), right, k
+
+
+def chain_outcomes(cap, w, chain, ref_chain):
+    """The capped outcomes of two chains after the word's first form, or
     None when its middle has no pb letter."""
     def run(chain, budget):
         first = to_first_form(w, budget)
@@ -1494,17 +1514,41 @@ def v_chain_outcomes(cap, w):
             return None
         return chain(first, budget)
 
-    return (capped_outcome(cap, lambda b: run(_v_chain, b)),
-            capped_outcome(cap, lambda b: run(_ref_v_chain, b)))
+    return (capped_outcome(cap, lambda b: run(chain, b)),
+            capped_outcome(cap, lambda b: run(ref_chain, b)))
 
 
 V_CHAIN_CAPS = [CAP, 3, 17, 60]    # CAP: no cap is reached
 
+# equalization lifts pb4' by 4 after one first-form step, and the joined
+# cores meet as pb5 pb5; the second word's lift of 3 follows 9 steps.
+# Uncapped, to_third_form spends 5 and 12 steps, so caps 3 and 10 stop
+# inside the lifts
+LIFT_OF_4 = (pibar(1), pibar(1), vgen(2, -1), pibar(4, -1))
+LIFT_OF_3 = (pibar(4), pibar(4), pibar(1, -1), vgen(4))
+
 
 @SETTINGS
 @given(letters(BV, max_size=24), st.sampled_from(V_CHAIN_CAPS))
+@example(LIFT_OF_4, CAP)
+@example(LIFT_OF_4, 3)
+@example(LIFT_OF_3, CAP)
+@example(LIFT_OF_3, 10)
 def test_v_joined_chain_matches_per_syllable_chain(w, cap):
-    got, ref = v_chain_outcomes(cap, w)
+    got, ref = chain_outcomes(cap, w, _v_chain, _ref_v_chain)
+    assert got == ref
+
+
+@SETTINGS
+@given(letters(BV, max_size=24), st.sampled_from(V_CHAIN_CAPS))
+@example(LIFT_OF_4, CAP)
+@example(LIFT_OF_4, 3)
+@example(LIFT_OF_3, CAP)
+@example(LIFT_OF_3, 10)
+def test_bv_joined_chain_matches_per_syllable_chain(w, cap):
+    # one lift per suffix and joined words against single raises of every
+    # syllable on its own: L, M, R, k, the steps and the capped operation
+    got, ref = chain_outcomes(cap, w, _bv_chain, _ref_bv_chain)
     assert got == ref
 
 
@@ -1513,7 +1557,16 @@ def test_v_joined_chain_matches_per_syllable_chain_on_finite_relators(cap):
     relators = [i.relator() for i in finite_presentation_instances() if i.group is GroupId.V]
     assert len(relators) == 60
     for w in relators:
-        got, ref = v_chain_outcomes(cap, w)
+        got, ref = chain_outcomes(cap, w, _v_chain, _ref_v_chain)
+        assert got == ref
+
+
+@pytest.mark.parametrize("cap", V_CHAIN_CAPS)
+def test_bv_joined_chain_matches_per_syllable_chain_on_finite_relators(cap):
+    relators = [i.relator() for i in finite_presentation_instances() if i.group is GroupId.BV]
+    assert len(relators) == 52
+    for w in relators:
+        got, ref = chain_outcomes(cap, w, _bv_chain, _ref_bv_chain)
         assert got == ref
 
 
