@@ -64,20 +64,20 @@ of a p/pb word of height {h}, and decode the letters once, when
 middle, so ``is_trivial_bv`` holds each of V's syllables as one
 permutation of the positions 0..h (``_PermSyllable``), cut from the
 codes without a ``Monosyllable``, and a raise cables one strand of that
-list instead of a word.  Cabling respects composition, so two
-neighbours of one height raise as their product does, and both holdings
-join: equalization joins each pair of neighbours that reach one height
-(``_join_words`` concatenates codes, ``_join_lines`` multiplies lines),
-every raise cables one word or line per run of equal heights, and the
-chain ends on one, which ``to_third_form`` reads M off and
-``is_trivial_bv`` compares with the identity.  Each equalizing lift of a
-suffix by t levels is one cabling pass, one ``raise_word_heights`` call
-and one block charge of t steps.  Each holding raises itself
-(``raised``), so one ``raise_word_heights`` and one ``raise_m`` serve
-both, and only the split into syllables and the join are chosen per
-holding.  Either split checks once that each piece has a single height
-``h``; a raise, an inversion or a join keeps that, so no later step
-re-checks it.
+list instead of a word.  Each holding is a height ``h`` and three
+methods: ``inverse``, ``raised`` (cable one strand), and ``joined``,
+which concatenates codes or multiplies lines.  Cabling respects
+composition, so two neighbours of one height raise as their product
+does: equalization joins each pair of neighbours that reach one height,
+so every raise cables one word or line per run of equal heights, and
+``_equalize_heights`` returns the one held syllable the chain ends on.
+``raise_m`` raises that syllable, ``to_third_form`` reads M off it and
+``is_trivial_bv`` compares it with the identity.  Each equalizing lift
+of a suffix by t levels is one cabling pass, one ``raise_word_heights``
+call and one block charge of t steps.  The holding is chosen only by
+the split into syllables; ``_cut`` checks once that each piece has a
+single height ``h``, and a raise, an inversion or a join keeps that, so
+no later step re-checks it.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
@@ -88,7 +88,8 @@ it cancels the p letters of their two crossings.  A join cancels the
 pairs that meet at its seam.  Free reduction keeps a run's permutation,
 so the spills, heights and steps stay those of the unreduced flanks, and
 M is the unreduced chain's middle with every maximal p run freely
-reduced, the same braid.
+reduced, the same braid.  A piece holds one pb letter, and a pb code
+never cancels a p code, so the split reduces each piece whole.
 
 Codes turn back into letters only at the public boundaries, through two
 bounded memos: ``_letter`` here for v/p/pb codes, and ``words._letter``
@@ -104,7 +105,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .braid import is_trivial_braid
 from .limits import Budget
@@ -551,15 +552,15 @@ class Monosyllable(_Held):
 
     ``Monosyllable(pre, core, post)`` builds the word of one core, split
     around it: ``pre`` and ``post`` are tuples of p codes and ``core`` is
-    the pb code.  This constructor checks the kind of every code and the
-    height.  A raise, an inversion or a join builds its result through
-    ``_syllable``, which skips both checks: inverting keeps every index, a
-    raise lifts each core by t and keeps every p index below the new
-    cores' (``pi_action``, which checks every code it reads), and a join
-    concatenates two words of one height.  Equalization joins neighbours
-    of one height (``_join_words``), as V joins its lines, so a held word
-    may have several cores; ``pre``, ``core`` and ``post`` cut it at its
-    first one.
+    the pb code.  This constructor checks the kind of every code, and
+    ``_cut`` the height.  A raise, an inversion or a join builds its
+    result through ``_syllable``, which skips both checks: inverting keeps
+    every index, a raise lifts each core by t and keeps every p index
+    below the new cores' (``pi_action``, which checks every code it
+    reads), and a join concatenates two words of one height.  Equalization
+    joins neighbours of one height (``joined``), as V joins its lines, so
+    a held word may have several cores; ``pre``, ``core`` and ``post`` cut
+    it at its first one.
     """
 
     __slots__ = ()
@@ -570,8 +571,8 @@ class Monosyllable(_Held):
         for x in (*pre, *post):
             if x & 6 != 2:
                 raise AlphabetError(f"monosyllable flanks must be p codes, got {(pre, core, post)!r}")
-        h = _single_height(pre, core, post, "monosyllable")
-        return tuple.__new__(cls, (h, (*pre, core, *post)))
+        [held] = _cut((*pre, core, *post), "monosyllable")
+        return tuple.__new__(cls, held)
 
     @property
     def _first_core(self) -> int:
@@ -600,6 +601,21 @@ class Monosyllable(_Held):
         m is None."""
         return mono_raise(self, m, t)
 
+    def joined(self, other: "Monosyllable") -> "Monosyllable":
+        """This word then ``other``, of one height, with the inverse p pairs
+        that meet at the seam cancelled.
+
+        Cabling respects composition, as for ``_PermSyllable.joined``: the
+        join raises as the pair does, with the same spill.  A pb letter is
+        never cancelled, so two cores may meet (``pb1 v2' pb1'`` gives
+        ``pb3 pb3'``): M is the chain's middle with only its p runs reduced.
+        """
+        x, y = self.codes, other.codes
+        i, n = 0, min(len(x), len(y))
+        while i < n and x[-1 - i] == y[i] ^ 1 and not y[i] & 4:
+            i += 1
+        return _syllable(self.h, x[:len(x) - i] + y[i:])
+
     def __reduce__(self):
         # copy and pickle rebuild through ``_syllable``: ``__new__`` takes
         # (pre, core, post), not the held (h, codes)
@@ -612,38 +628,36 @@ def _syllable(h: int, codes: tuple[int, ...]) -> Monosyllable:
     return tuple.__new__(Monosyllable, (h, codes))
 
 
-def _single_height(pre: Sequence[int], core: int, post: Sequence[int], what: str) -> int:
-    """The core's height, its index + 1, once every flank index is checked
-    to lie below the core's."""
-    top = core & ~7
-    if max(pre, default=-1) >= top or max(post, default=-1) >= top:
-        raise ValueError(f"{what} has no single height: {_decode([*pre, core, *post])!r}")
-    return (core >> 3) + 1
-
-
-def _cut(codes: Sequence[int], what: str) -> list[tuple[Sequence[int], int, Sequence[int]]]:
-    """Cut a coded p/pb word just after each pb letter into (pre, core,
-    post) slices; a trailing p run is the last piece's post."""
+def _cut(codes: Sequence[int], what: str) -> Iterator[tuple[int, Sequence[int]]]:
+    """Cut a coded p/pb word just after each pb letter, a trailing p run
+    going to the last piece, and yield each piece with its height h, the
+    core's index + 1, once every p index in it is checked to lie below the
+    core's."""
     cores = [i for i, x in enumerate(codes) if x & 4]
     if not cores:
         raise ValueError(f"{what}: word has no pb letter")
     ends = [pos + 1 for pos in cores[:-1]] + [len(codes)]
-    return [(codes[start:pos], codes[pos], codes[pos + 1:end])
-            for start, pos, end in zip([0] + ends, cores, ends)]
+    for start, pos, end in zip([0] + ends, cores, ends):
+        piece, top = codes[start:end], codes[pos] & ~7
+        # the core is the piece's one code of at least top, unless a p index
+        # reaches the core's
+        if sum(map(top.__le__, piece)) > 1:
+            raise ValueError(f"{what}: piece {_decode(piece)!r} has no single height")
+        yield (top >> 3) + 1, piece
 
 
 def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
     """Cut a coded p/pb word just after each pb letter (trailing p goes
-    last), freely reducing each flank; each piece must have a single
+    last), freely reducing each piece; each piece must have a single
     height.
 
-    One reduction here is enough: ``pi_action`` maps freely reduced p runs
-    to freely reduced ones, a join cancels the pairs at its seam, and free
-    reduction keeps a flank's permutation, so every spill, height and step
-    stays as it was.
+    A piece holds one pb letter, and a pb code never cancels a p code, so
+    reducing the piece reduces each flank.  One reduction here is enough:
+    ``pi_action`` maps freely reduced p runs to freely reduced ones, a
+    join cancels the pairs at its seam, and free reduction keeps a flank's
+    permutation, so every spill, height and step stays as it was.
     """
-    pieces = _cut(codes, "split_monosyllables")
-    return [Monosyllable(_free_codes(pre), core, _free_codes(post)) for pre, core, post in pieces]
+    return [_syllable(h, _free_codes(piece)) for h, piece in _cut(codes, "split_monosyllables")]
 
 
 def mono_raise(syl: Monosyllable, m: int | None = None, t: int = 1) -> tuple[Monosyllable, int | None]:
@@ -709,42 +723,24 @@ def raise_word_heights(syllables: Sequence, t: int = 1) -> tuple[list, int | Non
     return out, carry
 
 
-def _join_words(a: Monosyllable, b: Monosyllable) -> Monosyllable:
-    """Two held words of one height, a's codes then b's, with the inverse p
-    pairs that meet at the seam cancelled.
-
-    Cabling respects composition, as for ``_join_lines``: the join raises
-    as the pair does, with the same spill.  A pb letter is never cancelled,
-    so two cores may meet (``pb1 v2' pb1'`` gives ``pb3 pb3'``): M is the
-    chain's middle with only its p runs reduced.
-    """
-    x, y = a.codes, b.codes
-    i, n = 0, min(len(x), len(y))
-    while i < n and x[-1 - i] == y[i] ^ 1 and not y[i] & 4:
-        i += 1
-    return _syllable(a.h, x[:len(x) - i] + y[i:])
-
-
-def raise_m(syllables: Sequence, side: Literal["left", "right"]) -> tuple[list, int | None]:
-    """Raise a middle of one height, given as its syllables of either
-    holding, by one.
+def raise_m(held: Monosyllable | _PermSyllable,
+            side: Literal["left", "right"]) -> tuple[Monosyllable | _PermSyllable, int | None]:
+    """Raise a middle of one height, held as one word or line, by one.
 
     side="right":  M ~ M' v_j'   or  M'
     side="left":   M ~ v_j M'    or  M'
 
-    Returns the raised syllables and the spilled v code, or None.  Both
-    sides are ``raise_word_heights``, the left one on the inverted list,
-    inverted back.  A raise cables one strand of the middle's braid, so
-    its letters do not depend on where the middle is cut into syllables.
+    Returns the raised word or line and the spilled v code, or None.  The
+    right side is ``raised`` with the strand entering at the top; the left
+    side is that on the inverse, inverted back, with the spill ``v_j'``
+    inverted to ``v_j``.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
-    if len({s.h for s in syllables}) != 1:
-        raise ValueError("raise_m: the middle must be syllables of one height")
     if side == "right":
-        return raise_word_heights(syllables)
-    raised, spill = raise_word_heights([s.inverse() for s in reversed(syllables)])
-    return [s.inverse() for s in reversed(raised)], None if spill is None else spill ^ 1
+        return held.raised(None)
+    if side != "left":
+        raise ValueError(f"raise_m: side must be 'left' or 'right', got {side!r}")
+    raised, spill = held.inverse().raised(None)
+    return raised.inverse(), None if spill is None else spill ^ 1
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +787,9 @@ def _cable(f: list[int], m: int, t: int = 1) -> tuple[list[int], int]:
 class _PermSyllable(NamedTuple):
     """A monosyllable of height h held as its line, a permutation of 0..h.
 
-    It has the field ``h`` and the two methods of a ``Monosyllable``,
-    ``inverse`` and ``raised``, that equalization and raising read.
+    It has the field ``h`` and the three methods of a ``Monosyllable``,
+    ``inverse``, ``raised`` and ``joined``, that equalization and raising
+    read.
     """
 
     h: int
@@ -810,27 +807,23 @@ class _PermSyllable(NamedTuple):
         line, c = _cable(self.line, h if m is None else m, t)
         return _PermSyllable(h + t, line), None if c == h else c << 3 | 1
 
+    def joined(self, other: "_PermSyllable") -> "_PermSyllable":
+        """The product of two lines of one height, this one's letters then
+        ``other``'s.
+
+        Cabling respects composition: raising the product at m cables this
+        line at m and ``other`` where the strand leaves this one, and the
+        strand leaves the product where it leaves ``other``, so the product
+        raises as the pair does, with the same spill.
+        """
+        f = other.line
+        return _PermSyllable(self.h, [f[y] for y in self.line])
+
 
 def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
     """Cut a coded p/pb word as ``split_monosyllables`` does and hold each
     piece as its line; each piece must have a single height."""
-    out = []
-    for pre, core, post in _cut(codes, "_perm_syllables"):
-        h = _single_height(pre, core, post, "_perm_syllables: syllable")
-        out.append(_PermSyllable(h, _flank_perm([*pre, core, *post], h + 1)))
-    return out
-
-
-def _join_lines(a: _PermSyllable, b: _PermSyllable) -> _PermSyllable:
-    """The product of two lines of one height, a's letters then b's.
-
-    Cabling respects composition: raising the product at m cables a at m
-    and b where the strand leaves a, and the strand leaves the product
-    where it leaves b, so the product raises as the pair does, with the
-    same spill.
-    """
-    f = b.line
-    return _PermSyllable(a.h, [f[y] for y in a.line])
+    return [_PermSyllable(h, _flank_perm(piece, h + 1)) for h, piece in _cut(codes, "_perm_syllables")]
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +920,7 @@ def _repair_syllable_heights(codes: list[int], parts: tuple[list[int], list[int]
     return codes
 
 
-def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget: Budget,
-                    join: Callable | None) -> None:
+def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget: Budget) -> None:
     """Raise ``syllables[j:]`` to height ``targets[j - 1]``, for j from the
     right end down to 1, in place; append each spill's inverse to ``part``.
 
@@ -940,12 +932,11 @@ def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget
     so the lift cables one strand into t + 1 and spills ``v_j' ...
     v_(j+t-1)'`` for a first spill ``v_j'``, appended in that order as
     their inverses; the block charge leaves ``used`` and the capped
-    operation where t single charges would (``Budget.spend``).  With a
-    ``join``, syllable j is then joined into syllable j - 1 when the two
-    have one height: the raised suffix is a list of runs of strictly
+    operation where t single charges would (``Budget.spend``).  Syllable
+    j is then joined into syllable j - 1 when the two have one height
+    (``joined``): the raised suffix is a list of runs of strictly
     increasing height, and a raise makes one move per run where it made
-    one per syllable, with the same spill.  Without one every syllable is
-    raised on its own.
+    one per syllable, with the same spill.
     """
     for j in range(len(syllables) - 1, 0, -1):
         t = targets[j - 1] - syllables[j].h
@@ -954,40 +945,39 @@ def _raise_suffixes(syllables: list, targets: list[int], part: list[int], budget
             syllables[j:], spill = raise_word_heights(syllables[j:], t)
             if spill is not None:
                 part.extend(range(spill ^ 1, (spill ^ 1) + (t << 3), 8))
-        if join is not None and syllables[j - 1].h == syllables[j].h:
-            syllables[j - 1:j + 1] = [join(syllables[j - 1], syllables[j])]
+        if syllables[j - 1].h == syllables[j].h:
+            syllables[j - 1:j + 1] = [syllables[j - 1].joined(syllables[j])]
 
 
-def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]], budget: Budget,
-                      join: Callable | None) -> list:
-    """Bring all syllable heights to a common value: ``_raise_suffixes``
-    run twice, on ``Monosyllable`` words (which ``join`` concatenates) or
-    ``_PermSyllable`` lines (whose ``inverse`` is one permutation inverse,
-    and which ``join`` multiplies).
+def _equalize_heights(syllables: list, parts: tuple[list[int], list[int]],
+                      budget: Budget) -> Monosyllable | _PermSyllable:
+    """Bring all syllable heights to a common value, ``_raise_suffixes``
+    run twice, and return the one syllable they are joined into:
+    ``Monosyllable`` words or ``_PermSyllable`` lines, whose ``inverse``
+    is one permutation inverse.
 
     The first sweep, with the prefix maxima as targets, makes the heights
     nondecreasing (suffix blocks stay so, by induction from the right),
     spilling inverse v letters past the word's right end, so onto R',
-    ``parts[1]``.  The second levels each prefix up to the next height: a
-    leveled prefix has constant heights, so its inversion is again
-    nondecreasing and the right-spilling raise applies.  It runs on the
-    inverted list, with that list's own heights as targets, and its spills
-    are the positive v letters past the word's left end, onto L,
+    ``parts[1]``, and joins every pair of neighbours of one height, so the
+    heights it leaves strictly increase.  The second levels each prefix
+    up to the next height, joining as it goes: it runs on the inverted
+    list, which is again nondecreasing, so the right-spilling raise
+    applies, with that list's own heights as targets, and its spills are
+    the positive v letters past the word's left end, onto L,
     ``parts[0]``.  A syllable and its inverse have the same height ``h``,
-    checked once where the middle was cut.  With a ``join`` the first
-    sweep leaves runs of strictly increasing height, the second joins
-    each raised suffix into the syllable before it, and the result is one
-    word or one line.  Returns the syllables.
+    checked once where the middle was cut.  So one height is one
+    syllable, and more than one syllable after the first sweep is more
+    than one height.
     """
-    _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), parts[1], budget, join)
-    if syllables[0].h < syllables[-1].h:
+    _raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), parts[1], budget)
+    if len(syllables) > 1:
         inv = [s.inverse() for s in reversed(syllables)]
-        _raise_suffixes(inv, [s.h for s in inv], parts[0], budget, join)
-        syllables[:] = [s.inverse() for s in reversed(inv)]
-    heights = {s.h for s in syllables}
-    if len(heights) != 1:
-        raise AssertionError(f"equalization failed: {heights}")
-    return syllables
+        _raise_suffixes(inv, [s.h for s in inv], parts[0], budget)
+        syllables = [s.inverse() for s in reversed(inv)]
+    if len(syllables) != 1:
+        raise AssertionError(f"equalization ended on {len(syllables)} syllables, not one")
+    return syllables[0]
 
 
 def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
@@ -1020,10 +1010,7 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
                 _height_bound(g.index for g in reversed(first.R)), height.value)
         return LMRForm(first.L, first.M, first.R, height, k)
 
-    left, syllables, right, h = _raise_to_third_form(first, budget, split_monosyllables, _join_words)
-    if len(syllables) != 1:
-        raise AssertionError(f"to_third_form: BV's equalization ended on {len(syllables)} words, not one")
-    codes = syllables[0].codes
+    left, (h, codes), right = _raise_to_third_form(first, budget, split_monosyllables)
     top = (h - 1) << 3
     if any(x & ~1 != top | 4 if x & 4 else x >= top for x in codes):
         height = word_height(_decode(codes))
@@ -1033,39 +1020,35 @@ def to_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
 
 def _raise_to_third_form(
     first: LMRForm, budget: Budget, split: Callable[[list[int]], list],
-    join: Callable | None,
-) -> tuple[list[int], list, list[int], int]:
+) -> tuple[list[int], Monosyllable | _PermSyllable, list[int]]:
     """The part of ``to_third_form`` after the first form, for a middle
     with a pb letter, in either holding of the syllables.
 
     ``split`` cuts the repaired middle's codes into syllables
-    (``split_monosyllables`` or ``_perm_syllables``), and ``join``
-    (``_join_words``, ``_join_lines``, or None to raise every syllable on
-    its own) joins two of one height in equalization; each
-    syllable raises itself, so equalization and ``raise_m`` are the same
-    for both.  Every phase appends its spills to the codes of L or R', the
-    positive mirror of R, and R is mirrored back once: returns L's and R's
-    codes, the syllables and their common height k.
+    (``split_monosyllables`` or ``_perm_syllables``); each syllable
+    raises, inverts and joins itself, so equalization and ``raise_m`` are
+    the same for both.  Every phase appends its spills to the codes of L
+    or R', the positive mirror of R, and R is mirrored back once: returns
+    L's and R's codes and the held syllable, whose height ``h`` is k.
     """
     parts = left, rmirror = _encode(first.L), _invert_codes(_encode(first.R))
     middle = _repair_syllable_heights(_encode(first.M), parts, budget)
-    syllables = _equalize_heights(split(middle), parts, budget, join)
-    h = syllables[0].h
+    held = _equalize_heights(split(middle), parts, budget)
 
     while True:
+        h = held.h
         k1, k2 = (_height_bound(x >> 3 for x in part) for part in parts)
         if k1 <= h and k2 <= h:
             break
         budget.spend("to_third_form")
         # spill away from a part whose bound still exceeds h, R' first
-        syllables, spill = raise_m(syllables, "left" if k2 > h else "right")
+        held, spill = raise_m(held, "left" if k2 > h else "right")
         if spill is not None:
             if k2 > h:
                 left.append(spill)
             else:
                 rmirror.append(spill ^ 1)
-        h += 1
-    return left, syllables, _invert_codes(rmirror), h
+    return left, held, _invert_codes(rmirror)
 
 
 def m_to_sigma(m_word: Word, h: int) -> Word:
@@ -1108,10 +1091,8 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
                 return False
             outer = _encode(first.L + first.R)
         else:
-            left, lines, right, k = _raise_to_third_form(first, budget, _perm_syllables, _join_lines)
-            if len(lines) != 1:
-                raise AssertionError(f"is_trivial_bv: V's equalization ended on {len(lines)} lines, not one")
-            if lines[0].line != list(range(k + 1)):
+            left, (k, line), right = _raise_to_third_form(first, budget, _perm_syllables)
+            if line != list(range(k + 1)):
                 return False
             outer = left + right
     else:

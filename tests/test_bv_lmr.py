@@ -18,8 +18,6 @@ from bvwords.bv_lmr import (
     _decode,
     _encode,
     _flank_perm,
-    _join_lines,
-    _join_words,
     _PermSyllable,
     apply_relation,
     equal_bv,
@@ -28,7 +26,6 @@ from bvwords.bv_lmr import (
     m_to_sigma,
     mono_raise,
     pi_action,
-    raise_m,
     raise_word_heights,
     relation_sides,
     split_monosyllables,
@@ -107,7 +104,9 @@ def raise_word_heights_letters(syllables):
 
 
 def raise_m_letters(m_word, side):
-    return tuple(map(_decode, raise_m_joined(split_monosyllables(codes(m_word)), side)))
+    """``raise_m`` on a middle of one height, its syllables joined."""
+    held = reduce(Monosyllable.joined, split_monosyllables(codes(m_word)))
+    return tuple(map(_decode, raise_m_joined(held, side)))
 
 
 def opi_commute_left(m, k, e):
@@ -350,7 +349,7 @@ def test_monosyllable_structure():
     with pytest.raises(ValueError, match="no single height"):
         syllable((pi(2),), pibar(2), ())
     # copy and pickle rebuild the held (h, codes), also of a joined word
-    for held in (syl, _join_words(syl, syl.inverse())):
+    for held in (syl, syl.joined(syl.inverse())):
         for back in (copy.copy(held), copy.deepcopy(held), pickle.loads(pickle.dumps(held))):
             assert type(back) is Monosyllable and back == held
 
@@ -563,7 +562,7 @@ def test_a_join_raises_as_its_two_lines(pair):
     for m in [None, *range(a.h)]:
         raised_a, carry = a.raised(m)
         raised_b, spill = b.raised(None if carry is None else carry >> 3)
-        assert _join_lines(a, b).raised(m) == (_join_lines(raised_a, raised_b), spill)
+        assert a.joined(b).raised(m) == (raised_a.joined(raised_b), spill)
 
 
 @settings(max_examples=300, deadline=None)
@@ -618,7 +617,7 @@ def test_a_joined_word_raises_as_its_syllables(syllables, t):
     # the join of syllables of one height lifts as the syllables do, one
     # after the other, joined: the same letters once every p run is freely
     # reduced, and the same spill
-    joined = reduce(_join_words, syllables)
+    joined = reduce(Monosyllable.joined, syllables)
     h = joined.h
     for m in [None, *range(h)]:
         lifted, spill = joined.raised(m, t)
@@ -655,8 +654,6 @@ def test_raise_m():
     for side in ("left", "right"):
         with pytest.raises(ValueError):
             raise_m_letters((pi(0),), side)
-        with pytest.raises(ValueError):
-            raise_m([], side)
     assert raise_m_letters((pibar(1),), "right") == ((pi(1), pibar(2)), (vgen(1, -1),))
     assert raise_m_letters((pibar(1),), "left") == ((vgen(1),), (pibar(2), pi(1)))
     with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Literal, Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,13 +38,14 @@ from bvwords.bv_lmr import (
     _equalize_heights,
     _flank_perm,
     _flush_v_letters,
+    _free_codes,
+    _height_bound,
     _invert_codes,
-    _join_lines,
-    _join_words,
     _PermSyllable,
     _perm_syllables,
     _raise_to_third_form,
     _repair_syllable_heights,
+    _syllable,
     is_trivial_bv,
     m_to_sigma,
     mono_raise,
@@ -721,24 +722,63 @@ def _ref_equalize_heights(syllables, budget):
     return left_spill, syllables, right_spill
 
 
-# The unreduced chain: the repaired middle cut into syllables as
-# ``split_monosyllables`` cut it before it freely reduced the flanks, and the
-# raised syllables joined without cancelling.  The third forms pinned in
-# ``test_lmr_pins`` and ``test_selftest_pins`` were recorded on it.
+# The per-syllable chain: the third form as it ran before equalization
+# joined neighbours of one height.  Every syllable is raised on its own, one
+# level at a time, by both sweeps and by every final raise, which raises the
+# whole list, the left side on the inverted list.  The unreduced chain runs
+# it on the repaired middle cut as ``split_monosyllables`` cut it before it
+# freely reduced the pieces.  The third forms pinned in ``test_lmr_pins``
+# and ``test_selftest_pins`` were recorded on it.
 
 
 def _unreduced_split(codes: Sequence[int]) -> list[Monosyllable]:
-    """``split_monosyllables`` without its flank reduction."""
-    return [Monosyllable(tuple(pre), core, tuple(post)) for pre, core, post in _cut(codes, "_unreduced_split")]
+    """``split_monosyllables`` without its free reduction."""
+    return [_syllable(h, tuple(piece)) for h, piece in _cut(codes, "_unreduced_split")]
 
 
 def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
-    out: list[int] = []
-    for s in syllables:
-        out += s.pre
-        out.append(s.core)
-        out += s.post
-    return out
+    return [x for s in syllables for x in s.codes]
+
+
+def _inverted(syllables):
+    return [s.inverse() for s in reversed(syllables)]
+
+
+def _ref_raise_suffixes(syllables, targets, part, budget):
+    """``_raise_suffixes`` without a join or a lift: one raise per
+    syllable and per level, each charged as one step."""
+    for j in range(len(syllables) - 1, 0, -1):
+        for _ in range(targets[j - 1] - syllables[j].h):
+            budget.spend("equalize_heights")
+            syllables[j:], spill = raise_word_heights(syllables[j:])
+            if spill is not None:
+                part.append(spill ^ 1)
+
+
+def _single_raise_chain(first, budget, split):
+    """L's codes, the syllables left at height k, R's codes and k of the
+    per-syllable chain, after the first form, in either holding."""
+    parts = left, rmirror = _encode(first.L), _invert_codes(_encode(first.R))
+    syllables = split(_repair_syllable_heights(_encode(first.M), parts, budget))
+    _ref_raise_suffixes(syllables, list(accumulate((s.h for s in syllables), max)), rmirror, budget)
+    if syllables[0].h < syllables[-1].h:
+        inv = _inverted(syllables)
+        _ref_raise_suffixes(inv, [s.h for s in inv], left, budget)
+        syllables = _inverted(inv)
+    k = syllables[0].h
+    while True:
+        k1, k2 = (_height_bound(x >> 3 for x in part) for part in parts)
+        if k1 <= k and k2 <= k:
+            break
+        budget.spend("to_third_form")
+        # spill away from a part whose bound still exceeds k, R' first
+        on_left = k2 > k
+        raised, spill = raise_word_heights(_inverted(syllables) if on_left else syllables)
+        syllables = _inverted(raised) if on_left else raised
+        if spill is not None:
+            (left if on_left else rmirror).append(spill ^ 1)
+        k += 1
+    return left, syllables, _invert_codes(rmirror), k
 
 
 def unreduced_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
@@ -747,7 +787,7 @@ def unreduced_third_form(w: Word, budget: Budget | None = None) -> LMRForm:
     first = to_first_form(w, budget)
     if not any(g.family is Family.PIBAR for g in first.M):
         return to_third_form(w)    # no syllables: the two chains agree
-    left, syllables, right, k = _raise_to_third_form(first, budget, _unreduced_split, None)
+    left, syllables, right, k = _single_raise_chain(first, budget, _unreduced_split)
     m_word = _decode(_concat_syllables(syllables))
     return LMRForm(_decode(left), m_word, _decode(right), word_height(m_word), k)
 
@@ -1236,20 +1276,22 @@ def _repaired_middle(w):
 @SETTINGS
 @given(letters(BV, max_index=4, max_size=16), st.one_of(st.integers(1, 60), st.just(CAP)))
 def test_equalize_heights_matches_full_inversion(w, cap):
-    # the coded chain against the letter chain it replaced, itself run
-    # with the full inversions of ``_ref_equalize_heights``
+    # the coded chain, which joins its words, against the letter chain it
+    # replaced, itself run with the full inversions of
+    # ``_ref_equalize_heights``: the one held word is the letter chain's
+    # words with their p runs freely reduced
     middle = _repaired_middle(w)
     if middle is None:
         return
 
     def coded(budget):
         parts = [], []
-        syllables = _equalize_heights(_unreduced_split(_encode(middle)), parts, budget, None)
-        return _decode(parts[0]), [s.word() for s in syllables], _decode(_invert_codes(parts[1]))
+        held = _equalize_heights(split_monosyllables(_encode(middle)), parts, budget)
+        return _decode(parts[0]), held.word(), _decode(_invert_codes(parts[1]))
 
     def ref(budget):
         left, syllables, right = _ref_equalize_heights(_ref_split_monosyllables(middle), budget)
-        return tuple(left), [s.word() for s in syllables], tuple(right)
+        return tuple(left), reduce_p_runs(tuple(g for s in syllables for g in s.word())), tuple(right)
 
     assert capped_outcome(cap, coded) == capped_outcome(cap, ref)
 
@@ -1277,38 +1319,33 @@ def test_raise_word_heights_matches_letter_chain(w, times):
                 assert ((), new.word(), spilled) == (ref_prefix, ref_new.word(), ref_suffix)
 
 
-def raise_m_joined(syllables, side):
+def raise_m_joined(held, side):
     """``raise_m`` as the code lists ``first + second`` of ``_ref_raise_m``:
-    the raised syllables joined, with the spill (if any) on its side."""
-    raised, spill = raise_m(syllables, side)
-    joined, emitted = _concat_syllables(raised), [] if spill is None else [spill]
-    return (emitted, joined) if side == "left" else (joined, emitted)
+    the raised word, with the spill (if any) on its side."""
+    raised, spill = raise_m(held, side)
+    codes, emitted = list(raised.codes), [] if spill is None else [spill]
+    return (emitted, codes) if side == "left" else (codes, emitted)
 
 
 @SETTINGS
-@given(letters(BV, max_index=4, max_size=16), st.data())
-def test_raise_m_matches_code_list_raise(w, data):
-    # a middle of one height, as ``to_third_form`` hands it to ``raise_m``
+@given(letters(BV, max_index=4, max_size=16))
+def test_raise_m_raises_one_held_syllable_on_both_holdings(w):
+    # a middle of one height, held as one joined word or one line as
+    # ``to_third_form`` hands it to ``raise_m``, raised to either side: the
+    # raised word's line is the raised line, with the same spill, and the
+    # word is the code-list raise of its codes with the p runs freely reduced
     middle = _repaired_middle(w)
     if middle is None:
         return
-    syllables = _equalize_heights(_unreduced_split(_encode(middle)), ([], []), Budget(CAP), None)
-    codes = _concat_syllables(syllables)
-    # the same letters cut elsewhere: part of one syllable's ``pre`` moved
-    # into the previous syllable's ``post``
-    regrouped = list(syllables)
-    cuts = [i for i in range(1, len(syllables)) if syllables[i].pre]
-    if cuts:
-        i = data.draw(st.sampled_from(cuts))
-        c = data.draw(st.integers(1, len(syllables[i].pre)))
-        prev, syl = syllables[i - 1], syllables[i]
-        regrouped[i - 1] = Monosyllable(prev.pre, prev.core, prev.post + syl.pre[:c])
-        regrouped[i] = Monosyllable(syl.pre[c:], syl.core, syl.post)
-    assert _concat_syllables(regrouped) == codes
+    codes = _encode(middle)
+    word = _equalize_heights(split_monosyllables(codes), ([], []), Budget(CAP))
+    line = _equalize_heights(_perm_syllables(codes), ([], []), Budget(CAP))
+    assert _perm_syllables_of([word]) == [line]
     for side in ("left", "right"):
-        expected = _ref_raise_m(codes, side)
-        assert raise_m_joined(syllables, side) == expected
-        assert raise_m_joined(regrouped, side) == expected
+        raised, spill = raise_m(word, side)
+        assert raise_m(line, side) == (*_perm_syllables_of([raised]), spill)
+        expected = tuple(_encode(reduce_p_runs(_decode(part))) for part in _ref_raise_m(word.codes, side))
+        assert raise_m_joined(word, side) == expected
 
 
 def p_flanks(low=2, high=12):
@@ -1332,16 +1369,14 @@ def test_pi_action_cables_the_flank_permutation(case):
 
 def _perm_syllables_of(syllables):
     # each syllable's line: its letters' permutation of the positions 0..h
-    return [_PermSyllable(s.h, _flank_perm([*s.pre, s.core, *s.post], s.h + 1))
-            for s in syllables]
+    return [_PermSyllable(s.h, _flank_perm(s.codes, s.h + 1)) for s in syllables]
 
 
 @SETTINGS
 @given(letters(BV, max_index=4, max_size=16), st.integers(1, 4))
 def test_raise_chain_matches_on_words_and_lines(w, times):
-    # one ``raise_word_heights`` and one ``raise_m`` on lines against the
-    # same on words, on a nondecreasing run and on a leveled middle raised
-    # to either side
+    # ``raise_word_heights`` on lines against the same on words, on a
+    # nondecreasing run raised several times over
     middle = _repaired_middle(w)
     if middle is None:
         return
@@ -1351,10 +1386,6 @@ def test_raise_chain_matches_on_words_and_lines(w, times):
         coded, spill = raise_word_heights(coded)
         perms, perm_spill = raise_word_heights(perms)
         assert (perms, perm_spill) == (_perm_syllables_of(coded), spill)
-    level = _equalize_heights(split_monosyllables(_encode(middle)), ([], []), Budget(CAP), None)
-    for side in ("left", "right"):
-        raised, spill = raise_m(level, side)
-        assert raise_m(_perm_syllables_of(level), side) == (_perm_syllables_of(raised), spill)
 
 
 # heights 3, 1 and 2: p0 pb2, pb0 and pb1' p0, as codes
@@ -1366,10 +1397,8 @@ def test_raise_chain_checks_hold_on_both_holdings(hold):
     with pytest.raises(ValueError, match=re.escape(
             "raise_word_heights: heights must be nondecreasing, got [3, 1, 2]")):
         raise_word_heights(hold(_MIXED))
-    with pytest.raises(ValueError, match="raise_m: the middle must be syllables of one height"):
-        raise_m(hold(_MIXED[::-1]), "right")
     with pytest.raises(ValueError, match="raise_m: side must be 'left' or 'right'"):
-        raise_m(hold(_MIXED[:1]), "up")
+        raise_m(hold(_MIXED)[0], "up")
 
 
 def test_v_reaches_the_shared_raise_chain_by_module_name(monkeypatch):
@@ -1388,7 +1417,7 @@ def test_v_reaches_the_shared_raise_chain_by_module_name(monkeypatch):
     for name in ("raise_word_heights", "raise_m"):
         monkeypatch.setattr(bv_lmr, name, counted(name))
     assert is_trivial_bv(parse_word("v3 pb0' p0 p0 pb0 v3'"), BVMode.V)
-    assert calls == {"raise_word_heights": 1 + 4, "raise_m": 4}
+    assert calls == {"raise_word_heights": 1, "raise_m": 4}
 
 
 @SETTINGS
@@ -1399,6 +1428,32 @@ def test_perm_syllables_are_the_lines_of_split_monosyllables(w):
         return
     codes = _encode(middle)
     assert _perm_syllables(codes) == _perm_syllables_of(split_monosyllables(codes))
+
+
+@SETTINGS
+@given(letters(BV, max_index=4, max_size=16))
+def test_split_reduces_each_piece_as_its_two_flanks(w):
+    # a piece holds one pb letter, which no p letter cancels, so the split's
+    # one reduction of the whole piece is the per-flank construction
+    middle = _repaired_middle(w)
+    if middle is None:
+        return
+    flanks = [Monosyllable(_free_codes(_encode(s.pre)), *_encode((s.core,)), _free_codes(_encode(s.post)))
+              for s in _ref_split_monosyllables(middle)]
+    assert split_monosyllables(_encode(middle)) == flanks
+
+
+# p1 pb1 has a p index at the core's, pb1 p2 and p3 pb1 p0 one above it
+@pytest.mark.parametrize("piece", [(pi(1), pibar(1)), (pibar(1), pi(2)), (pi(3), pibar(1), pi(0))])
+def test_every_cut_rejects_a_piece_of_no_single_height(piece):
+    codes = _encode(piece)
+    pos = next(i for i, x in enumerate(codes) if x & 4)
+    message = re.escape(f"piece {piece!r} has no single height")
+    with pytest.raises(ValueError, match=message):
+        Monosyllable(codes[:pos], codes[pos], codes[pos + 1:])
+    for split in (split_monosyllables, _perm_syllables):
+        with pytest.raises(ValueError, match=message):
+            split(codes)
 
 
 @pytest.mark.parametrize("middle, message", [
@@ -1451,30 +1506,9 @@ def test_v_permutation_path_matches_word_path_on_verify_instances():
         assert got == ref and got[0] is True
 
 
-# V's chain as it ran before equalization joined the lines of one height:
-# every syllable raised on its own, by every sweep and every final raise,
-# and the middle's permutation the product of the lines left at height k.
-
-
-def _ref_raise_suffixes(syllables, targets, part, budget):
-    """``_raise_suffixes`` without a join or a lift: one raise per
-    syllable and per level, each charged as one step."""
-    for j in range(len(syllables) - 1, 0, -1):
-        for _ in range(targets[j - 1] - syllables[j].h):
-            budget.spend("equalize_heights")
-            syllables[j:], spill = raise_word_heights(syllables[j:])
-            if spill is not None:
-                part.append(spill ^ 1)
-
-
-def _single_raise_chain(first, budget, split):
-    """The shared ``_raise_to_third_form`` with ``_ref_raise_suffixes`` as
-    its sweep: every syllable raised on its own, one level at a time."""
-    def sweep(syllables, targets, part, budget, join):
-        _ref_raise_suffixes(syllables, targets, part, budget)
-
-    with mock.patch.object(bv_lmr, "_raise_suffixes", sweep):
-        return _raise_to_third_form(first, budget, split, None)
+# V's and BV's chains against the per-syllable chain: the middle's
+# permutation is the product of the lines left at height k, and M is the
+# unreduced chain's middle with its p runs freely reduced.
 
 
 def _ref_v_chain(first, budget):
@@ -1488,8 +1522,8 @@ def _ref_v_chain(first, budget):
 
 def _v_chain(first, budget):
     """The same four values from V's joined chain, which ends on one line."""
-    left, [joined], right, k = _raise_to_third_form(first, budget, _perm_syllables, _join_lines)
-    return left, joined.line, right, k
+    left, (k, line), right = _raise_to_third_form(first, budget, _perm_syllables)
+    return left, line, right, k
 
 
 def _ref_bv_chain(first, budget):
@@ -1501,8 +1535,8 @@ def _ref_bv_chain(first, budget):
 
 def _bv_chain(first, budget):
     """The same four values from BV's joined chain, which ends on one word."""
-    left, [joined], right, k = _raise_to_third_form(first, budget, split_monosyllables, _join_words)
-    return left, list(joined.codes), right, k
+    left, (k, codes), right = _raise_to_third_form(first, budget, split_monosyllables)
+    return left, list(codes), right, k
 
 
 def chain_outcomes(cap, w, chain, ref_chain):
