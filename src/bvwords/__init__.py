@@ -1,7 +1,7 @@
 """Word-problem and normal-form tools for Thompson's groups F and V,
 their hat extensions, and the braided variants."""
 
-from .braid import equal_braid, handle_reduce, is_trivial_braid
+from .braid import equal_braid, handle_reduce, is_trivial_braid, is_trivial_braid_by_coordinates
 from .bv_lmr import (
     BVMode,
     HeightSet,

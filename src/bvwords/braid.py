@@ -1,7 +1,14 @@
-"""The word problem for the infinite braid group, by handle reduction.
+"""The word problem for the infinite braid group, by handle reduction and
+by Dynnikov coordinates.
 
 A braid word is a word of ``s`` letters, where ``s_i`` crosses strands
-``i`` and ``i+1``.
+``i`` and ``i+1``.  Two deciders share one reader and two shortcuts:
+``is_trivial_braid`` ends in handle reduction, which also gives the
+normal form ``handle_reduce``, and ``is_trivial_braid_by_coordinates``
+ends in the Dynnikov action, a fixed number of integer operations per
+letter.  The hat route and ``Binf`` use the first, the left-middle-right
+route of ``bv_lmr`` the second, so the two V/BV routes also check two
+independent braid algorithms against each other.
 
 A *handle* is a subword  ``s_k^e  u  s_k^-e``  whose interior ``u``
 contains no occurrence of generator ``k`` or ``k-1`` (letters with index
@@ -57,24 +64,63 @@ handles is the full rescan's.  A deleted letter keeps its place in the
 list until a later splice over it or the final readout drops it; a
 rollback over it writes only a spare slot of ``last``.
 
+The braid group acts faithfully by piecewise-linear maps on the integer
+coordinates ``(a_i, b_i)`` of laminations of the punctured disc, and a
+braid is trivial exactly when it fixes the coordinates ``(0, 1)^n`` (I.
+Dynnikov, "On a Yang-Baxter map and the Dehornoy ordering", Russian Math.
+Surveys 57, 2002; the rules as in P. Dehornoy, "Efficient solutions to
+the braid isotopy problem", Discrete Appl. Math. 156, 2008).  Every
+``s_j`` is shifted up one coordinate pair, so that it moves pairs ``j``
+and ``j + 1`` by the rule of an interior generator; the shift embeds the
+braid group, so no boundary rule is needed.
+
 Two shortcuts run first: a word whose exponents do not sum to zero, or
 whose freely reduced strand permutation is not the identity, is certainly
 nontrivial.  Both read the codes of ``words._reduced_codes``, which
-checks the alphabet and freely reduces in one pass.
+checks the alphabet and freely reduces in one pass.  An index above
+``limits.MAX_INDEX`` is rejected there too, before the permutation,
+``last`` or the coordinates allocate in proportion to it.
 """
 
 from __future__ import annotations
 
-from .limits import DEFAULT_BRAID_STEPS, Budget
+from .limits import DEFAULT_BRAID_STEPS, MAX_INDEX, Budget
 from .perms import from_adjacent_transpositions
-from .words import _letter, _reduced_codes, Family, Word, invert
+from .words import _letter, _reduced_codes, AlphabetError, Family, Word, invert
 
 _BRAID_ALPHABET = frozenset({Family.SIGMA})
+# the largest code of an index at most ``limits.MAX_INDEX``
+_MAX_CODE = MAX_INDEX << 2 | 3
 
 
 # A deleted letter's code.  Its index, ``-8 >> 2 == -2``, names the spare
 # slot ``last[-2]``, so a rollback over it writes nothing that is read.
 _DELETED = -8
+
+
+def _braid_codes(w: Word, what: str) -> list[int]:
+    """The freely reduced codes of a braid word, its alphabet checked and
+    every index at most ``limits.MAX_INDEX``."""
+    codes = _reduced_codes(w, _BRAID_ALPHABET, what)
+    if codes and max(codes) > _MAX_CODE:
+        raise AlphabetError(f"{what}: letter index {max(codes) >> 2} above {MAX_INDEX}")
+    return codes
+
+
+def _shortcut(w: Word, what: str) -> tuple[bool | None, list[int]]:
+    """Read a braid word into its freely reduced codes and try the cheap
+    verdicts: an empty reduction is trivial, and a word whose exponents do
+    not sum to zero, or whose strand permutation moves a strand, is not.
+    Free reduction cancels letters in pairs of opposite exponent, so the
+    sum is read off the codes.  The verdict is None if neither decides."""
+    codes = _braid_codes(w, what)
+    if not codes:
+        return True, codes
+    if sum([1 - (x & 2) for x in codes]):
+        return False, codes
+    if not from_adjacent_transpositions([x >> 2 for x in codes]).is_identity():
+        return False, codes
+    return None, codes
 
 
 def _decode(codes: list[int]) -> Word:
@@ -109,7 +155,7 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
     from there on, and the scan resumes at that letter.  The readout drops
     the deleted letters left over.
     """
-    codes = _reduced_codes(w, _BRAID_ALPHABET, "handle_reduce")
+    codes = _braid_codes(w, "handle_reduce")
     budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
     # the reader admits indices >= 0 only, and reductions never raise
     # one.  ``last`` has a slot per index up to the largest plus one,
@@ -149,22 +195,60 @@ def handle_reduce(w: Word, budget: Budget | None = None) -> Word:
 
 
 def is_trivial_braid(w: Word, budget: Budget | None = None) -> bool:
-    """Decide whether a braid word represents the trivial braid.
+    """Decide whether a braid word represents the trivial braid, by the
+    shortcuts and then handle reduction.
 
-    The word is read once into its freely reduced codes.  Free reduction
-    cancels letters in pairs of opposite exponent, so the exponent sum is
-    read off the codes; an empty reduction is trivial, and the
-    permutation shortcut reads the codes too.  ``handle_reduce`` gets the
-    reduced word, in which its own free reduction cancels nothing.
+    ``handle_reduce`` gets the freely reduced word, in which its own free
+    reduction cancels nothing.
     """
-    codes = _reduced_codes(w, _BRAID_ALPHABET, "is_trivial_braid")
-    if not codes:
-        return True
-    if sum([1 - (x & 2) for x in codes]):
-        return False
-    if not from_adjacent_transpositions([x >> 2 for x in codes]).is_identity():
-        return False
+    verdict, codes = _shortcut(w, "is_trivial_braid")
+    if verdict is not None:
+        return verdict
     return len(handle_reduce(_decode(codes), budget)) == 0
+
+
+def is_trivial_braid_by_coordinates(w: Word, budget: Budget | None = None) -> bool:
+    """Decide whether a braid word represents the trivial braid, by the
+    shortcuts and then the Dynnikov action on ``(0, 1)^n``.
+
+    The coordinates are two flat lists, ``a`` and ``b``, with one pair per
+    index up to the largest plus one; ``s_j`` moves pairs ``j`` and
+    ``j + 1``.  ``s_j'`` acts as ``s_j`` conjugated by the map that negates
+    every ``a``, so one rule serves both exponents ``e``: it reads and
+    writes ``e * a``.  The action is charged as one block of a step per
+    letter before it starts.
+    """
+    verdict, codes = _shortcut(w, "is_trivial_braid_by_coordinates")
+    if verdict is not None:
+        return verdict
+    budget = budget if budget is not None else Budget(DEFAULT_BRAID_STEPS)
+    budget.spend("braid_coordinates", len(codes))
+    pairs = max(codes) // 4 + 2
+    a, b = [0] * pairs, [1] * pairs
+    for x in codes:
+        j = x >> 2
+        k = j + 1
+        e = 1 - (x & 2)
+        a0, b0, a1, b1 = a[j] * e, b[j], a[k] * e, b[k]
+        # the rule of s_j, with t = a0 - min(b0, 0) - a1 + max(b1, 0):
+        #   a0' = a0 + max(b0, 0) + max(max(b1, 0) - t, 0),  b0' = b1 - max(t, 0)
+        #   a1' = a1 + min(b1, 0) + min(min(b0, 0) + t, 0),  b1' = b0 + max(t, 0)
+        t = a0 - a1
+        if b0 < 0:
+            t -= b0
+        if b1 > 0:
+            t += b1
+            u = b1 - t
+        else:
+            u = -t
+        v = (b0 if b0 < 0 else 0) + t
+        a[j] = (a0 + (b0 if b0 > 0 else 0) + (u if u > 0 else 0)) * e
+        a[k] = (a1 + (b1 if b1 < 0 else 0) + (v if v < 0 else 0)) * e
+        if t > 0:
+            b[j], b[k] = b1 - t, b0 + t
+        else:
+            b[j], b[k] = b1, b0
+    return a == [0] * pairs and b == [1] * pairs
 
 
 def equal_braid(w1: Word, w2: Word, budget: Budget | None = None) -> bool:

@@ -94,9 +94,9 @@ never cancels a p code, so the split reduces each piece whole.
 Codes turn back into letters only at the public boundaries, through two
 bounded memos: ``_letter`` here for v/p/pb codes, and ``words._letter``
 for the l/s codes of the outer ``l`` letters of the F check and of the
-``s`` letters of ``m_to_sigma``, which the hat route and handle reduction
-share.  The memos hold letters only, never forms or verdicts, so a
-process that decides many words builds each letter once.
+``s`` letters of ``m_to_sigma``, which the hat route and the braid
+deciders share.  The memos hold letters only, never forms or verdicts,
+so a process that decides many words builds each letter once.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .braid import is_trivial_braid
+from .braid import is_trivial_braid_by_coordinates
 from .limits import Budget
 from .perms import from_adjacent_transpositions
 from .thompson_f import is_trivial_f
@@ -1072,7 +1072,9 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     Trivial iff the middle of the third form is trivial and the outer v
     letters, read as monoid letters, are trivial in F; all phases, the F
     check too, spend from one budget.  BV translates the middle of
-    ``to_third_form`` into a braid word and reduces it.  V needs only the
+    ``to_third_form`` into a braid word and decides it by Dynnikov
+    coordinates (``braid.is_trivial_braid_by_coordinates``), not by the
+    handle reduction of the hat route.  V needs only the
     middle's strand permutation: it makes the same raises, with the same
     steps and spills, on one permutation per run of syllables of one
     height, which equalization joins into one line, and checks that this
@@ -1081,7 +1083,7 @@ def is_trivial_bv(w: Word, mode: BVMode, budget: Budget | None = None) -> bool:
     budget = budget if budget is not None else Budget()
     if mode is BVMode.BV:
         form = to_third_form(w, budget)
-        if not is_trivial_braid(m_to_sigma(form.M, form.k), budget):
+        if not is_trivial_braid_by_coordinates(m_to_sigma(form.M, form.k), budget):
             return False
         outer = _encode(form.L + form.R)
     elif mode is BVMode.V:

@@ -1,7 +1,7 @@
 """Step budgets for the rewriting loops.
 
 Every potentially long-running procedure in this package (fraction
-canonicalization, braid handle reduction, the left-middle-right form
+canonicalization, the braid deciders, the left-middle-right form
 computations) counts its rewrite steps against a budget.  Exhausting the
 budget raises ``StepLimitExceeded`` instead of silently returning a wrong
 or partial answer; callers that want a different cap pass their own

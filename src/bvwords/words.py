@@ -77,7 +77,12 @@ _KIND = {Family.LAMBDA: 1, Family.SIGMA: 2}
 _FAMILY = (Family.LAMBDA, Family.SIGMA)
 
 
-@functools.lru_cache(maxsize=1 << 12)
+# the size of the letter memo ``_letter`` and of each code memo of
+# ``_reduced_codes``
+_MEMO_CAP = 1 << 12
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
 def _letter(x: int) -> Gen:
     """The l/s letter of one code.  The memo is bounded and holds letters
     only, so a process that decides many words builds each letter once."""
@@ -183,17 +188,35 @@ def check_alphabet(w: Iterable[Gen], families: frozenset[Family] | set[Family], 
             raise AlphabetError(f"{what}: malformed letter {tuple(g)!r}")
 
 
+# alphabet -> {letter: l/s code}, for the letters ``_reduced_codes`` has
+# read and checked against that alphabet; each memo is emptied when it
+# reaches ``_MEMO_CAP``, so it holds at most that many letters
+_CODE_MEMOS: dict[frozenset[Family], dict[Gen, int]] = {}
+
+
 def _reduced_codes(w: Word, families: frozenset[Family], what: str) -> list[int]:
     """The l/s codes of ``free_reduce(w)``, with the alphabet of ``w``
     checked as ``check_alphabet(w, families, what)`` checks it, in one
     pass.  The one reader of l/s words: the F fraction, the hat folds and
-    handle reduction all start here."""
+    the braid deciders all start here.
+
+    A letter is checked and coded once per alphabet, then read from that
+    alphabet's bounded memo; a letter the check rejects is never stored,
+    so it raises the same error on every read."""
+    memo = _CODE_MEMOS.get(families)
+    if memo is None:
+        memo = _CODE_MEMOS[families] = {}
     codes: list[int] = []
     for g in w:
-        family, i, e = g
-        if family not in families or e not in (1, -1) or i < 0:
-            check_alphabet((g,), families, what)
-        x = i << 2 | (_KIND[family] - e)
+        x = memo.get(g)
+        if x is None:
+            family, i, e = g
+            if family not in families or e not in (1, -1) or i < 0:
+                check_alphabet((g,), families, what)
+            x = i << 2 | (_KIND[family] - e)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[g] = x
         if codes and codes[-1] == x ^ 2:
             codes.pop()
         else:

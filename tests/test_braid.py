@@ -1,11 +1,11 @@
-"""Handle reduction and the braid word problem."""
+"""Handle reduction, Dynnikov coordinates and the braid word problem."""
 
 import random
 
 import pytest
 
-from bvwords.braid import equal_braid, handle_reduce, is_trivial_braid
-from bvwords.limits import Budget, StepLimitExceeded
+from bvwords.braid import equal_braid, handle_reduce, is_trivial_braid, is_trivial_braid_by_coordinates
+from bvwords.limits import MAX_INDEX, Budget, StepLimitExceeded
 from bvwords.perms import Permutation, from_sigma_word
 from bvwords.words import AlphabetError, Family, Gen, free_reduce, invert, sig
 
@@ -132,3 +132,25 @@ def test_budget_cap_raises():
     b = _s((0, 1), (1, 1), (0, -1)) * 10
     with pytest.raises(StepLimitExceeded):
         handle_reduce(b, Budget(limit=2))
+
+
+@pytest.mark.parametrize("decide", [handle_reduce, is_trivial_braid, is_trivial_braid_by_coordinates])
+def test_index_cap(decide):
+    # a usage error before ``last``, the permutation or the coordinates
+    # allocate in proportion to the index
+    with pytest.raises(AlphabetError, match=f"{decide.__name__}: letter index {MAX_INDEX + 1} above {MAX_INDEX}"):
+        decide((sig(0), sig(MAX_INDEX + 1)))
+    # the cap reads the freely reduced word
+    assert decide((sig(MAX_INDEX + 1), sig(MAX_INDEX + 1, -1))) in (True, ())
+
+
+def test_coordinates_budget_is_one_block():
+    relator = _s((0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, -1))
+    budget = Budget(len(relator))
+    assert is_trivial_braid_by_coordinates(relator, budget)
+    assert budget.used == len(relator)
+    budget = Budget(len(relator) - 1)
+    with pytest.raises(StepLimitExceeded) as e:
+        is_trivial_braid_by_coordinates(relator, budget)
+    assert (e.value.operation, e.value.limit) == ("braid_coordinates", len(relator) - 1)
+    assert budget.used == budget.limit + 1

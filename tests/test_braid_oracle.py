@@ -1,4 +1,4 @@
-"""A braid oracle that shares no code with handle reduction.
+"""A braid oracle that shares no code with the package's braid deciders.
 
 Dynnikov coordinates: the braid group acts faithfully by piecewise-linear
 maps on integer coordinates of laminations of the punctured disc, and a
@@ -12,6 +12,13 @@ Every ``s_j`` is shifted up one coordinate pair, so that it moves pairs
 pair pads the top; the shift embeds the braid group, so no boundary rule
 is needed.  The rules are first checked against the defining relations
 on random coordinates, then the verdicts against ``is_trivial_braid``.
+
+The package decides braids twice over: ``is_trivial_braid`` by handle
+reduction, which the hat route and ``Binf`` use, and
+``is_trivial_braid_by_coordinates`` by its own copy of the same action
+on int codes, which the left-middle-right route of BV uses.  The oracle
+here stays the one that checks the rules against the braid relations,
+and the three verdicts must agree on every braid below.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import random
 
 import pytest
 
-from bvwords.braid import is_trivial_braid
+from bvwords.braid import is_trivial_braid, is_trivial_braid_by_coordinates
 from bvwords.bv_lmr import m_to_sigma, to_third_form
 from bvwords.presentations import corrupt_instance, finite_presentation_instances
 from bvwords.words import Family, GroupId, sig
@@ -88,6 +95,7 @@ def test_handle_reduction_agrees_on_seeded_braids():
             w = u + relator + tuple(g.inverse() for g in reversed(u))
         verdict = is_trivial_braid(w)
         assert dynnikov_trivial(w) == verdict, w
+        assert is_trivial_braid_by_coordinates(w) == verdict, w
         trivial += verdict
     # the 1,500 conjugated relators and some, not all, of the random words
     assert 1500 < trivial < 3000
@@ -113,6 +121,7 @@ def test_handle_reduction_agrees_on_finite_bv_middles(corrupt):
         middles = _bv_middles(corrupt, third_form)
         verdicts = [is_trivial_braid(w) for w in middles]
         assert [dynnikov_trivial(w) for w in middles] == verdicts
+        assert [is_trivial_braid_by_coordinates(w) for w in middles] == verdicts
         if corrupt:
             assert (len(middles), sum(verdicts)) == (35, 2)
         else:

@@ -7,16 +7,24 @@ route's ``l`` and ``s`` letters share.  The references below are the
 bodies that built a fresh ``{code: Gen}`` table on every call; on any
 code list the two give the same letters.  A list with more distinct codes
 than the memo holds makes it evict, and the letters must not change.
+
+The other way, ``words._reduced_codes`` reads each letter through a
+bounded memo per alphabet, from a letter to its code.  Its reference is
+the reader's body without that memo: the codes and the error texts must
+be the same, a letter the check rejects is never stored, and the memo
+stays within its cap.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvwords import braid, bv_lmr, hatgroups, thompson_f, words
+from bvwords.cli import main
 from bvwords.presentations import verify_all
-from bvwords.words import Family, Gen
+from bvwords.words import AlphabetError, Family, Gen, check_alphabet, lam, sig
 
 MEMOS = (bv_lmr._letter, words._letter)
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -44,6 +52,20 @@ def _ref_hat_middle(middle):
 
 def _ref_f_letters(indices):
     return tuple(Gen(Family.LAMBDA, i) for i in indices)
+
+
+def _ref_reduced_codes(w, families, what):
+    codes = []
+    for g in w:
+        family, i, e = g
+        if family not in families or e not in (1, -1) or i < 0:
+            check_alphabet((g,), families, what)
+        x = i << 2 | (words._KIND[family] - e)
+        if codes and codes[-1] == x ^ 2:
+            codes.pop()
+        else:
+            codes.append(x)
+    return codes
 
 
 def _all_gen(w):
@@ -106,8 +128,55 @@ def test_every_l_s_word_is_read_by_one_reader():
 def test_verify_all_is_the_same_from_cold_memos():
     for memo in MEMOS:
         memo.cache_clear()
+    words._CODE_MEMOS.clear()
     cold = [r.line() for r in verify_all(8).results]
     warm = [r.line() for r in verify_all(8).results]
     assert cold == warm
     for memo in MEMOS:
         assert memo.cache_info().currsize > 0
+
+
+def test_code_memo_reads_verify_and_selftest_words_as_before(monkeypatch, capsys):
+    # every word the three readers' callers read, from cold memos and warm
+    reader, reads = words._reduced_codes, []
+
+    def checked(w, families, what):
+        codes = reader(w, families, what)
+        assert codes == _ref_reduced_codes(w, families, what)
+        reads.append(len(codes))
+        return codes
+
+    for module in (braid, hatgroups, thompson_f):
+        monkeypatch.setattr(module, "_reduced_codes", checked)
+    words._CODE_MEMOS.clear()
+    for _ in range(2):
+        assert verify_all(8).ok
+        assert main(["selftest", "--samples", "300", "--seed", "0"]) == 0
+    capsys.readouterr()
+    # the longest is the freely reduced braid of finite-bv#12's middle
+    assert len(reads) > 5_000 and max(reads) == 3_596
+
+
+@pytest.mark.parametrize("bad", (lam(0), Gen(Family.SIGMA, -1, 1), Gen(Family.SIGMA, 0, 0), Gen(Family.SIGMA, 0, 2)),
+                         ids=repr)
+def test_code_memo_never_holds_a_rejected_letter(bad):
+    braids, hat = frozenset({Family.SIGMA}), frozenset({Family.LAMBDA, Family.SIGMA})
+    # lam(0) is a letter of the hat alphabet, and its memo holds it
+    words._reduced_codes((lam(0),), hat, "canonicalize_hat")
+    with pytest.raises(AlphabetError) as expected:
+        check_alphabet((bad,), braids, "is_trivial_braid")
+    for _ in range(2):
+        with pytest.raises(AlphabetError) as got:
+            words._reduced_codes((sig(0), bad), braids, "is_trivial_braid")
+        assert str(got.value) == str(expected.value)
+        assert bad not in words._CODE_MEMOS[braids]
+    assert sig(0) in words._CODE_MEMOS[braids]
+
+
+def test_code_memo_stays_within_its_cap():
+    assert words._MEMO_CAP == words._letter.cache_info().maxsize
+    families = frozenset({Family.LAMBDA})
+    w = tuple(lam(i) for i in EVICTING)
+    assert words._reduced_codes(w, families, "f_fraction") == [i << 2 for i in EVICTING]
+    assert words._reduced_codes(w, families, "f_fraction") == [i << 2 for i in EVICTING]
+    assert 0 < len(words._CODE_MEMOS[families]) <= words._MEMO_CAP

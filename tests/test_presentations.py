@@ -110,9 +110,11 @@ def test_verify_rejects_nonpositive_step_cap():
 
 
 @pytest.mark.parametrize("source, group, steps", [
-    ("finite-bv#12/bv-p", GroupId.BV, 2904),
+    # BV's braid verdict charges one step per letter of the freely
+    # reduced middle: 3,596 and 2,432 letters
+    ("finite-bv#12/bv-p", GroupId.BV, 4702),
     ("finite-v#12/bv-p", GroupId.V, 1037),
-    ("finite-bv#24/bv-p", GroupId.BV, 5009),
+    ("finite-bv#24/bv-p", GroupId.BV, 2937),
     # the slowest V relators of a ``verify`` pass, whose equalization
     # joins many syllables of one height
     ("finite-v#02/bv-p", GroupId.V, 885),

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvwords import bv_lmr
-from bvwords.braid import handle_reduce, is_trivial_braid
+from bvwords.braid import handle_reduce, is_trivial_braid, is_trivial_braid_by_coordinates
 from bvwords.bv_lmr import (
     _FAMILY,
     BVMode,
@@ -938,6 +938,19 @@ def test_is_trivial_braid_matches_reference_chain(b, cap):
     assert capped_outcome(cap, is_trivial_braid, b) == capped_outcome(cap, _ref_is_trivial_braid, b)
 
 
+def commutators():
+    """Braids ``u v u' v'``: their exponent sum is zero and their strand
+    permutation the identity, so they pass both shortcuts."""
+    words = letters((Family.SIGMA,), max_index=4, max_size=8)
+    return st.builds(lambda u, v: u + v + invert(u) + invert(v), words, words)
+
+
+@SETTINGS
+@given(st.one_of(letters((Family.SIGMA,), max_index=4, max_size=40), conjugated_relators(), commutators()))
+def test_coordinates_agree_with_handle_reduction(b):
+    assert is_trivial_braid_by_coordinates(b) == (len(handle_reduce(b)) == 0)
+
+
 @SETTINGS
 @given(letters((Family.SIGMA,), max_index=BRAID_TOP, max_size=100))
 def test_braid_times_its_inverse_is_trivial_without_steps(b):
@@ -1058,7 +1071,8 @@ def test_reduced_codes_encode_free_reduce(w, b):
     ("is_trivial_braid", lambda w: _reduced_codes(w, frozenset({Family.SIGMA}), "is_trivial_braid")),
     ("is_trivial_braid", is_trivial_braid),
     ("handle_reduce", handle_reduce),
-], ids=["reader", "is_trivial_braid", "handle_reduce"])
+    ("is_trivial_braid_by_coordinates", is_trivial_braid_by_coordinates),
+], ids=["reader", "is_trivial_braid", "handle_reduce", "coordinates"])
 def test_braid_reader_rejects_letters_as_check_alphabet(bad, what, read):
     # the letter follows a pair the reader has already cancelled, so it
     # must be met as a separate first pass over the word would meet it
