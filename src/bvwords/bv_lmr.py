@@ -58,26 +58,28 @@ repaired middle is split into syllables once: a raise cables one strand,
 so it does not depend on where the cuts fall.
 
 The syllables have two holdings, each a height h and the data.  BV and
-``to_third_form`` (so ``bvwords lmr``) hold a ``Monosyllable``, the codes
-of a p/pb word of height {h}, and decode the letters once, when
+``to_third_form`` (so ``bvwords lmr``) hold a ``Monosyllable``, the
+codes of a p/pb word of height {h}, and decode the letters once, when
 ``to_third_form`` returns.  V needs only the strand permutation of the
 middle, so ``is_trivial_bv`` holds each of V's syllables as one
 permutation of the positions 0..h (``_PermSyllable``), cut from the
 codes without a ``Monosyllable``, and a raise cables one strand of that
-list instead of a word.  Each holding is a height ``h`` and three
-methods: ``inverse``, ``raised`` (cable one strand), and ``joined``,
-which concatenates codes or multiplies lines.  Cabling respects
-composition, so two neighbours of one height raise as their product
-does: equalization joins each pair of neighbours that reach one height,
-so every raise cables one word or line per run of equal heights, and
-``_equalize_heights`` returns the one held syllable the chain ends on.
-``raise_m`` raises that syllable, ``to_third_form`` reads M off it and
-``is_trivial_bv`` compares it with the identity.  Each equalizing lift
-of a suffix by t levels is one cabling pass, one ``raise_word_heights``
-call and one block charge of t steps.  The holding is chosen only by
-the split into syllables; ``_cut`` checks once that each piece has a
-single height ``h``, and a raise, an inversion or a join keeps that, so
-no later step re-checks it.
+list instead of a word.  The list is a line as ``perms`` holds one:
+``perms._swapped``, the swap loop of ``from_adjacent_transpositions``,
+builds it, and ``perms._inverted`` inverts it.  Each holding is a height
+``h`` and three methods: ``inverse``, ``raised`` (cable one strand), and
+``joined``, which concatenates codes or multiplies lines.  Cabling
+respects composition, so two neighbours of one height raise as their
+product does: equalization joins each pair of neighbours that reach one
+height, so every raise cables one word or line per run of equal heights,
+and ``_equalize_heights`` returns the one held syllable the chain ends
+on.  ``raise_m`` raises that syllable, ``to_third_form`` reads M off it
+and ``is_trivial_bv`` compares it with the identity.  Each equalizing
+lift of a suffix by t levels is one cabling pass, one
+``raise_word_heights`` call and one block charge of t steps.  The
+holding is chosen only by the split into syllables; ``_cut`` checks once
+that each piece has a single height ``h``, and a raise, an inversion or
+a join keeps that, so no later step re-checks it.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
@@ -109,7 +111,7 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .braid import is_trivial_braid_by_coordinates
 from .limits import Budget
-from .perms import from_adjacent_transpositions
+from .perms import _inverted, _swapped, from_adjacent_transpositions
 from .thompson_f import is_trivial_f
 from .words import (
     _BV_ALPHABET,
@@ -749,23 +751,10 @@ def raise_m(held: Monosyllable | _PermSyllable,
 # A syllable of height h is held as its ``line``: the permutation of the
 # positions 0..h made by its letters applied left to right, with
 # ``line[y]`` where position y ends up.  ``p_i`` swaps positions i and
-# i + 1, and the core ``pb_(h-1)`` swaps h - 1 and h.
-
-
-def _flank_perm(codes: Sequence[int], h: int) -> list[int]:
-    """The permutation of a p/pb word on the positions 0..h-1."""
-    line = list(range(h))
-    for x in reversed(codes):    # each letter acts after those left of it
-        i = x >> 3
-        line[i], line[i + 1] = line[i + 1], line[i]
-    return line
-
-
-def _perm_inverse(f: list[int]) -> list[int]:
-    inv = [0] * len(f)
-    for y, z in enumerate(f):
-        inv[z] = y
-    return inv
+# i + 1, and the core ``pb_(h-1)`` swaps h - 1 and h.  The line is
+# ``perms``' format on a plain list: ``perms._swapped`` runs the letter
+# codes right to left (each acts after those left of it), shifting out
+# their kind bits, and ``perms._inverted`` inverts it.
 
 
 def _cable(f: list[int], m: int, t: int = 1) -> tuple[list[int], int]:
@@ -796,7 +785,7 @@ class _PermSyllable(NamedTuple):
     line: list[int]
 
     def inverse(self) -> "_PermSyllable":
-        return _PermSyllable(self.h, _perm_inverse(self.line))
+        return _PermSyllable(self.h, _inverted(self.line))
 
     def raised(self, m: int | None, t: int = 1) -> tuple["_PermSyllable", int | None]:
         """``Monosyllable.raised`` on the line, in O(h + t): cable the
@@ -823,7 +812,8 @@ class _PermSyllable(NamedTuple):
 def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
     """Cut a coded p/pb word as ``split_monosyllables`` does and hold each
     piece as its line; each piece must have a single height."""
-    return [_PermSyllable(h, _flank_perm(piece, h + 1)) for h, piece in _cut(codes, "_perm_syllables")]
+    return [_PermSyllable(h, _swapped(list(range(h + 1)), reversed(piece), 3))
+            for h, piece in _cut(codes, "_perm_syllables")]
 
 
 # ---------------------------------------------------------------------------

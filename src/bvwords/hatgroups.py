@@ -57,10 +57,11 @@ carried letter's pushes are charged together.
 pass over the input, ``words._reduced_codes``, checks its alphabet and
 reads it, freely reduced, into the l/s codes of ``words``; the fold
 runs on those codes.  The two l-parts become ``FNormal`` index tuples
-and a Vhat middle becomes its ``Permutation`` straight from the codes.  Only a BVhat middle is decoded
-back into ``s`` letters, through ``words._letter``, the bounded memo
-that handle reduction and ``bv_lmr.m_to_sigma`` share, so a process that
-decides many words builds each letter once.
+and a Vhat middle becomes its ``Permutation`` straight from the codes.
+Only a BVhat middle is decoded back into ``s`` letters, through
+``words._letter``, the bounded memo that handle reduction and
+``bv_lmr.m_to_sigma`` share, so a process that decides many words
+builds each letter once.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from bvwords.bv_lmr import (
     RELATION_FAMILIES,
     _decode,
     _encode,
-    _flank_perm,
     _PermSyllable,
     apply_relation,
     equal_bv,
@@ -49,6 +48,7 @@ from bvwords.words import (
 )
 from test_rewrite_equivalence import (
     _concat_syllables,
+    _flank_perm,
     _ref_is_trivial_v,
     _ref_mono_raise,
     _RefMonosyllable,

@@ -164,9 +164,13 @@ def test_lmr_golden(capsys):
      '{"command": "trivial", "group": "BV", "input": "pb1 pb1 v2\' pb4\'", "steps": 5, "trivial": false}'),
     (("trivial", "--group", "V", "pb4 pb4 pb1' v4"),
      '{"command": "trivial", "group": "V", "input": "pb4 pb4 pb1\' v4", "steps": 12, "trivial": false}'),
+    # a Vhat middle's line keeps the fixed points 3 and 4 inside it
+    (("normalize", "--group", "Vhat", "s4 s0 l0"),
+     '{"beta": "Permutation(0 1 2)(5 6)", "command": "normalize", "group": "Vhat", "input": "s4 s0 l0", '
+     '"negative": [], "positive": [1]}'),
 ], ids=["lmr_cores_meet", "lmr", "lmr_repair", "lmr_replay", "lmr_mirror", "bvhat_fold", "binf",
         "v_runs_trivial", "v_runs_not_trivial", "lmr_repair_block", "bv_long_repair", "v_long_flush",
-        "lmr_lift_4", "lmr_lift_3", "bv_lift_4", "v_lift_3"])
+        "lmr_lift_4", "lmr_lift_3", "bv_lift_4", "v_lift_3", "vhat_inner_fixed_points"])
 def test_json_golden(capsys, argv, line):
     code, out, _ = run(capsys, argv[0], "--json", *argv[1:])
     # a word that is not trivial exits 1

@@ -36,7 +36,6 @@ from bvwords.bv_lmr import (
     _decode,
     _encode,
     _equalize_heights,
-    _flank_perm,
     _flush_v_letters,
     _free_codes,
     _height_bound,
@@ -60,7 +59,7 @@ from bvwords.bv_lmr import (
 from bvwords.cli import build_parser, parse_word
 from bvwords.hatgroups import GroupMode, HatFraction, canonicalize_hat
 from bvwords.limits import Budget, StepLimitExceeded
-from bvwords.perms import Permutation, compose, from_adjacent_transpositions, from_sigma_word
+from bvwords.perms import Permutation, _swapped, compose, from_adjacent_transpositions, from_sigma_word
 from bvwords.presentations import FAMILIES, GroupId, finite_presentation_instances, instantiate_family
 from bvwords.thompson_f import (
     _collect_codes,
@@ -1379,6 +1378,12 @@ def test_pi_action_cables_the_flank_permutation(case):
     h, codes, m = case
     out, k = pi_action(codes, m)
     assert (_flank_perm(out, h + 1), k) == _cable(_flank_perm(codes, h), m)
+
+
+def _flank_perm(codes, h):
+    # a p/pb word's permutation of the positions 0..h-1, its letters
+    # applied left to right, through the swap loop V shares with ``perms``
+    return _swapped(list(range(h)), reversed(codes), 3)
 
 
 def _perm_syllables_of(syllables):
