@@ -77,9 +77,10 @@ on.  ``raise_m`` raises that syllable, ``to_third_form`` reads M off it
 and ``is_trivial_bv`` compares it with the identity.  Each equalizing
 lift of a suffix by t levels is one cabling pass, one
 ``raise_word_heights`` call and one block charge of t steps.  The
-holding is chosen only by the split into syllables; ``_cut`` checks once
-that each piece has a single height ``h``, and a raise, an inversion or
-a join keeps that, so no later step re-checks it.
+holding is chosen only by the split into syllables; ``_cut`` checks kind
+and height once: every code is a p or pb code, and each piece has a
+single height ``h``.  A raise, an inversion or a join keeps both, so no
+later step re-checks them.
 
 BV's flanks are freely reduced once, where ``split_monosyllables`` cuts
 the repaired middle.  Height repair leaves inverse p pairs behind
@@ -543,39 +544,27 @@ def pi_action(codes: Sequence[int], m: int, t: int = 1) -> tuple[tuple[int, ...]
     return tuple(out), c
 
 
-class _Held(NamedTuple):
-    h: int
-    codes: tuple[int, ...]
-
-
-class Monosyllable(_Held):
+class Monosyllable(NamedTuple):
     """A p/pb word of one height h, held as ``(h, codes)``: every pb
     letter is a core ``pb_(h-1)^e`` and every p index lies below h - 1.
 
-    ``Monosyllable(pre, core, post)`` builds the word of one core, split
-    around it: ``pre`` and ``post`` are tuples of p codes and ``core`` is
-    the pb code.  This constructor checks the kind of every code, and
-    ``_cut`` the height.  A raise, an inversion or a join builds its
-    result through ``_syllable``, which skips both checks: inverting keeps
-    every index, a raise lifts each core by t and keeps every p index
-    below the new cores' (``pi_action``, which checks every code it
-    reads), and a join concatenates two words of one height.  Equalization
-    joins neighbours of one height (``joined``), as V joins its lines, so
-    a held word may have several cores; ``pre``, ``core`` and ``post`` cut
-    it at its first one.
+    A plain record, built without checks as ``Gen`` is; the checked
+    factory is ``split_monosyllables``, whose ``_cut`` checks the kind of
+    every code and the height of every piece.  A raise, an inversion or a
+    join builds its result from a checked syllable: inverting keeps every
+    index, a raise lifts each core by t and keeps every p index below the
+    new cores' (``pi_action``, which checks every code it reads), and a
+    join concatenates two words of one height.  Equalization joins
+    neighbours of one height (``joined``), as V joins its lines, so a held
+    word may have several cores.
     """
 
-    __slots__ = ()
+    h: int
+    codes: tuple[int, ...]
 
-    def __new__(cls, pre: Sequence[int], core: int, post: Sequence[int]) -> "Monosyllable":
-        if core & 6 != 4:
-            raise ValueError(f"monosyllable core must be a pb code, got {core!r}")
-        for x in (*pre, *post):
-            if x & 6 != 2:
-                raise AlphabetError(f"monosyllable flanks must be p codes, got {(pre, core, post)!r}")
-        [held] = _cut((*pre, core, *post), "monosyllable")
-        return tuple.__new__(cls, held)
-
+    # ``pre``, ``core`` and ``post`` cut the word at its first core.  They
+    # stay as read-only views because ``bench/tracing.py`` sizes every
+    # traced ``Monosyllable`` argument through ``pre`` and ``post``.
     @property
     def _first_core(self) -> int:
         return next(i for i, x in enumerate(self.codes) if x & 4)
@@ -596,7 +585,7 @@ class Monosyllable(_Held):
         return _decode(self.codes)
 
     def inverse(self) -> "Monosyllable":
-        return _syllable(self.h, tuple(_invert_codes(self.codes)))
+        return Monosyllable(self.h, tuple(_invert_codes(self.codes)))
 
     def raised(self, m: int | None, t: int = 1) -> tuple["Monosyllable", int | None]:
         """``mono_raise``: a lift by t, the strand entering at the top when
@@ -612,29 +601,28 @@ class Monosyllable(_Held):
         never cancelled, so two cores may meet (``pb1 v2' pb1'`` gives
         ``pb3 pb3'``): M is the chain's middle with only its p runs reduced.
         """
+        if other.h != self.h:
+            raise ValueError(f"joined: heights {self.h} and {other.h} differ")
         x, y = self.codes, other.codes
         i, n = 0, min(len(x), len(y))
         while i < n and x[-1 - i] == y[i] ^ 1 and not y[i] & 4:
             i += 1
-        return _syllable(self.h, x[:len(x) - i] + y[i:])
-
-    def __reduce__(self):
-        # copy and pickle rebuild through ``_syllable``: ``__new__`` takes
-        # (pre, core, post), not the held (h, codes)
-        return _syllable, (self.h, self.codes)
-
-
-def _syllable(h: int, codes: tuple[int, ...]) -> Monosyllable:
-    """A ``Monosyllable`` of height h without the kind and height checks,
-    for codes derived from a checked syllable."""
-    return tuple.__new__(Monosyllable, (h, codes))
+        return Monosyllable(self.h, x[:len(x) - i] + y[i:])
 
 
 def _cut(codes: Sequence[int], what: str) -> Iterator[tuple[int, Sequence[int]]]:
     """Cut a coded p/pb word just after each pb letter, a trailing p run
     going to the last piece, and yield each piece with its height h, the
-    core's index + 1, once every p index in it is checked to lie below the
-    core's."""
+    core's index + 1.
+
+    This is the one check that a piece is a syllable: every code must be a
+    p or pb code (``AlphabetError`` otherwise), and every p index in a
+    piece must lie below its core's."""
+    # x & 6 is 2 for a p code and 4 for a pb code; v codes give 0, and
+    # kinds 6 and 7 name no letter
+    if not set(map((6).__and__, codes)) <= {2, 4}:
+        bad = next(x for x in codes if x & 6 not in (2, 4))
+        raise AlphabetError(f"{what}: {bad} is not a p or pb code")
     cores = [i for i, x in enumerate(codes) if x & 4]
     if not cores:
         raise ValueError(f"{what}: word has no pb letter")
@@ -650,8 +638,9 @@ def _cut(codes: Sequence[int], what: str) -> Iterator[tuple[int, Sequence[int]]]
 
 def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
     """Cut a coded p/pb word just after each pb letter (trailing p goes
-    last), freely reducing each piece; each piece must have a single
-    height.
+    last), freely reducing each piece: the one checked factory of
+    ``Monosyllable``.  ``_cut`` checks that every code is a p or pb code
+    and that each piece has a single height.
 
     A piece holds one pb letter, and a pb code never cancels a p code, so
     reducing the piece reduces each flank.  One reduction here is enough:
@@ -659,7 +648,7 @@ def split_monosyllables(codes: Sequence[int]) -> list[Monosyllable]:
     join cancels the pairs at its seam, and free reduction keeps a flank's
     permutation, so every spill, height and step stays as it was.
     """
-    return [_syllable(h, _free_codes(piece)) for h, piece in _cut(codes, "split_monosyllables")]
+    return [Monosyllable(h, _free_codes(piece)) for h, piece in _cut(codes, "split_monosyllables")]
 
 
 def mono_raise(syl: Monosyllable, m: int | None = None, t: int = 1) -> tuple[Monosyllable, int | None]:
@@ -696,7 +685,7 @@ def mono_raise(syl: Monosyllable, m: int | None = None, t: int = 1) -> tuple[Mon
     elif not 0 <= m < h:
         raise ValueError(f"mono_raise needs an index 0 <= m < {h} or None, got {m}")
     codes, c = pi_action(syl.codes, m, t)
-    return _syllable(h + t, codes), None if c == h else c << 3 | 1
+    return Monosyllable(h + t, codes), None if c == h else c << 3 | 1
 
 
 def raise_word_heights(syllables: Sequence, t: int = 1) -> tuple[list, int | None]:
@@ -805,13 +794,15 @@ class _PermSyllable(NamedTuple):
         strand leaves the product where it leaves ``other``, so the product
         raises as the pair does, with the same spill.
         """
+        if other.h != self.h:
+            raise ValueError(f"joined: heights {self.h} and {other.h} differ")
         f = other.line
         return _PermSyllable(self.h, [f[y] for y in self.line])
 
 
 def _perm_syllables(codes: Sequence[int]) -> list[_PermSyllable]:
     """Cut a coded p/pb word as ``split_monosyllables`` does and hold each
-    piece as its line; each piece must have a single height."""
+    piece as its line, after the same checks of ``_cut``."""
     return [_PermSyllable(h, _swapped(list(range(h + 1)), reversed(piece), 3))
             for h, piece in _cut(codes, "_perm_syllables")]
 

@@ -15,6 +15,7 @@ from bvwords.bv_lmr import (
     LMRForm,
     Monosyllable,
     RELATION_FAMILIES,
+    _cut,
     _decode,
     _encode,
     _PermSyllable,
@@ -77,8 +78,15 @@ def codes(w):
     return tuple(_encode(w))
 
 
+def checked(codes):
+    """The one syllable of a coded word, through the kind and height checks
+    of ``_cut`` and not freely reduced."""
+    [(h, piece)] = _cut(codes, "checked")
+    return Monosyllable(h, tuple(piece))
+
+
 def syllable(pre, core, post):
-    return Monosyllable(codes(pre), _encode((core,))[0], codes(post))
+    return checked(codes((*pre, core, *post)))
 
 
 def pi_action_letters(w, m):
@@ -336,15 +344,11 @@ def test_first_form_structure_and_preservation():
 
 
 def test_monosyllable_structure():
-    with pytest.raises(ValueError):
-        syllable((), pi(0), ())
-    with pytest.raises(AlphabetError):
-        syllable((pibar(0),), pibar(1), ())
     syl = syllable((pi(0),), pibar(2), (pi(1, -1),))
     assert word_height(syl.word()) == HeightSet.singleton(3)
     assert syl.h == 3
     assert syl.inverse().word() == invert(syl.word())
-    # p2 pb2 has an empty height set: the constructor rejects it
+    # p2 pb2 has an empty height set: the cut rejects it
     assert word_height((pi(2), pibar(2))) == HeightSet.empty()
     with pytest.raises(ValueError, match="no single height"):
         syllable((pi(2),), pibar(2), ())
@@ -404,27 +408,23 @@ def coded_single_height_syllables():
     def of_height(h):
         flank = st.lists(st.builds(lambda i, neg: i << 3 | 2 | neg, st.integers(0, h - 2), st.integers(0, 1)),
                          max_size=12).map(tuple) if h >= 2 else st.just(())
-        return st.builds(lambda pre, neg, post: Monosyllable(pre, (h - 1) << 3 | 4 | neg, post),
+        return st.builds(lambda pre, neg, post: Monosyllable(h, (*pre, (h - 1) << 3 | 4 | neg, *post)),
                          flank, st.integers(0, 1), flank)
     return st.integers(1, 8).flatmap(of_height)
-
-
-def rebuilt(syl):
-    return Monosyllable(syl.pre, syl.core, syl.post)
 
 
 @settings(max_examples=300, deadline=None)
 @given(coded_single_height_syllables(), st.data())
 def test_raised_and_inverted_syllables_pass_the_checked_constructor(syl, data):
     # ``mono_raise`` and ``inverse`` build syllables without the kind and
-    # height checks; each must still be one the checked constructor accepts
+    # height checks; each must still be one that ``_cut`` accepts
     h = syl.h
     inverse = syl.inverse()
-    assert inverse == rebuilt(inverse)
+    assert inverse == checked(inverse.codes)
     assert type(inverse.pre) is tuple and type(inverse.post) is tuple
     m = data.draw(st.integers(0, h - 1))
     for new, _ in (mono_raise(syl), mono_raise(syl, m), mono_raise(inverse, m)):
-        assert new == rebuilt(new)
+        assert new == checked(new.codes)
         assert type(new.pre) is tuple and type(new.post) is tuple
         assert new.h == h + 1
 
@@ -535,7 +535,7 @@ def test_raising_keeps_flanks_freely_reduced(syl, data):
     # the invariant that lets ``split_monosyllables`` reduce each flank
     # once: ``pi_action`` and ``mono_raise`` map freely reduced flanks to
     # freely reduced flanks
-    syl = Monosyllable(freely_reduced(syl.pre), syl.core, freely_reduced(syl.post))
+    syl = Monosyllable(syl.h, (*freely_reduced(syl.pre), syl.core, *freely_reduced(syl.post)))
     h = syl.h
     m = data.draw(st.integers(0, h - 1))
     for flank in (syl.pre, syl.post):
@@ -545,11 +545,10 @@ def test_raising_keeps_flanks_freely_reduced(syl, data):
 
 
 @st.composite
-def lines_of_one_height(draw):
-    """Two lines of one height h in 1..8: permutations of 0..h."""
+def lines_of_one_height(draw, n=2):
+    """n lines of one height h in 1..8: permutations of 0..h."""
     h = draw(st.integers(1, 8))
-    a, b = (draw(st.permutations(range(h + 1))) for _ in range(2))
-    return _PermSyllable(h, list(a)), _PermSyllable(h, list(b))
+    return tuple(_PermSyllable(h, list(draw(st.permutations(range(h + 1))))) for _ in range(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -599,15 +598,15 @@ def _split_letters(syl):
     return _decode(syl.pre), _decode((syl.core,))[0], _decode(syl.post)
 
 
-def one_height_words():
-    """One to four syllables of one height h, flanks freely reduced and
-    often empty, so that cores meet in their join."""
+def one_height_words(min_size=1, max_size=4):
+    """min_size to max_size syllables of one height h, flanks freely
+    reduced and often empty, so that cores meet in their join."""
     def of_height(h):
         flank = st.lists(st.builds(lambda i, neg: i << 3 | 2 | neg, st.integers(0, h - 2), st.integers(0, 1)),
                          max_size=3).map(freely_reduced) if h >= 2 else st.just(())
-        syl = st.builds(lambda pre, neg, post: Monosyllable(pre, (h - 1) << 3 | 4 | neg, post),
+        syl = st.builds(lambda pre, neg, post: Monosyllable(h, (*pre, (h - 1) << 3 | 4 | neg, *post)),
                         flank, st.integers(0, 1), flank)
-        return st.lists(syl, min_size=1, max_size=4)
+        return st.lists(syl, min_size=min_size, max_size=max_size)
     return st.integers(1, 6).flatmap(of_height)
 
 
@@ -629,6 +628,16 @@ def test_a_joined_word_raises_as_its_syllables(syllables, t):
         assert lifted.h == h + t
         assert lifted.word() == reduce_p_runs(_decode(_concat_syllables(raised)))
         assert spill == out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(one_height_words(3, 3), lines_of_one_height(3)))
+def test_joins_associate_and_invert_in_reverse(triple):
+    # equalization's two sweeps join neighbours in different groupings, on
+    # words and on lines alike
+    a, b, c = triple
+    assert a.joined(b).joined(c) == a.joined(b.joined(c))
+    assert a.joined(b).inverse() == b.inverse().joined(a.inverse())
 
 
 def test_third_form_middle_has_no_inverse_pair_in_a_p_run():

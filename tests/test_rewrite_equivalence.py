@@ -44,7 +44,6 @@ from bvwords.bv_lmr import (
     _perm_syllables,
     _raise_to_third_form,
     _repair_syllable_heights,
-    _syllable,
     is_trivial_bv,
     m_to_sigma,
     mono_raise,
@@ -732,7 +731,7 @@ def _ref_equalize_heights(syllables, budget):
 
 def _unreduced_split(codes: Sequence[int]) -> list[Monosyllable]:
     """``split_monosyllables`` without its free reduction."""
-    return [_syllable(h, tuple(piece)) for h, piece in _cut(codes, "_unreduced_split")]
+    return [Monosyllable(h, tuple(piece)) for h, piece in _cut(codes, "_unreduced_split")]
 
 
 def _concat_syllables(syllables: Sequence[Monosyllable]) -> list[int]:
@@ -1408,7 +1407,7 @@ def test_raise_chain_matches_on_words_and_lines(w, times):
 
 
 # heights 3, 1 and 2: p0 pb2, pb0 and pb1' p0, as codes
-_MIXED = [Monosyllable((2,), 20, ()), Monosyllable((), 4, ()), Monosyllable((), 13, (2,))]
+_MIXED = [Monosyllable(3, (2, 20)), Monosyllable(1, (4,)), Monosyllable(2, (13, 2))]
 
 
 @pytest.mark.parametrize("hold", [list, _perm_syllables_of], ids=["words", "lines"])
@@ -1418,6 +1417,14 @@ def test_raise_chain_checks_hold_on_both_holdings(hold):
         raise_word_heights(hold(_MIXED))
     with pytest.raises(ValueError, match="raise_m: side must be 'left' or 'right'"):
         raise_m(hold(_MIXED)[0], "up")
+
+
+@pytest.mark.parametrize("hold", [list, _perm_syllables_of], ids=["words", "lines"])
+def test_joined_refuses_another_height_on_both_holdings(hold):
+    low, high = hold(_MIXED)[1:]
+    for a, b in ((low, high), (high, low)):
+        with pytest.raises(ValueError, match=re.escape(f"joined: heights {a.h} and {b.h} differ")):
+            a.joined(b)
 
 
 def test_v_reaches_the_shared_raise_chain_by_module_name(monkeypatch):
@@ -1457,7 +1464,8 @@ def test_split_reduces_each_piece_as_its_two_flanks(w):
     middle = _repaired_middle(w)
     if middle is None:
         return
-    flanks = [Monosyllable(_free_codes(_encode(s.pre)), *_encode((s.core,)), _free_codes(_encode(s.post)))
+    flanks = [Monosyllable(s.core.index + 1, (*_free_codes(_encode(s.pre)), *_encode((s.core,)),
+                                               *_free_codes(_encode(s.post))))
               for s in _ref_split_monosyllables(middle)]
     assert split_monosyllables(_encode(middle)) == flanks
 
@@ -1466,12 +1474,23 @@ def test_split_reduces_each_piece_as_its_two_flanks(w):
 @pytest.mark.parametrize("piece", [(pi(1), pibar(1)), (pibar(1), pi(2)), (pi(3), pibar(1), pi(0))])
 def test_every_cut_rejects_a_piece_of_no_single_height(piece):
     codes = _encode(piece)
-    pos = next(i for i, x in enumerate(codes) if x & 4)
     message = re.escape(f"piece {piece!r} has no single height")
-    with pytest.raises(ValueError, match=message):
-        Monosyllable(codes[:pos], codes[pos], codes[pos + 1:])
     for split in (split_monosyllables, _perm_syllables):
         with pytest.raises(ValueError, match=message):
+            split(codes)
+
+
+# v1 pb2, then a code of kind 1 (v0'), 6 and 7 (no letter) inside the
+# syllable p0 p1' pb2 p1 of height 3
+@pytest.mark.parametrize("codes, bad", [
+    ([8, 20], 8),
+    ([2, 1, 11, 20, 10], 1),
+    ([2, 11, 20, 14, 10], 14),
+    ([2, 11, 7, 20, 10], 7),
+])
+def test_every_cut_rejects_a_code_of_no_p_or_pb_letter(codes, bad):
+    for split in (split_monosyllables, _perm_syllables):
+        with pytest.raises(AlphabetError, match=f"{split.__name__}: {bad} is not a p or pb code"):
             split(codes)
 
 
@@ -1497,7 +1516,7 @@ def test_v_path_builds_no_monosyllable(monkeypatch):
     def no_monosyllable(*args, **kwargs):
         raise AssertionError("the V path built or raised a Monosyllable")
 
-    for name in ("split_monosyllables", "mono_raise", "_syllable"):
+    for name in ("split_monosyllables", "mono_raise"):
         monkeypatch.setattr(bv_lmr, name, no_monosyllable)
     monkeypatch.setattr(Monosyllable, "__new__", no_monosyllable)
     assert [outcome(lambda b: is_trivial_bv(w, BVMode.V, b)) for w in words] == expected
